@@ -1,8 +1,9 @@
 """Command-line front end: compute, analyze, plot, verify.
 
-Exit codes: 0 success, 1 I/O error, 2 math anomaly (a contour or count
-check failed), 3 missing inputs (cache or analysis artifacts absent),
-4 usage error, 5 verification failure.
+Exit codes: 0 success, 1 I/O error, 2 math anomaly (any package error
+other than a missing or invalid cache: a contour or count check failed),
+3 missing inputs (cache or analysis artifacts absent), 4 usage error,
+5 verification failure.
 """
 
 from __future__ import annotations
@@ -18,22 +19,7 @@ import numpy as np
 
 from . import pipeline
 from .contour import primary_zero_of_strip, special_gram_point
-from .errors import (
-    CacheInvalid,
-    CacheMissing,
-    CountMismatch,
-    DomainError,
-    EscapedStrip,
-    MaxSteps,
-    NoTerminalZero,
-    NotSpecial,
-    PhaseJump,
-    PoleProximity,
-    PrecisionLoss,
-    SeedDrift,
-    StepCollapse,
-    WindowExceeded,
-)
+from .errors import CacheInvalid, CacheMissing, DomainError, ZetaStripsError
 from .gram import gram_point
 from .pipeline import RunConfig
 from .strips import find_zeros
@@ -45,22 +31,6 @@ EXIT_MATH = 2
 EXIT_MISSING = 3
 EXIT_USAGE = 4
 EXIT_VERIFY = 5
-
-_MATH_ERRORS = (
-    NotSpecial,
-    CountMismatch,
-    StepCollapse,
-    MaxSteps,
-    EscapedStrip,
-    NoTerminalZero,
-    SeedDrift,
-    PhaseJump,
-    PoleProximity,
-    PrecisionLoss,
-    WindowExceeded,
-    DomainError,
-)
-
 
 class UsageError(Exception):
     pass
@@ -460,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         print("hint: run 'zetastrips compute' (and 'analyze' for plots) first",
               file=sys.stderr)
         return EXIT_MISSING
-    except _MATH_ERRORS as exc:
+    except ZetaStripsError as exc:
         print(f"math anomaly: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MATH
     except OSError as exc:

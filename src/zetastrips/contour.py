@@ -41,7 +41,6 @@ from .errors import (
     SeedDrift,
     StepCollapse,
 )
-from .gram import default_table
 from .zeta import (
     SIGMA_MAX,
     ComplexPoint,
@@ -332,11 +331,22 @@ def _trace_from_launch(
 
 
 @lru_cache(maxsize=4096)
-def _cached_boundary(
-    m: int, params: TraceParams, eval_params: EvalParams
+def strip_boundary(
+    m: int,
+    params: TraceParams = DEFAULT_TRACE,
+    eval_params: EvalParams = DEFAULT_EVAL,
 ) -> tuple[float, float]:
-    """(crossing height, min |zeta| from launch to crossing) for the
-    boundary contour of strip m."""
+    """(crossing height, min |zeta| from launch to crossing) of the m-th
+    strip-boundary contour, memoized because neighbouring strips share a
+    boundary.
+
+    Asserts that the contour reaches sigma_min without meeting a zero,
+    stays clear of zeros between launch and crossing, and crosses the
+    critical line at a Gram point (Re zeta > 0 there by construction of
+    the launch branch); any failure raises NotSpecial.
+    """
+    if m < 1:
+        raise DomainError(f"strip boundary index m = {m} < 1")
     path = _trace_from_launch(2 * m, params, eval_params)
     if isinstance(path.terminal, TerminatedAtZero):
         raise NotSpecial(
@@ -347,7 +357,18 @@ def _cached_boundary(
         raise NotSpecial(f"boundary contour k = {2 * m} never crossed sigma = 1/2")
     right = path.samples[path.samples[:, 0] >= 0.5]
     min_abs = float(np.min(np.hypot(right[:, 2], right[:, 3])))
-    return path.crossing_t, min_abs
+    if min_abs <= params.zero_radius:
+        raise NotSpecial(
+            f"boundary contour k = {2 * m} passed within {min_abs:.2e} of a zero"
+        )
+    crossing = path.crossing_t
+    residual = rs_theta(crossing) / math.pi
+    if abs(residual - round(residual)) > 1e-6:
+        raise NotSpecial(
+            f"boundary crossing {crossing} is not a Gram point "
+            f"(theta/pi residual {residual - round(residual):.2e})"
+        )
+    return crossing, min_abs
 
 
 def special_gram_point(
@@ -355,43 +376,9 @@ def special_gram_point(
     params: TraceParams = DEFAULT_TRACE,
     eval_params: EvalParams = DEFAULT_EVAL,
 ) -> float:
-    """Critical-line crossing height of the m-th strip-boundary contour.
-
-    Asserts the crossing coincides with a Gram point (Re zeta > 0 there by
-    construction of the launch branch) and that the contour stayed clear of
-    zeros between launch and crossing.
-    """
-    if m < 1:
-        raise DomainError(f"strip boundary index m = {m} < 1")
-    crossing, min_abs = _cached_boundary(m, params, eval_params)
-    if min_abs <= params.zero_radius:
-        raise NotSpecial(
-            f"boundary contour k = {2 * m} passed within {min_abs:.2e} of a zero"
-        )
-    residual = rs_theta(crossing) / math.pi
-    if abs(residual - round(residual)) > 1e-6:
-        raise NotSpecial(
-            f"boundary crossing {crossing} is not a Gram point "
-            f"(theta/pi residual {residual - round(residual):.2e})"
-        )
-    return crossing
-
-
-@lru_cache(maxsize=4096)
-def _cached_primary(
-    m: int, params: TraceParams, eval_params: EvalParams
-) -> tuple[float, float]:
-    path = _trace_from_launch(2 * m + 1, params, eval_params)
-    if isinstance(path.terminal, ReachedSigmaMin):
-        raise NoTerminalZero(
-            f"primary contour k = {2 * m + 1} reached sigma_min without a zero"
-        )
-    if not isinstance(path.terminal, TerminatedAtZero):
-        raise NoTerminalZero(
-            f"primary contour k = {2 * m + 1} ended as {path.terminal}"
-        )
-    zero = path.terminal.zero
-    return zero.sigma, zero.t
+    """Critical-line crossing height of the m-th strip-boundary contour,
+    checked by ``strip_boundary``."""
+    return strip_boundary(m, params=params, eval_params=eval_params)[0]
 
 
 def primary_zero_of_strip(
@@ -403,24 +390,30 @@ def primary_zero_of_strip(
 ) -> ComplexPoint:
     """Terminal zero of the contour launched at height (2m+1) pi / ln 2.
 
-    The zero must lie on the critical line to 1e-6 and strictly inside
-    strip m; violations raise EscapedStrip.
+    A contour that ends anywhere but at a zero raises NoTerminalZero.  The
+    zero must lie on the critical line to 1e-6 and strictly inside strip
+    m; violations raise EscapedStrip.
     """
     if m < 1:
         raise DomainError(f"strip index m = {m} < 1")
-    sigma, t = _cached_primary(m, params, eval_params)
-    if abs(sigma - 0.5) > 1e-6:
+    path = _trace_from_launch(2 * m + 1, params, eval_params)
+    if not isinstance(path.terminal, TerminatedAtZero):
+        raise NoTerminalZero(
+            f"primary contour k = {2 * m + 1} ended as {path.terminal} without a zero"
+        )
+    zero = path.terminal.zero
+    if abs(zero.sigma - 0.5) > 1e-6:
         raise EscapedStrip(
-            f"primary zero of strip {m} at sigma = {sigma} is off the critical line"
+            f"primary zero of strip {m} at sigma = {zero.sigma} is off the critical line"
         )
     if check_containment:
         bottom = special_gram_point(m, params, eval_params)
         top = special_gram_point(m + 1, params, eval_params)
-        if not bottom < t < top:
+        if not bottom < zero.t < top:
             raise EscapedStrip(
-                f"primary zero height {t} outside strip {m} = [{bottom}, {top})"
+                f"primary zero height {zero.t} outside strip {m} = [{bottom}, {top})"
             )
-    return ComplexPoint(sigma, t)
+    return zero
 
 
 def unwrap_phase(path: ContourPath, zero_radius: float = 1e-4) -> np.ndarray:
@@ -442,15 +435,6 @@ def unwrap_phase(path: ContourPath, zero_radius: float = 1e-4) -> np.ndarray:
     if deltas.size and np.max(np.abs(deltas)) >= math.pi - 1e-9:
         raise PhaseJump("consecutive phase samples differ by >= pi; refine the step")
     return np.concatenate(([raw[0]], raw[0] + np.cumsum(deltas)))
-
-
-def verify_boundary_is_gram(crossing: float, tol: float = 1e-6) -> int:
-    """Cross-module check: the crossing height must match a Gram-table
-    entry; returns the Gram index."""
-    idx = default_table().index_near(crossing, tol)
-    if idx is None:
-        raise NotSpecial(f"crossing {crossing} does not match a Gram-table entry")
-    return idx
 
 
 def dump_csv(path: ContourPath, directory: Path | str) -> Path:

@@ -1,10 +1,14 @@
 """Compute/analyze orchestration over a worker pool, cache persistence,
 and artifact emission.
 
-The heavy work is three batches of independent jobs keyed by strip index:
-boundary traces, primary traces, and per-strip zero scans.  Results are
-assembled strictly in index order, so the emitted artifacts are
-byte-identical for any worker count.
+``compute`` runs one path from contour to strip.  Three batches of
+independent jobs, keyed by strip index, map the public checked functions
+over the strip range: ``contour.strip_boundary`` for the boundary traces,
+``contour.primary_zero_of_strip`` for the primary traces, and
+``strips.find_zeros`` for the per-strip zero scans.  ``strips.build_strips``
+then assembles and validates the strips.  Every batch returns its results
+in job order, so the emitted artifacts are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -12,22 +16,19 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from . import analysis
 from .cache import Cache, fingerprint, fmt, write_atomic, write_json_atomic
-from .contour import (
-    DEFAULT_TRACE,
-    TraceParams,
-    _cached_boundary,
-    _cached_primary,
-)
+from .contour import DEFAULT_TRACE, TraceParams, primary_zero_of_strip, strip_boundary
 from .errors import CacheInvalid, DomainError, NotSpecial
 from .gram import default_table, gap_ratio_series
 from .strips import Strip, ZeroRecord, build_strips, find_zeros
-from .zeta import DEFAULT_EVAL, EvalParams
+from .zeta import DEFAULT_EVAL, T_ABS_MAX, EvalParams
 
 SLOPE = analysis.SLOPE_MODEL
 
@@ -40,6 +41,15 @@ STRIPS_HEADER = (
 
 FIGURE_RANGES = {3: (1, 70), 4: (70, 140), 5: (140, 280), 6: (280, 560), 7: (560, 1102)}
 DENSITY_RANGES = {11: (1, 70), 12: (70, 140), 13: (140, 280), 14: (280, 560), 15: (560, 1102)}
+
+
+def _boundary_estimate(t_max: float, m_max: int | None) -> int:
+    """Number of boundary contours the first boundary batch traces: one past
+    m_max, or enough to pass t_max, as crossing m stays within 2.5 of
+    m * SLOPE."""
+    if m_max is not None:
+        return m_max + 1
+    return math.ceil((t_max + 2.5) / SLOPE)
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,13 @@ class RunConfig:
             raise DomainError(f"m_max {self.m_max} < 1")
         if self.threads < 1:
             raise DomainError(f"threads {self.threads} < 1")
+        # boundary m launches near m * SLOPE, which must lie in the window
+        last = _boundary_estimate(self.t_max, self.m_max)
+        if last * SLOPE > T_ABS_MAX:
+            raise DomainError(
+                f"boundary contour {last} launches near {last * SLOPE:.2f}, "
+                f"above the evaluation window |t| <= {T_ABS_MAX}"
+            )
 
     @property
     def cache_path(self) -> Path:
@@ -97,77 +114,53 @@ class ComputeResult:
     gram_rows: list = field(default_factory=list)
 
 
-def _boundary_job(args: tuple[int, TraceParams, EvalParams]) -> tuple[int, float, float]:
-    m, tp, ep = args
-    crossing, min_abs = _cached_boundary(m, tp, ep)
-    return m, crossing, min_abs
-
-
-def _primary_job(args: tuple[int, TraceParams, EvalParams]) -> tuple[int, float, float]:
-    m, tp, ep = args
-    sigma, t = _cached_primary(m, tp, ep)
-    return m, sigma, t
-
-
-def _zeros_job(
-    args: tuple[int, float, float, int, EvalParams]
-) -> tuple[int, list[float]]:
+def _zeros_job(args: tuple[int, float, float, int, EvalParams]) -> list[float]:
     m, lo, hi, expected, ep = args
-    records = find_zeros(lo, hi, expected, ep, strip_m=m)
-    return m, [r.t for r in records]
+    return [r.t for r in find_zeros(lo, hi, expected, ep, strip_m=m)]
 
 
-def _run_jobs(jobs, worker, threads: int, label: str, progress: bool):
-    results = {}
-    if threads == 1:
-        for i, job in enumerate(jobs):
-            out = worker(job)
-            results[out[0]] = out[1:]
-            if progress and (i + 1) % 50 == 0:
-                print(f"  {label}: {i + 1}/{len(jobs)}", file=sys.stderr)
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for i, out in enumerate(pool.map(worker, jobs, chunksize=4)):
-                results[out[0]] = out[1:]
-                if progress and (i + 1) % 50 == 0:
-                    print(f"  {label}: {i + 1}/{len(jobs)}", file=sys.stderr)
+def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:
+    """worker(job) for every job, in job order, on ``threads`` processes."""
+    results = []
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for out in pool.map(worker, jobs, chunksize=4) if pool else map(worker, jobs):
+            results.append(out)
+            if progress and len(results) % 50 == 0:
+                print(f"  {label}: {len(results)}/{len(jobs)}", file=sys.stderr)
     return results
 
 
-def _boundary_batch(config: RunConfig) -> tuple[list[float], dict[int, float]]:
-    """Crossing heights for boundaries m = 1..m_count+1 plus min-|zeta|
-    diagnostics, where m_count strips fit under t_max (or m_max if set)."""
-    tp, ep = config.trace_params, config.eval_params
-    if config.m_max is not None:
-        hi = config.m_max + 1
-    else:
-        hi = math.ceil((config.t_max + 2.5) / SLOPE)
-    crossings: dict[int, float] = {}
-    min_abs: dict[int, float] = {}
-    lo = 1
+def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
+    """Crossing heights and min-|zeta| diagnostics for boundaries
+    m = 1..m_count+1, where m_count strips fit under t_max (or m_max if
+    set)."""
+    boundary = partial(
+        strip_boundary, params=config.trace_params, eval_params=config.eval_params
+    )
+    hi = _boundary_estimate(config.t_max, config.m_max)
+    traced: list[tuple[float, float]] = []
     while True:
-        jobs = [(m, tp, ep) for m in range(lo, hi + 1)]
-        if jobs:
-            for m, (crossing, mabs) in _run_jobs(
-                jobs, _boundary_job, config.threads, "boundaries", config.progress
-            ).items():
-                crossings[m], min_abs[m] = crossing, mabs
-        if config.m_max is not None:
+        traced += _run_jobs(
+            range(len(traced) + 1, hi + 1),
+            boundary,
+            config.threads,
+            "boundaries",
+            config.progress,
+        )
+        if config.m_max is not None or traced[-1][0] > config.t_max:
             break
-        if crossings[hi] > config.t_max:
-            break
-        lo, hi = hi + 1, hi + 2  # estimate fell short; extend the batch
+        hi += 2  # estimate fell short; extend the batch
 
     if config.m_max is not None:
         count = config.m_max
     else:
-        count = sum(1 for c in crossings.values() if c <= config.t_max) - 1
+        count = sum(1 for crossing, _ in traced if crossing <= config.t_max) - 1
         if count < 1:
             raise DomainError(f"t_max {config.t_max} leaves no complete strip")
-    ordered = [crossings[m] for m in range(1, count + 2)]
+    ordered = [crossing for crossing, _ in traced[: count + 1]]
     if any(later <= earlier for earlier, later in zip(ordered, ordered[1:])):
         raise NotSpecial("boundary crossings are not strictly increasing")
-    return ordered, min_abs
+    return ordered, [min_abs for _, min_abs in traced[: count + 1]]
 
 
 def _gram_csv(t_max: float) -> tuple[str, list]:
@@ -204,16 +197,14 @@ def _zeros_csv(strips: Sequence[Strip]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _boundaries_csv(boundaries: Sequence[float], min_abs: dict[int, float]) -> str:
+def _boundaries_csv(boundaries: Sequence[float], min_abs: Sequence[float]) -> str:
     table = default_table()
     lines = [BOUNDARY_HEADER]
-    for i, crossing in enumerate(boundaries, start=1):
+    for i, (crossing, mabs) in enumerate(zip(boundaries, min_abs), start=1):
         idx = table.index_near(crossing, 1e-6)
         if idx is None:
             raise NotSpecial(f"boundary {i} at {crossing} matches no Gram point")
-        lines.append(
-            f"{i},{2 * i},{fmt(crossing)},{idx},{fmt(min_abs.get(i, float('nan')))}"
-        )
+        lines.append(f"{i},{2 * i},{fmt(crossing)},{idx},{fmt(mabs)}")
     return "\n".join(lines) + "\n"
 
 
@@ -278,16 +269,15 @@ def compute(config: RunConfig, force: bool = False) -> ComputeResult:
     if config.progress:
         print(f"  {m_count} strips, top {boundaries[-1]:.3f}", file=sys.stderr)
 
-    primary_jobs = [(m, tp, ep) for m in range(1, m_count + 1)]
-    primaries_map = _run_jobs(
-        primary_jobs, _primary_job, config.threads, "primaries", config.progress
+    primary = partial(
+        primary_zero_of_strip, params=tp, eval_params=ep, check_containment=False
     )
-    primaries = []
-    for m in range(1, m_count + 1):
-        sigma, t = primaries_map[m]
-        if abs(sigma - 0.5) > 1e-6:
-            raise NotSpecial(f"primary zero of strip {m} off the critical line")
-        primaries.append(t)
+    primaries = [
+        zero.t
+        for zero in _run_jobs(
+            range(1, m_count + 1), primary, config.threads, "primaries", config.progress
+        )
+    ]
 
     table = default_table()
     table.extend_to_height(max(boundaries[-1], config.t_max) + 1.0)
@@ -295,17 +285,8 @@ def compute(config: RunConfig, force: bool = False) -> ComputeResult:
         (m, boundaries[m - 1], boundaries[m], table.count_in(boundaries[m - 1], boundaries[m]), ep)
         for m in range(1, m_count + 1)
     ]
-    zeros_map = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
-    zero_lists = [zeros_map[m][0] for m in range(1, m_count + 1)]
-
-    strips = build_strips(
-        m_count,
-        tp,
-        ep,
-        boundaries=boundaries,
-        primaries=primaries,
-        zero_lists=zero_lists,
-    )
+    zero_lists = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
+    strips = build_strips(boundaries, primaries, zero_lists)
 
     gram_text, _ = _gram_csv(config.t_max)
     strips_text = _strips_csv(strips)

@@ -5,6 +5,12 @@ inclusive and top exclusive.  With that ownership rule the number of
 critical zeros in a strip equals the number of Gram points it contains,
 exactly and per strip; any violation raises CountMismatch rather than
 being repaired.
+
+This module traces nothing.  ``find_zeros`` scans one interval of the
+critical line, and ``build_strips`` only assembles: it takes boundary
+crossings and primary zeros already checked by ``contour`` and the zero
+lists the scans returned, and checks each strip's zero count and
+primary zero.
 """
 
 from __future__ import annotations
@@ -13,13 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .contour import (
-    DEFAULT_TRACE,
-    TraceParams,
-    primary_zero_of_strip,
-    special_gram_point,
-    verify_boundary_is_gram,
-)
 from .errors import CountMismatch, DomainError, EscapedStrip
 from .gram import gap_model, default_table
 from .zeta import DEFAULT_EVAL, EvalParams, T_ABS_MAX, hardy_z, rs_theta
@@ -134,114 +133,73 @@ def find_zeros(
     )
 
 
-def assemble_strip(
-    m: int,
-    bottom: float,
-    top: float,
-    zero_heights: Sequence[float],
-    gram_count: int,
-    primary_height: float,
-    j_offset: int,
-) -> Strip:
-    """Build and validate one Strip from precomputed pieces."""
-    zeros = tuple(
-        ZeroRecord(j=j_offset + i + 1, t=t, strip_m=m)
-        for i, t in enumerate(zero_heights)
-    )
-    if len(zeros) != gram_count:
-        raise CountMismatch(
-            f"strip {m}: {len(zeros)} zeros vs {gram_count} Gram points"
-        )
-    if not zeros:
-        raise CountMismatch(f"strip {m} is empty; no such strip is expected")
-    diffs = [abs(z.t - primary_height) for z in zeros]
-    primary_index = diffs.index(min(diffs)) + 1
-    if min(diffs) > 1e-5:
-        raise EscapedStrip(
-            f"strip {m}: primary zero at {primary_height} matches no "
-            f"enumerated zero (nearest {min(diffs):.2e} away)"
-        )
-    if not bottom < primary_height < top:
-        raise EscapedStrip(f"strip {m}: primary zero {primary_height} outside strip")
-    strip = Strip(
-        m=m,
-        bottom=bottom,
-        top=top,
-        width=top - bottom,
-        gram_count=gram_count,
-        zeros=zeros,
-        primary_index=primary_index,
-        primary_height=primary_height,
-        primary_stat=(primary_index - 0.5) / len(zeros),
-    )
-    strip.validate()
-    return strip
-
-
 def build_strips(
-    m_max: int,
-    trace_params: TraceParams = DEFAULT_TRACE,
-    eval_params: EvalParams = DEFAULT_EVAL,
-    *,
-    boundaries: Sequence[float] | None = None,
-    primaries: Sequence[float] | None = None,
-    zero_lists: Sequence[Sequence[float]] | None = None,
+    boundaries: Sequence[float],
+    primaries: Sequence[float],
+    zero_lists: Sequence[Sequence[float]],
 ) -> list[Strip]:
-    """Strips 1..m_max with zeros, Gram counts, and primary indices.
+    """Assemble and validate strips 1..len(primaries).
 
-    The three optional sequences let the parallel pipeline inject
-    precomputed traces and scans; assembly and validation stay on this
-    single code path.  ``boundaries`` must hold m_max + 1 crossing heights.
+    ``boundaries`` holds the len(primaries) + 1 crossing heights of the
+    checked boundary contours, ``primaries`` the primary-zero height of
+    each strip and ``zero_lists`` the zero heights its scan found.  Each
+    strip's zero count must equal its Gram count (CountMismatch), and its
+    primary zero must lie inside it and coincide with one of its zeros
+    (EscapedStrip).
     """
-    if m_max < 1:
-        raise DomainError(f"m_max = {m_max} < 1")
-    if boundaries is None:
-        boundaries = [
-            special_gram_point(m, trace_params, eval_params)
-            for m in range(1, m_max + 2)
-        ]
-    if len(boundaries) != m_max + 1:
-        raise DomainError(f"need {m_max + 1} boundaries, got {len(boundaries)}")
-    if primaries is None:
-        primaries = [
-            primary_zero_of_strip(
-                m, trace_params, eval_params, check_containment=False
-            ).t
-            for m in range(1, m_max + 1)
-        ]
-
+    m_count = len(primaries)
+    if m_count < 1:
+        raise DomainError("no strips to build")
+    if len(boundaries) != m_count + 1 or len(zero_lists) != m_count:
+        raise DomainError(
+            f"{m_count} strips need {m_count + 1} boundaries and {m_count} zero "
+            f"lists, got {len(boundaries)} and {len(zero_lists)}"
+        )
     table = default_table()
     table.extend_to_height(boundaries[-1] + 1.0)
-    for crossing in boundaries:
-        verify_boundary_is_gram(crossing)
 
     strips: list[Strip] = []
     j_offset = 0
-    for m in range(1, m_max + 1):
+    for m in range(1, m_count + 1):
         bottom, top = boundaries[m - 1], boundaries[m]
+        primary_height, heights = primaries[m - 1], zero_lists[m - 1]
         if bottom >= top:
             raise EscapedStrip(
                 f"boundary crossings out of order at strip {m}: "
                 f"{bottom} >= {top}; contours may have intersected"
             )
         gram_count = table.count_in(bottom, top)
-        if zero_lists is not None:
-            heights = list(zero_lists[m - 1])
-            if len(heights) != gram_count:
-                raise CountMismatch(
-                    f"strip {m}: precomputed scan found {len(heights)} zeros "
-                    f"vs {gram_count} Gram points"
-                )
-        else:
-            records = find_zeros(
-                bottom, top, gram_count, eval_params, j_offset=j_offset, strip_m=m
+        if len(heights) != gram_count:
+            raise CountMismatch(
+                f"strip {m}: {len(heights)} zeros vs {gram_count} Gram points"
             )
-            heights = [r.t for r in records]
-        strips.append(
-            assemble_strip(
-                m, bottom, top, heights, gram_count, primaries[m - 1], j_offset
+        if not heights:
+            raise CountMismatch(f"strip {m} is empty; no such strip is expected")
+        diffs = [abs(t - primary_height) for t in heights]
+        primary_index = diffs.index(min(diffs)) + 1
+        if min(diffs) > 1e-5:
+            raise EscapedStrip(
+                f"strip {m}: primary zero at {primary_height} matches no "
+                f"enumerated zero (nearest {min(diffs):.2e} away)"
             )
+        if not bottom < primary_height < top:
+            raise EscapedStrip(f"strip {m}: primary zero {primary_height} outside strip")
+        strip = Strip(
+            m=m,
+            bottom=bottom,
+            top=top,
+            width=top - bottom,
+            gram_count=gram_count,
+            zeros=tuple(
+                ZeroRecord(j=j_offset + i + 1, t=t, strip_m=m)
+                for i, t in enumerate(heights)
+            ),
+            primary_index=primary_index,
+            primary_height=primary_height,
+            primary_stat=(primary_index - 0.5) / gram_count,
         )
+        strip.validate()
+        strips.append(strip)
         j_offset += gram_count
     return strips
 

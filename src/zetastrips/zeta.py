@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -87,31 +86,18 @@ class ZetaValue:
 
 DEFAULT_EVAL = EvalParams()
 
-# --- Bernoulli coefficients B_{2k}/(2k)!, exact recurrence, cached ---------
+# --- Bernoulli coefficients B_{2k}/(2k)!, k = 1..21 ------------------------
+# Exact rationals rounded to the nearest double; _tail_bound reads k = 21.
 
-_bern_lock = threading.Lock()
-_bern_cache: list[float] = []
-
-
-def _bernoulli_over_factorial(kmax: int) -> list[float]:
-    """B_{2k}/(2k)! for k = 1..kmax as floats, via the exact rational
-    recurrence B_m = -sum_{j<m} C(m+1, j) B_j / (m+1)."""
-    with _bern_lock:
-        if len(_bern_cache) >= kmax:
-            return _bern_cache
-        n = 2 * kmax
-        bern = [Fraction(0)] * (n + 1)
-        bern[0] = Fraction(1)
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += math.comb(m + 1, j) * bern[j]
-            bern[m] = -acc / (m + 1)
-        _bern_cache.clear()
-        _bern_cache.extend(
-            float(bern[2 * k] / math.factorial(2 * k)) for k in range(1, kmax + 1)
-        )
-        return _bern_cache
+_BERNOULLI_OVER_FACTORIAL = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+)
 
 
 # --- log-n table, grown geometrically, shared across calls ------------------
@@ -143,7 +129,7 @@ def _check_window(sigma: float, t: float) -> None:
         )
 
 
-def _tail_bound(s: complex, n_cut: int, order: int, coeff: list[float]) -> float:
+def _tail_bound(s: complex, n_cut: int, order: int, coeff: tuple[float, ...]) -> float:
     """Bernoulli-tail bound |T_{K+1}| * |s+2K+1| / (sigma+2K+1)."""
     prod = s
     for k in range(1, order + 1):
@@ -158,7 +144,7 @@ def _zeta_em(
 ) -> tuple[complex, complex | None, float]:
     """Core Euler-Maclaurin evaluation; callers have validated the window."""
     order = params.bernoulli_order
-    coeff = _bernoulli_over_factorial(order + 1)
+    coeff = _BERNOULLI_OVER_FACTORIAL
     n_cut = _cutoff(s.imag, params.em_terms_factor)
 
     bound = _tail_bound(s, n_cut, order, coeff)

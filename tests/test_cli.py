@@ -8,10 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from zetastrips import pipeline
+from zetastrips import errors, pipeline
 from zetastrips.cli import main
 from zetastrips.errors import CacheInvalid
 from zetastrips.pipeline import RunConfig, compute
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +99,24 @@ def test_bad_usage_exits_4(tmp_path):
     assert main(["--quiet", "plot"]) == 4  # --figure required
     assert main(["--t-max", "100", "--threads", "0", "--out",
                  str(tmp_path / "o"), "--quiet", "compute"]) == 4  # invalid config
+
+
+def test_t_max_past_the_window_exits_4(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["--t-max", "10993.01", "--out", out, "--quiet", "compute"]) == 4
+    assert main(["--m-max", "1213", "--out", out, "--quiet", "compute"]) == 4
+
+
+@pytest.mark.parametrize(
+    "error", sorted(_subclasses(errors.ZetaStripsError), key=lambda c: c.__name__)
+)
+def test_every_package_error_has_its_exit_code(error, monkeypatch, tmp_path):
+    def fail(config):
+        raise error("injected")
+
+    monkeypatch.setattr(pipeline, "compute", fail)
+    rc = main(["--t-max", "100", "--out", str(tmp_path / "o"), "--quiet", "compute"])
+    assert rc == (3 if error in (errors.CacheMissing, errors.CacheInvalid) else 2)
 
 
 def test_verify_passes_fresh(tmp_path, capsys):

@@ -19,9 +19,9 @@ from zetastrips.contour import (
     special_gram_point,
     trace,
     unwrap_phase,
-    verify_boundary_is_gram,
 )
 from zetastrips.errors import DomainError, PhaseJump
+from zetastrips.gram import default_table
 from zetastrips.zeta import ComplexPoint, hardy_z, zeta, zeta_with_derivative
 
 # frozen launch heights (Newton on the full evaluator, seeded at k pi/ln 2)
@@ -125,15 +125,15 @@ def test_special_gram_point_first_two():
     # deviation from the 2 m pi / ln 2 model stays inside (-2, 2)
     assert -2.0 < s2 - 2.0 * 2.0 * math.pi / LN2 < 2.0
     assert s1 < s2
-    assert verify_boundary_is_gram(s1) == -1
-    assert verify_boundary_is_gram(s2) == 0
+    assert default_table().index_near(s1, 1e-6) == -1
+    assert default_table().index_near(s2, 1e-6) == 0
 
 
 def test_special_gram_points_are_ordered_for_small_m():
     crossings = [special_gram_point(m) for m in range(1, 6)]
     assert all(b > a for a, b in zip(crossings, crossings[1:]))
     for m, c in enumerate(crossings, start=1):
-        assert verify_boundary_is_gram(c) is not None
+        assert default_table().index_near(c, 1e-6) is not None
 
 
 def test_special_gram_point_rejects_m_zero():

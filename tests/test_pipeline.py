@@ -1,0 +1,51 @@
+"""The compute path runs every contour check, and configurations that
+cannot finish inside the evaluation window are rejected up front."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from zetastrips import contour
+from zetastrips.contour import TerminatedAtZero
+from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
+from zetastrips.pipeline import RunConfig, compute
+from zetastrips.zeta import ComplexPoint
+
+
+def test_compute_checks_boundary_gram_residual(monkeypatch, tmp_path):
+    # a theta shifted by pi/2 puts every crossing half-way between Gram points
+    real_theta = contour.rs_theta
+    monkeypatch.setattr(contour, "rs_theta", lambda t: real_theta(t) + 0.5 * math.pi)
+    contour.strip_boundary.cache_clear()  # memoized boundaries skip the check
+    with pytest.raises(NotSpecial):
+        compute(RunConfig(t_max=100.0, out_dir=tmp_path))
+
+
+def test_compute_checks_primary_on_critical_line(monkeypatch, tmp_path):
+    real_trace = contour._trace_from_launch
+
+    def shifted(k, params, eval_params):
+        path = real_trace(k, params, eval_params)
+        if k % 2:  # primary contours: move the terminal zero off the line
+            zero = path.terminal.zero
+            path.terminal = TerminatedAtZero(ComplexPoint(zero.sigma + 1e-3, zero.t))
+        return path
+
+    monkeypatch.setattr(contour, "_trace_from_launch", shifted)
+    with pytest.raises(EscapedStrip):
+        compute(RunConfig(t_max=100.0, out_dir=tmp_path))
+
+
+def test_run_config_rejects_runs_past_the_window():
+    # the last boundary traced for t_max = 10992.5 is m = 1213, launched
+    # near 10995.51; a higher t_max or m_max needs m = 1214 at 11004.57
+    RunConfig(t_max=10992.5)
+    RunConfig(m_max=1212)
+    with pytest.raises(DomainError):
+        RunConfig(t_max=10993.01)
+    with pytest.raises(DomainError):
+        RunConfig(t_max=1.1e4)
+    with pytest.raises(DomainError):
+        RunConfig(m_max=1213)

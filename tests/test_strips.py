@@ -9,6 +9,7 @@ from zetastrips import strips as strips_mod
 from zetastrips.contour import special_gram_point
 from zetastrips.errors import CountMismatch, DomainError, EscapedStrip
 from zetastrips.gram import gap_model
+from zetastrips.pipeline import RunConfig, compute
 from zetastrips.strips import (
     Strip,
     ZeroRecord,
@@ -83,8 +84,8 @@ def test_gram_count_identity_matches_table():
     assert gram_count_identity(lo, special_gram_point(3)) == 3
 
 
-def test_build_single_strip():
-    built = build_strips(1)
+def test_build_single_strip(tmp_path):
+    built = compute(RunConfig(m_max=1, out_dir=tmp_path)).strips
     assert len(built) == 1
     s = built[0]
     assert abs(s.bottom - 9.6669080561) < 1e-6
@@ -95,8 +96,8 @@ def test_build_single_strip():
     assert abs(s.width - (s.top - s.bottom)) < 1e-12
 
 
-def test_build_three_strips_identity_and_indices():
-    built = build_strips(3)
+def test_build_three_strips_identity_and_indices(tmp_path):
+    built = compute(RunConfig(m_max=3, out_dir=tmp_path)).strips
     assert [s.m for s in built] == [1, 2, 3]
     j = 0
     for s in built:
@@ -113,8 +114,8 @@ def test_build_three_strips_identity_and_indices():
     ]
 
 
-def test_zeros_per_width_tracks_gap_model():
-    built = build_strips(12)
+def test_zeros_per_width_tracks_gap_model(tmp_path):
+    built = compute(RunConfig(m_max=12, out_dir=tmp_path)).strips
     for s in built[10:]:
         midpoint = 0.5 * (s.bottom + s.top)
         model = 1.0 / gap_model(midpoint)
@@ -157,17 +158,26 @@ def test_strip_validation_rejects_bad_primary_index():
 
 def test_assemble_strip_rejects_foreign_primary():
     with pytest.raises(EscapedStrip):
-        strips_mod.assemble_strip(
-            m=1,
-            bottom=10.0,
-            top=19.0,
-            zero_heights=[14.134725],
-            gram_count=1,
-            primary_height=21.0,  # outside the strip
-            j_offset=0,
+        build_strips(
+            boundaries=[10.0, 19.0],  # holds the Gram point g_0 = 17.8456
+            primaries=[21.0],  # outside the strip
+            zero_lists=[[14.134725]],
         )
 
 
 def test_build_strips_requires_positive_m():
     with pytest.raises(DomainError):
-        build_strips(0)
+        build_strips([special_gram_point(1)], [], [])
+    with pytest.raises(DomainError):
+        RunConfig(m_max=0)
+
+
+def test_build_strips_checks_count_before_primary():
+    # two Gram points (g_-1 = 9.667, g_0 = 17.846) but one scanned zero
+    with pytest.raises(CountMismatch):
+        build_strips([9.0, 19.0], [14.134725], [[14.134725]])
+
+
+def test_build_strips_rejects_mismatched_lengths():
+    with pytest.raises(DomainError):
+        build_strips([10.0, 19.0, 25.0], [14.134725], [[14.134725]])

@@ -215,3 +215,13 @@ def test_hardy_z_sign_changes_between_known_zeros():
 def test_hardy_z_domain():
     with pytest.raises(DomainError):
         hardy_z(5.0)
+
+
+@pytest.mark.parametrize("k", range(1, 22))
+def test_bernoulli_table_entry_is_exact(k):
+    from fractions import Fraction
+
+    from zetastrips.zeta import _BERNOULLI_OVER_FACTORIAL
+
+    exact = Fraction(*mpmath.bernfrac(2 * k)) / math.factorial(2 * k)
+    assert _BERNOULLI_OVER_FACTORIAL[k - 1] == float(exact)
