@@ -11,13 +11,32 @@ The gradient of Im zeta in the (sigma, t) plane is (Im zeta', Re zeta') by
 Cauchy-Riemann; the predictor steps along the unit tangent perpendicular
 to it and the corrector is a Newton projection back onto the level set.
 
-Step control: the step halves when the corrector struggles or when
-|zeta| < 10 * zero_radius, and is additionally clamped to a third of the
+Step control (after Allgower & Georg, Numerical Continuation Methods,
+1990): the step halves when the corrector struggles or when
+|zeta| < 10 * zero_radius, and is additionally clamped to an eighth of the
 Newton distance |zeta| / |zeta'| so the trace cannot step over an
 on-contour zero (where Re zeta flips sign); a sign-flip backstop catches
 the remaining pathological case.  A terminal zero is declared when
 |zeta| < zero_radius and a full two-dimensional Newton on zeta converges;
 the Newton result is the reported zero.
+
+Newton capture: the clamp shrinks the final approach to a zero
+geometrically, so a leftward trace tries the two-dimensional Newton as
+soon as the Newton distance drops below 0.05, and again each time it has
+halved since the last rejected try.  zeta is real on the contour, so the
+Newton step -zeta/zeta' runs along the tangent; the result is the
+terminal zero only if Newton converged, it lies within twice the Newton
+distance, and it lies ahead along the tangent (within about 26 degrees).
+Otherwise the trace carries on unchanged.  No boundary contour below
+t = 1e4 comes within the capture distance of a zero.
+
+Step sizes: a primary contour (odd k) contributes only its terminal zero,
+so it traces at the step ceiling 0.1.  A boundary contour (even k) keeps
+``TraceParams.step`` (0.02): its crossing is a 1-D Newton seeded from the
+chord between the accepted points either side of sigma = 1/2, stopped at
+|update| < 8 eps t, so a coarser path moves the crossing by a few ulps;
+at step 0.1 the 12th digit of 12 of the 1102 strip widths below 1e4
+changes.
 """
 
 from __future__ import annotations
@@ -52,6 +71,8 @@ from .zeta import (
 
 _LN2 = math.log(2.0)
 _MIN_STEP = 1e-6
+_MAX_STEP = 0.1
+_CAPTURE_DIST = 0.05
 _EPS = sys.float_info.epsilon
 
 
@@ -67,8 +88,8 @@ class TraceParams:
     def __post_init__(self) -> None:
         if self.sigma_start < 4.0:
             raise DomainError(f"sigma_start {self.sigma_start} < 4")
-        if not 0.0 < self.step <= 0.1:
-            raise DomainError(f"step {self.step} outside (0, 0.1]")
+        if not 0.0 < self.step <= _MAX_STEP:
+            raise DomainError(f"step {self.step} outside (0, {_MAX_STEP}]")
         if not 0.0 < self.zero_radius <= 1e-2:
             raise DomainError(f"zero_radius {self.zero_radius} outside (0, 1e-2]")
 
@@ -202,6 +223,7 @@ def trace(
     prev_tangent: complex | None = None
     h = params.step
     easy = 0
+    capture_dist = _CAPTURE_DIST if direction < 0 else 0.0
 
     for _ in range(params.max_steps):
         grad = complex(dz.imag, dz.real)  # grad of Im zeta in (sigma, t)
@@ -216,10 +238,24 @@ def trace(
         ) < 0.0:
             tangent = -tangent
 
+        newton_dist = abs(z) / abs(dz)
+        # capture: zeta is real on the contour, so the Newton step -z/dz is
+        # parallel to the tangent; a converged 2-D Newton that lands close
+        # ahead along it is the terminal zero of this contour
+        if newton_dist < capture_dist:
+            loc = _newton_zero(s, eval_params)
+            if loc is not None:
+                ahead = loc - s
+                if abs(ahead) <= 2.0 * newton_dist and (
+                    ahead * tangent.conjugate()
+                ).real > 0.9 * abs(ahead):
+                    terminal = TerminatedAtZero(ComplexPoint(loc.real, loc.imag))
+                    break
+            capture_dist = 0.5 * newton_dist
+
         # keep each step well inside the Newton distance to the nearest
         # zero: adjacent Im = 0 branches squeeze to that separation near
         # close zero pairs, and larger steps can hop across
-        newton_dist = abs(z) / abs(dz)
         if newton_dist < 8.0 * h:
             h = max(newton_dist / 8.0, _MIN_STEP)
 
@@ -312,13 +348,17 @@ def _trace_from_launch(
     the terminal type contradicts the launch parity.
 
     Even k must cross the critical line and reach sigma_min; odd k must
-    terminate at a zero.  A contradiction at the default step means the
-    trace hopped branches inside a close-pair squeeze; the retry tightens
-    the step the same way the zero scan refines its grid.  A contradiction
-    that survives the finest step is surfaced by the callers.
+    terminate at a zero.  Odd k contribute only that zero, so they trace
+    at the step ceiling; even k keep ``params.step``.  A contradiction at
+    the starting step means the trace hopped branches inside a close-pair
+    squeeze; the retry tightens the step the same way the zero scan
+    refines its grid.  A contradiction that survives the finest step is
+    surfaced by the callers.
     """
     start = launch_point(k, params, eval_params)
     expect_zero = bool(k % 2)
+    if expect_zero:
+        params = replace(params, step=_MAX_STEP)
     path = trace(start, -1, params, eval_params)
     path.k = k
     for shrink in (4.0, 16.0):

@@ -13,12 +13,13 @@ count.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -41,6 +42,20 @@ STRIPS_HEADER = (
 
 FIGURE_RANGES = {3: (1, 70), 4: (70, 140), 5: (140, 280), 6: (280, 560), 7: (560, 1102)}
 DENSITY_RANGES = {11: (1, 70), 12: (70, 140), 13: (140, 280), 14: (280, 560), 15: (560, 1102)}
+
+# modules whose code decides the cached numbers
+_NUMERIC_SOURCES = ("zeta.py", "gram.py", "contour.py", "strips.py")
+
+
+@cache
+def _numerics_digest() -> str:
+    """sha256 over the _NUMERIC_SOURCES, read once per process, so that a
+    cache written by other numerics is never served."""
+    h = hashlib.sha256()
+    for name in _NUMERIC_SOURCES:
+        h.update(name.encode("utf-8") + b"\0")
+        h.update(Path(__file__).with_name(name).read_bytes())
+    return h.hexdigest()
 
 
 def _boundary_estimate(t_max: float, m_max: int | None) -> int:
@@ -83,8 +98,12 @@ class RunConfig:
         return Path(self.cache_dir) if self.cache_dir is not None else self.out_dir / "cache"
 
     def numeric_dict(self) -> dict:
+        from . import __version__  # the package sets it after importing us
+
         e, t = self.eval_params, self.trace_params
         return {
+            "version": __version__,
+            "sources_sha256": _numerics_digest(),
             "t_max": self.t_max,
             "m_max": self.m_max,
             "eval": {
@@ -111,7 +130,6 @@ class ComputeResult:
     strips: list[Strip]
     boundaries: list[float]
     from_cache: bool = False
-    gram_rows: list = field(default_factory=list)
 
 
 def _zeros_job(args: tuple[int, float, float, int, EvalParams]) -> list[float]:
@@ -163,7 +181,7 @@ def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
     return ordered, [min_abs for _, min_abs in traced[: count + 1]]
 
 
-def _gram_csv(t_max: float) -> tuple[str, list]:
+def _gram_csv(t_max: float) -> str:
     table = default_table()
     n_last = table.extend_to_height(t_max)
     series = gap_ratio_series(n_last, table)
@@ -175,7 +193,7 @@ def _gram_csv(t_max: float) -> tuple[str, list]:
             f"{rec.n},{fmt(rec.height)},{fmt(rec.gap)},"
             f"{fmt(rec.ratio_plain)},{fmt(rec.ratio_geometric)}"
         )
-    return "\n".join(lines) + "\n", series
+    return "\n".join(lines) + "\n"
 
 
 def _strips_csv(strips: Sequence[Strip]) -> str:
@@ -288,7 +306,7 @@ def compute(config: RunConfig, force: bool = False) -> ComputeResult:
     zero_lists = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
     strips = build_strips(boundaries, primaries, zero_lists)
 
-    gram_text, _ = _gram_csv(config.t_max)
+    gram_text = _gram_csv(config.t_max)
     strips_text = _strips_csv(strips)
     zeros_text = _zeros_csv(strips)
     boundaries_text = _boundaries_csv(boundaries, min_abs)

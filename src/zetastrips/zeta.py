@@ -263,7 +263,8 @@ def hardy_z(t: float, params: EvalParams = DEFAULT_EVAL) -> float:
     if t < THETA_T_MIN:
         raise DomainError(f"hardy_z requires t >= {THETA_T_MIN}, got {t}")
     val, _, _ = _zeta_em(complex(0.5, t), params, False)
-    rotation = complex(math.cos(_rs_theta_rotation(t)), math.sin(_rs_theta_rotation(t)))
+    phase = _rs_theta_rotation(t)
+    rotation = complex(math.cos(phase), math.sin(phase))
     rotated = rotation * val
     if abs(rotated.imag) >= 1e-8:
         raise PrecisionLoss(

@@ -9,6 +9,7 @@ full run.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import time
@@ -26,6 +27,14 @@ from zetastrips.pipeline import RunConfig, analyze, compute
 from zetastrips.zeta import ComplexPoint, hardy_z, zeta
 
 N_WORKERS = min(8, os.cpu_count() or 1)
+
+# the census artifacts, byte for byte, for any worker count
+CENSUS_SHA256 = {
+    "strips.csv": "a62b8d8cc7ee3f0f8cd47bda323642a98ed4dee5ad21dfff076c4c707ae3b9e6",
+    "zeros.csv": "ce5bbd56f3cc2900b7d5499cdde4237a0804771e7aabe0d87bde957ae46b1cff",
+    "gram.csv": "92d61419fca2c559243fa7cc29eb08f29ca7ab50bd12cb613391b2b059285b2e",
+    "fits.json": "35d890cb33f3fc0f062fa53f6afe81fab5c723205b7bb55a17cdde22cb81960a",
+}
 
 
 @pytest.fixture(scope="session")
@@ -192,6 +201,15 @@ def test_criterion_10_determinism(tmp_path):
     assert diffs == []
     print(f"\nACCEPTANCE 10 (determinism): {len(artifacts)} artifacts "
           f"byte-identical for threads 1 vs 8 at t_max = 500 -> PASS")
+
+
+def test_supplementary_census_artifacts_pinned(full_run):
+    out = full_run["config"].out_dir
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in CENSUS_SHA256}
+    assert digests == CENSUS_SHA256
+    print(f"\nSUPPLEMENTARY: {', '.join(CENSUS_SHA256)} match their pinned "
+          "sha256 -> PASS")
 
 
 def test_supplementary_total_zero_count(full_run):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import LN2, bisect_root
+from zetastrips import contour
 from zetastrips.contour import (
     Aborted,
     ReachedSigmaMin,
@@ -17,11 +18,13 @@ from zetastrips.contour import (
     launch_point,
     primary_zero_of_strip,
     special_gram_point,
+    strip_boundary,
     trace,
     unwrap_phase,
 )
 from zetastrips.errors import DomainError, PhaseJump
 from zetastrips.gram import default_table
+from zetastrips.strips import find_zeros
 from zetastrips.zeta import ComplexPoint, hardy_z, zeta, zeta_with_derivative
 
 # frozen launch heights (Newton on the full evaluator, seeded at k pi/ln 2)
@@ -151,6 +154,35 @@ def test_primary_zero_strip_one():
 def test_primary_zero_strip_two_contained():
     zero = primary_zero_of_strip(2)
     assert special_gram_point(2) < zero.t < special_gram_point(3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 40, 100])
+def test_primary_zero_capture_is_exact_and_cheap(monkeypatch, m):
+    bottom, top = special_gram_point(m), special_gram_point(m + 1)
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return zeta_with_derivative(*args, **kwargs)
+
+    monkeypatch.setattr(contour, "zeta_with_derivative", counted)
+    zero = primary_zero_of_strip(m, check_containment=False)
+    # Newton capture ends the trace; the step-by-step approach took ~980
+    assert calls < 300
+    assert bottom < zero.t < top
+    scanned = [r.t for r in find_zeros(bottom, top)]
+    assert min(abs(t - zero.t) for t in scanned) < 1e-9
+
+
+def test_boundaries_never_enter_the_capture(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("boundary trace attempted a Newton capture")
+
+    strip_boundary.cache_clear()
+    monkeypatch.setattr(contour, "_newton_zero", refuse)
+    for m in range(1, 6):
+        strip_boundary(m)
 
 
 def test_unwrap_phase_boundary_path_stays_at_zero():

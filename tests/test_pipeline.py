@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from zetastrips import contour
+from zetastrips import contour, pipeline
 from zetastrips.contour import TerminatedAtZero
 from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
 from zetastrips.pipeline import RunConfig, compute
@@ -49,3 +49,12 @@ def test_run_config_rejects_runs_past_the_window():
         RunConfig(t_max=1.1e4)
     with pytest.raises(DomainError):
         RunConfig(m_max=1213)
+
+
+def test_cache_from_other_numerics_is_recomputed(monkeypatch, tmp_path):
+    config = RunConfig(t_max=30.0, m_max=1, out_dir=tmp_path)
+    compute(config)
+    assert compute(config).from_cache
+    # same RunConfig, different numerics sources
+    monkeypatch.setattr(pipeline, "_numerics_digest", lambda: "0" * 64)
+    assert not compute(config).from_cache
