@@ -129,14 +129,6 @@ class ContourPath:
     terminal: Terminal
     crossing_t: float | None
 
-    @property
-    def points(self) -> list[ComplexPoint]:
-        return [ComplexPoint(row[0], row[1]) for row in self.samples]
-
-    @property
-    def zeta_values(self) -> np.ndarray:
-        return self.samples[:, 2] + 1j * self.samples[:, 3]
-
 
 def launch_point(
     k: int,
@@ -370,21 +362,27 @@ def _trace_from_launch(
     return path
 
 
-@lru_cache(maxsize=4096)
 def strip_boundary(
     m: int,
     params: TraceParams = DEFAULT_TRACE,
     eval_params: EvalParams = DEFAULT_EVAL,
 ) -> tuple[float, float]:
     """(crossing height, min |zeta| from launch to crossing) of the m-th
-    strip-boundary contour, memoized because neighbouring strips share a
-    boundary.
+    strip-boundary contour, memoized by value of (m, params, eval_params)
+    because neighbouring strips share a boundary.
 
     Asserts that the contour reaches sigma_min without meeting a zero,
     stays clear of zeros between launch and crossing, and crosses the
     critical line at a Gram point (Re zeta > 0 there by construction of
     the launch branch); any failure raises NotSpecial.
     """
+    return _strip_boundary(m, params, eval_params)
+
+
+@lru_cache(maxsize=4096)
+def _strip_boundary(
+    m: int, params: TraceParams, eval_params: EvalParams
+) -> tuple[float, float]:
     if m < 1:
         raise DomainError(f"strip boundary index m = {m} < 1")
     path = _trace_from_launch(2 * m, params, eval_params)
@@ -409,6 +407,10 @@ def strip_boundary(
             f"(theta/pi residual {residual - round(residual):.2e})"
         )
     return crossing, min_abs
+
+
+strip_boundary.cache_clear = _strip_boundary.cache_clear
+strip_boundary.cache_info = _strip_boundary.cache_info
 
 
 def special_gram_point(

@@ -27,7 +27,7 @@ from . import analysis
 from .cache import Cache, fingerprint, fmt, write_atomic, write_json_atomic
 from .contour import DEFAULT_TRACE, TraceParams, primary_zero_of_strip, strip_boundary
 from .errors import CacheInvalid, DomainError, NotSpecial
-from .gram import default_table, gap_ratio_series
+from .gram import default_table, gap_ratio_series, gram_point
 from .strips import Strip, ZeroRecord, build_strips, find_zeros
 from .zeta import DEFAULT_EVAL, T_ABS_MAX, EvalParams
 
@@ -79,8 +79,9 @@ class RunConfig:
     progress: bool = False
 
     def __post_init__(self) -> None:
-        if not 20.0 <= self.t_max <= 1.1e4:
-            raise DomainError(f"t_max {self.t_max} outside [20, 1.1e4]")
+        g_1 = gram_point(1).height  # the Gram series needs g_0 and g_1 <= t_max
+        if not g_1 <= self.t_max <= T_ABS_MAX:
+            raise DomainError(f"t_max {self.t_max} outside [g_1 = {g_1:.4f}, {T_ABS_MAX}]")
         if self.m_max is not None and self.m_max < 1:
             raise DomainError(f"m_max {self.m_max} < 1")
         if self.threads < 1:

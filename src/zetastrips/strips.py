@@ -63,8 +63,10 @@ class Strip:
             raise DomainError(f"strip {self.m}: primary_stat inconsistent")
 
 
-def _bisect_zero(f: Callable[[float], float], lo: float, hi: float) -> float:
-    f_lo = f(lo)
+def _bisect_zero(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float
+) -> float:
+    """Bisect f on [lo, hi] given f_lo = f(lo): one evaluation per halving."""
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
@@ -119,7 +121,7 @@ def find_zeros(
             if prev_z == 0.0:
                 zeros.append(prev_t)
             elif prev_z * cur_z < 0.0:
-                zeros.append(_bisect_zero(z, prev_t, t))
+                zeros.append(_bisect_zero(z, prev_t, t, prev_z))
             prev_t, prev_z = t, cur_z
         if expected_count is None or len(zeros) == expected_count:
             return [

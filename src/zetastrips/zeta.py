@@ -13,14 +13,16 @@ Bernoulli tail,
     |R_K| <= |T_{K+1}| * |s + 2K + 1| / (sigma + 2K + 1),
 
 which is conservative for every point of the evaluation window
-sigma in [-2, 8], |t| <= 1.1e4.  Derivatives differentiate each term
-analytically; no finite differences anywhere in the evaluator.
+sigma in [-2, 8], |t| <= 1.1e4.  It is read off the correction recurrence,
+which ends holding the rising product of T_{K+1}.  The log n come from one
+fixed table, sized by the window and the ``em_terms_factor`` ceiling.
+Derivatives differentiate each term analytically; no finite differences
+anywhere in the evaluator.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ SIGMA_MIN = -2.0
 SIGMA_MAX = 8.0
 T_ABS_MAX = 1.1e4
 THETA_T_MIN = 7.0
+EM_TERMS_FACTOR_MAX = 4.0
 
 _TWO_PI = 2.0 * math.pi
 
@@ -67,8 +70,9 @@ class EvalParams:
     target_abs_error: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.em_terms_factor < 1.2:
-            raise DomainError(f"em_terms_factor {self.em_terms_factor} < 1.2")
+        if not 1.2 <= self.em_terms_factor <= EM_TERMS_FACTOR_MAX:
+            raise DomainError(f"em_terms_factor {self.em_terms_factor} outside "
+                              f"[1.2, {EM_TERMS_FACTOR_MAX}]")
         if not 4 <= self.bernoulli_order <= 20:
             raise DomainError(f"bernoulli_order {self.bernoulli_order} outside [4, 20]")
         if not 0.0 < self.target_abs_error <= 1e-6:
@@ -87,7 +91,7 @@ class ZetaValue:
 DEFAULT_EVAL = EvalParams()
 
 # --- Bernoulli coefficients B_{2k}/(2k)!, k = 1..21 ------------------------
-# Exact rationals rounded to the nearest double; _tail_bound reads k = 21.
+# Exact rationals rounded to the nearest double; the tail bound reads k = 21.
 
 _BERNOULLI_OVER_FACTORIAL = (
     0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
@@ -99,26 +103,21 @@ _BERNOULLI_OVER_FACTORIAL = (
     9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
 )
 
-
-# --- log-n table, grown geometrically, shared across calls ------------------
-
-_log_lock = threading.Lock()
-_log_table = np.log(np.arange(1, 64, dtype=np.float64))
-
-
-def _logs(count: int) -> np.ndarray:
-    """First ``count`` values of log(n), n = 1..count."""
-    global _log_table
-    if count > _log_table.size:
-        with _log_lock:
-            if count > _log_table.size:
-                size = max(count, 2 * _log_table.size)
-                _log_table = np.log(np.arange(1, size + 1, dtype=np.float64))
-    return _log_table[:count]
+# (B_2k/(2k)!, 2k - 1, 2k) for the correction terms k = 1..20
+_CORRECTIONS = tuple(
+    (c, 2.0 * k - 1.0, 2.0 * k) for k, c in enumerate(_BERNOULLI_OVER_FACTORIAL[:-1], 1)
+)
 
 
 def _cutoff(t: float, factor: float) -> int:
     return math.ceil(factor * abs(t) / _TWO_PI) + 10
+
+
+# log n, n = 1..N-1 for the largest cutoff N in the window; stored complex
+# so that numpy skips the float-to-complex cast of every call
+_LOG_N = np.log(
+    np.arange(1, _cutoff(T_ABS_MAX, EM_TERMS_FACTOR_MAX), dtype=np.float64)
+).astype(np.complex128)
 
 
 def _check_window(sigma: float, t: float) -> None:
@@ -129,61 +128,57 @@ def _check_window(sigma: float, t: float) -> None:
         )
 
 
-def _tail_bound(s: complex, n_cut: int, order: int, coeff: tuple[float, ...]) -> float:
-    """Bernoulli-tail bound |T_{K+1}| * |s+2K+1| / (sigma+2K+1)."""
-    prod = s
-    for k in range(1, order + 1):
-        prod = prod * (s + (2 * k - 1)) * (s + 2 * k)
-    npow = n_cut ** (-s.real - 2 * order - 1)
-    t_next = abs(coeff[order]) * abs(prod) * npow
-    return t_next * abs(s + 2 * order + 1) / (s.real + 2 * order + 1)
-
-
 def _zeta_em(
     s: complex, params: EvalParams, want_derivative: bool
 ) -> tuple[complex, complex | None, float]:
     """Core Euler-Maclaurin evaluation; callers have validated the window."""
     order = params.bernoulli_order
-    coeff = _BERNOULLI_OVER_FACTORIAL
     n_cut = _cutoff(s.imag, params.em_terms_factor)
 
-    bound = _tail_bound(s, n_cut, order, coeff)
-    if bound > params.target_abs_error:
-        raise PrecisionLoss(
-            f"tail bound {bound:.3e} exceeds target {params.target_abs_error:.3e} "
-            f"at s = {s} (N = {n_cut}, K = {order})"
-        )
-
-    ln = _logs(n_cut - 1)
+    ln = _LOG_N[: n_cut - 1]
     terms = np.exp(-s * ln)
     value = complex(terms.sum())
-    deriv = complex(-(ln * terms).sum()) if want_derivative else None
 
     ln_cut = math.log(n_cut)
     n_pow_ms = complex(np.exp(-s * ln_cut))  # N^-s
     integral = n_pow_ms * n_cut / (s - 1.0)
     half = 0.5 * n_pow_ms
     value += integral + half
-    if want_derivative:
-        deriv += -ln_cut * integral - n_pow_ms * n_cut / (s - 1.0) ** 2
-        deriv += -ln_cut * half
 
     # Bernoulli corrections with the rising product and its derivative
     # carried incrementally; no intermediate overflows for |s| <= 1.1e4.
     prod = s
-    dprod: complex = 1.0
     npow = n_pow_ms / n_cut  # N^(-s-1)
-    for k in range(1, order + 1):
-        c_k = coeff[k - 1]
-        value += c_k * prod * npow
-        if want_derivative:
+    n_sq = n_cut * n_cut
+    if want_derivative:
+        deriv = complex(-(ln * terms).sum())
+        deriv += -ln_cut * integral - n_pow_ms * n_cut / (s - 1.0) ** 2
+        deriv += -ln_cut * half
+        dprod: complex = 1.0
+        for c_k, a, b in _CORRECTIONS[:order]:
+            value += c_k * prod * npow
             deriv += c_k * (dprod - ln_cut * prod) * npow
-        f1 = s + (2 * k - 1)
-        f2 = s + 2 * k
-        dprod = dprod * f1 * f2 + prod * (f1 + f2)
-        prod = prod * f1 * f2
-        npow = npow / (n_cut * n_cut)
+            f1 = s + a
+            f2 = s + b
+            dprod = dprod * f1 * f2 + prod * (f1 + f2)
+            prod = prod * f1 * f2
+            npow = npow / n_sq
+    else:
+        deriv = None
+        for c_k, a, b in _CORRECTIONS[:order]:
+            value += c_k * prod * npow
+            prod = prod * (s + a) * (s + b)
+            npow = npow / n_sq
 
+    # prod is now s(s+1)...(s+2K): |T_{K+1}| * |s+2K+1| / (sigma+2K+1)
+    npow_k = n_cut ** (-s.real - 2 * order - 1)
+    t_next = abs(_BERNOULLI_OVER_FACTORIAL[order]) * abs(prod) * npow_k
+    bound = t_next * abs(s + 2 * order + 1) / (s.real + 2 * order + 1)
+    if bound > params.target_abs_error:
+        raise PrecisionLoss(
+            f"tail bound {bound:.3e} exceeds target {params.target_abs_error:.3e} "
+            f"at s = {s} (N = {n_cut}, K = {order})"
+        )
     return value, deriv, bound
 
 
@@ -260,8 +255,8 @@ def hardy_z(t: float, params: EvalParams = DEFAULT_EVAL) -> float:
     The imaginary residual of the rotation is asserted below 1e-8 and
     discarded.
     """
-    if t < THETA_T_MIN:
-        raise DomainError(f"hardy_z requires t >= {THETA_T_MIN}, got {t}")
+    if not THETA_T_MIN <= t <= T_ABS_MAX:
+        raise DomainError(f"hardy_z requires t in [{THETA_T_MIN}, {T_ABS_MAX}], got {t}")
     val, _, _ = _zeta_em(complex(0.5, t), params, False)
     phase = _rs_theta_rotation(t)
     rotation = complex(math.cos(phase), math.sin(phase))

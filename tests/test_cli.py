@@ -107,6 +107,12 @@ def test_t_max_past_the_window_exits_4(tmp_path):
     assert main(["--m-max", "1213", "--out", out, "--quiet", "compute"]) == 4
 
 
+def test_t_max_below_the_first_gram_gap_exits_4(tmp_path):
+    out = tmp_path / "o"
+    assert main(["--t-max", "23", "--out", str(out), "--quiet", "compute"]) == 4
+    assert not out.exists()  # rejected before any work
+
+
 @pytest.mark.parametrize(
     "error", sorted(_subclasses(errors.ZetaStripsError), key=lambda c: c.__name__)
 )

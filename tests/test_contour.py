@@ -185,6 +185,15 @@ def test_boundaries_never_enter_the_capture(monkeypatch):
         strip_boundary(m)
 
 
+def test_strip_boundary_memo_ignores_the_call_form():
+    strip_boundary.cache_clear()
+    special_gram_point(2)  # passes params and eval_params by keyword
+    strip_boundary(2)
+    strip_boundary(2, TraceParams())
+    info = strip_boundary.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
 def test_unwrap_phase_boundary_path_stays_at_zero():
     path = trace(launch_point(2), -1)
     theta = unwrap_phase(path)

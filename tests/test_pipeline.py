@@ -10,6 +10,7 @@ import pytest
 from zetastrips import contour, pipeline
 from zetastrips.contour import TerminatedAtZero
 from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
+from zetastrips.gram import gram_point
 from zetastrips.pipeline import RunConfig, compute
 from zetastrips.zeta import ComplexPoint
 
@@ -49,6 +50,15 @@ def test_run_config_rejects_runs_past_the_window():
         RunConfig(t_max=1.1e4)
     with pytest.raises(DomainError):
         RunConfig(m_max=1213)
+
+
+def test_t_max_must_reach_g_1():
+    g_1 = gram_point(1).height
+    RunConfig(t_max=g_1)
+    with pytest.raises(DomainError):
+        RunConfig(t_max=math.nextafter(g_1, 0.0))
+    with pytest.raises(DomainError):
+        RunConfig(t_max=23.0)
 
 
 def test_cache_from_other_numerics_is_recomputed(monkeypatch, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conftest import FIRST_ZEROS
@@ -18,6 +20,7 @@ from zetastrips.strips import (
     gram_count_identity,
     zeros_per_width,
 )
+from zetastrips.zeta import hardy_z
 
 
 def test_find_zeros_strip_one_interval():
@@ -44,6 +47,21 @@ def test_find_zeros_first_seven():
     assert len(found) == 7
     for got, known in zip(found, FIRST_ZEROS):
         assert abs(got.t - known) < 1e-7
+
+
+def test_bisection_takes_one_evaluation_per_halving():
+    calls = []
+
+    def z(t):
+        calls.append(t)
+        return hardy_z(t)
+
+    lo, hi = 14.0, 14.25  # brackets the first zero
+    root = strips_mod._bisect_zero(z, lo, hi, hardy_z(lo))
+    halvings = math.ceil(math.log2((hi - lo) / strips_mod._BISECT_TOL))
+    assert len(calls) == halvings == 28
+    assert lo not in calls
+    assert abs(root - FIRST_ZEROS[0]) < 1e-9
 
 
 def test_find_zeros_rejects_bad_range():

@@ -14,6 +14,7 @@ from zetastrips.errors import DomainError, PoleProximity, PrecisionLoss, WindowE
 from zetastrips.zeta import (
     ComplexPoint,
     EvalParams,
+    T_ABS_MAX,
     hardy_z,
     rs_theta,
     rs_theta_deriv,
@@ -215,6 +216,13 @@ def test_hardy_z_sign_changes_between_known_zeros():
 def test_hardy_z_domain():
     with pytest.raises(DomainError):
         hardy_z(5.0)
+
+
+def test_hardy_z_stops_at_the_window_ceiling():
+    # the fixed log n table covers the window and no more
+    assert math.isfinite(hardy_z(T_ABS_MAX))
+    with pytest.raises(DomainError):
+        hardy_z(math.nextafter(T_ABS_MAX, math.inf))
 
 
 @pytest.mark.parametrize("k", range(1, 22))
