@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .contour import (
     ContourPath,
-    TraceParams,
     launch_point,
     primary_zero_of_strip,
     special_gram_point,
@@ -44,7 +43,6 @@ __all__ = [
     "PrimaryStats",
     "RunConfig",
     "Strip",
-    "TraceParams",
     "ZeroRecord",
     "ZetaValue",
     "analyze",

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -128,142 +129,137 @@ def _load_csv_columns(path: Path) -> dict[str, list[float]]:
     return cols
 
 
-def _figure_chart(figure: int, config: RunConfig) -> Chart:
-    out = config.out_dir
-    need = {
-        1: ["gram.csv"],
-        2: ["strips.csv", "fits.json"],
-        8: ["strips.csv"],
-        9: ["strips.csv", "fits.json"],
-        10: ["strips.csv"],
-        16: ["strips.csv"],
-    }
-    in_dev_range = figure in pipeline.FIGURE_RANGES or figure in pipeline.DENSITY_RANGES
-    fileset = need.get(figure, ["deviations.csv", "arches.csv"] if in_dev_range else [])
-    for name in fileset:
-        if not (out / name).exists():
-            raise CacheMissing(
-                f"{name} missing from {out}; run compute/analyze first"
-            )
+FIGURE_RANGES = {3: (1, 70), 4: (70, 140), 5: (140, 280), 6: (280, 560), 7: (560, 1102)}
+DENSITY_RANGES = {11: (1, 70), 12: (70, 140), 13: (140, 280), 14: (280, 560), 15: (560, 1102)}
 
-    if figure == 1:
-        cols = _load_csv_columns(out / "gram.csv")
-        chart = Chart(
-            title="Gram gap convergence to the spacing model",
-            xlabel="Gram point number n",
-            ylabel="|1 - gap / model|",
-            xlog=True,
-            ylog=True,
+
+def _gram_chart(out: Path) -> Chart:
+    cols = _load_csv_columns(out / "gram.csv")
+    chart = Chart(
+        title="Gram gap convergence to the spacing model",
+        xlabel="Gram point number n",
+        ylabel="|1 - gap / model|",
+        xlog=True,
+        ylog=True,
+    )
+    for label, column in (("plain", "gap_ratio"), ("geometric mean", "gap_ratio_geo")):
+        pairs = [
+            (n, abs(r))
+            for n, r in zip(cols["n"], cols[column])
+            if n >= 1 and not math.isnan(r) and r != 0.0
+        ]
+        chart.add_series(label, [p[0] for p in pairs], [p[1] for p in pairs])
+    return chart
+
+
+def _bottoms_chart(out: Path) -> Chart:
+    cols = _load_csv_columns(out / "strips.csv")
+    fit = json.loads((out / "fits.json").read_text(encoding="utf-8"))["bottoms"]
+    ms = cols["m"]
+    line_x = [ms[0], ms[-1]]
+    line_y = [fit["intercept"] + fit["slope"] * x for x in line_x]
+    chart = Chart(
+        title="Strip bottom height vs strip number",
+        xlabel="strip number m",
+        ylabel="bottom height t",
+        line=(line_x, line_y),
+    )
+    chart.add_series("", ms, cols["bottom"])
+    return chart
+
+
+def _density_chart(out: Path) -> Chart:
+    cols = _load_csv_columns(out / "strips.csv")
+    fit = json.loads((out / "fits.json").read_text(encoding="utf-8"))["density_log"]
+    ms = cols["m"]
+    dens = [n / w for n, w in zip(cols["n_zeros"], cols["width"])]
+    line_x = list(np.geomspace(ms[0], ms[-1], 64))
+    line_y = [fit["intercept"] + fit["slope"] * math.log(x) for x in line_x]
+    chart = Chart(
+        title="Zero density per strip vs strip number",
+        xlabel="strip number m (log)",
+        ylabel="zeros / width",
+        xlog=True,
+        line=(line_x, line_y),
+    )
+    chart.add_series("", ms, dens)
+    return chart
+
+
+def _deviation_chart(out: Path, figure: int) -> Chart:
+    """Bottom-height (FIGURE_RANGES) or zero-density (DENSITY_RANGES)
+    deviations of one strip range, with the arch centres inside it."""
+    if figure in FIGURE_RANGES:
+        (lo, hi), column, title = FIGURE_RANGES[figure], "bottom_dev", "Bottom-height"
+    else:
+        (lo, hi), column, title = DENSITY_RANGES[figure], "density_dev", "Zero-density"
+    cols = _load_csv_columns(out / "deviations.csv")
+    xs = [m for m in cols["m"] if lo <= m <= hi]
+    ys = [v for m, v in zip(cols["m"], cols[column]) if lo <= m <= hi]
+    if not xs:
+        last = int(max(cols["m"], default=0))
+        raise CacheMissing(
+            f"figure {figure} plots strips {lo}..{hi}, but the census in {out} "
+            f"ends at strip {last}; only a larger --t-max reaches that range"
         )
-        for label, column in (("plain", "gap_ratio"), ("geometric mean", "gap_ratio_geo")):
-            pairs = [
-                (n, abs(r))
-                for n, r in zip(cols["n"], cols[column])
-                if n >= 1 and not math.isnan(r) and r != 0.0
-            ]
-            chart.add_series(label, [p[0] for p in pairs], [p[1] for p in pairs])
-        return chart
+    arch_cols = _load_csv_columns(out / "arches.csv")
+    markers = [m for m in arch_cols["m_center"] if lo <= m <= hi]
+    chart = Chart(
+        title=f"{title} deviation, strips {lo}..{hi}",
+        xlabel="strip number m",
+        ylabel="deviation",
+        vmarkers=markers,
+    )
+    chart.add_series("", xs, ys)
+    return chart
 
-    if figure == 2:
+
+def _strips_chart(column: str, title: str, xlabel: str, ylabel: str, xlog: bool = False):
+    """Builder of a chart of one strips.csv column against m."""
+
+    def build(out: Path) -> Chart:
         cols = _load_csv_columns(out / "strips.csv")
-        fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
-        fit = fits["bottoms"]
-        ms = cols["m"]
-        line_x = [ms[0], ms[-1]]
-        line_y = [fit["intercept"] + fit["slope"] * x for x in line_x]
-        chart = Chart(
-            title="Strip bottom height vs strip number",
-            xlabel="strip number m",
-            ylabel="bottom height t",
-            line=(line_x, line_y),
-        )
-        chart.add_series("", ms, cols["bottom"])
+        chart = Chart(title=title, xlabel=xlabel, ylabel=ylabel, xlog=xlog)
+        chart.add_series("", cols["m"], cols[column])
         return chart
 
-    if figure in pipeline.FIGURE_RANGES or figure in pipeline.DENSITY_RANGES:
-        ranges = pipeline.FIGURE_RANGES.get(figure) or pipeline.DENSITY_RANGES[figure]
-        column = "bottom_dev" if figure in pipeline.FIGURE_RANGES else "density_dev"
-        cols = _load_csv_columns(out / "deviations.csv")
-        lo, hi = ranges
-        xs = [m for m in cols["m"] if lo <= m <= hi]
-        ys = [v for m, v in zip(cols["m"], cols[column]) if lo <= m <= hi]
-        if not xs:
-            raise CacheMissing(f"no strips in range [{lo}, {hi}] for figure {figure}")
-        arch_cols = _load_csv_columns(out / "arches.csv")
-        markers = [m for m in arch_cols["m_center"] if lo <= m <= hi]
-        title = (
-            f"Bottom-height deviation, strips {lo}..{hi}"
-            if column == "bottom_dev"
-            else f"Zero-density deviation, strips {lo}..{hi}"
-        )
-        chart = Chart(
-            title=title,
-            xlabel="strip number m",
-            ylabel="deviation",
-            vmarkers=markers,
-        )
-        chart.add_series("", xs, ys)
-        return chart
+    return build
 
-    if figure == 8:
-        cols = _load_csv_columns(out / "strips.csv")
-        chart = Chart(
-            title="Zeros per strip vs strip number",
-            xlabel="strip number m (log)",
-            ylabel="zero count",
-            xlog=True,
-        )
-        chart.add_series("", cols["m"], cols["n_zeros"])
-        return chart
 
-    if figure == 9:
-        cols = _load_csv_columns(out / "strips.csv")
-        fits = json.loads((out / "fits.json").read_text(encoding="utf-8"))
-        fit = fits["density_log"]
-        ms = cols["m"]
-        dens = [n / w for n, w in zip(cols["n_zeros"], cols["width"])]
-        line_x = list(np.geomspace(ms[0], ms[-1], 64))
-        line_y = [fit["intercept"] + fit["slope"] * math.log(x) for x in line_x]
-        chart = Chart(
-            title="Zero density per strip vs strip number",
-            xlabel="strip number m (log)",
-            ylabel="zeros / width",
-            xlog=True,
-            line=(line_x, line_y),
-        )
-        chart.add_series("", ms, dens)
-        return chart
+_DEVIATION_INPUTS = ("deviations.csv", "arches.csv")
 
-    if figure == 10:
-        cols = _load_csv_columns(out / "strips.csv")
-        chart = Chart(
-            title="Strip width on the critical line vs strip number",
-            xlabel="strip number m (log)",
-            ylabel="width",
-            xlog=True,
-        )
-        chart.add_series("", cols["m"], cols["width"])
-        return chart
-
-    if figure == 16:
-        cols = _load_csv_columns(out / "strips.csv")
-        chart = Chart(
-            title="Relative position of the primary zero in its strip",
-            xlabel="strip number m",
-            ylabel="(primary index - 0.5) / zero count",
-        )
-        chart.add_series("", cols["m"], cols["primary_stat"])
-        return chart
-
-    raise UsageError(f"unknown figure number {figure}")
+# figure number -> (artifacts it reads from the output directory, chart builder)
+FIGURES = {
+    1: (("gram.csv",), _gram_chart),
+    2: (("strips.csv", "fits.json"), _bottoms_chart),
+    **{f: (_DEVIATION_INPUTS, partial(_deviation_chart, figure=f)) for f in FIGURE_RANGES},
+    8: (("strips.csv",), _strips_chart(
+        "n_zeros", "Zeros per strip vs strip number", "strip number m (log)",
+        "zero count", xlog=True,
+    )),
+    9: (("strips.csv", "fits.json"), _density_chart),
+    10: (("strips.csv",), _strips_chart(
+        "width", "Strip width on the critical line vs strip number",
+        "strip number m (log)", "width", xlog=True,
+    )),
+    **{f: (_DEVIATION_INPUTS, partial(_deviation_chart, figure=f)) for f in DENSITY_RANGES},
+    16: (("strips.csv",), _strips_chart(
+        "primary_stat", "Relative position of the primary zero in its strip",
+        "strip number m", "(primary index - 0.5) / zero count",
+    )),
+}
 
 
 def cmd_plot(config: RunConfig, figure: int) -> int:
-    if not 1 <= figure <= 16:
-        raise UsageError(f"figure must be 1..16, got {figure}")
-    chart = _figure_chart(figure, config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    target = config.out_dir / f"fig{figure}.svg"
+    if figure not in FIGURES:
+        raise UsageError(f"figure must be 1..{len(FIGURES)}, got {figure}")
+    inputs, build = FIGURES[figure]
+    out = config.out_dir
+    for name in inputs:
+        if not (out / name).exists():
+            raise CacheMissing(f"{name} missing from {out}; run compute/analyze first")
+    chart = build(out)  # its inputs were found in out, so out exists
+    target = out / f"fig{figure}.svg"
     chart.render(target)
     print(f"wrote {target}")
     return 0
@@ -427,8 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (CacheMissing, CacheInvalid) as exc:
         print(f"missing/invalid inputs: {exc}", file=sys.stderr)
-        print("hint: run 'zetastrips compute' (and 'analyze' for plots) first",
-              file=sys.stderr)
+        if args.command != "plot":  # plot messages name their own remedy
+            print("hint: run 'zetastrips compute' first", file=sys.stderr)
         return EXIT_MISSING
     except ZetaStripsError as exc:
         print(f"math anomaly: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
 """Predictor-corrector tracing of Im(zeta(s)) = 0 level curves.
 
-Curves are launched on the vertical line sigma = sigma_start, where
+Curves are launched on the vertical line sigma = SIGMA_START, where
 zeta(s) = 1 + 2^-s + ... makes the branch structure unambiguous: the
 contour meeting sigma = +infinity at height k pi / ln 2 is seeded at that
 height and Newton-corrected.  Even k are strip boundaries (they cross the
-critical line at special Gram points and continue to sigma_min); odd k are
-primary contours (they terminate at the strip's primary zero).
+critical line at special Gram points and continue to SIGMA_MIN); odd k
+are primary contours (they terminate at the strip's primary zero).
+The census traces every contour with the same fixed constants below;
+only the step is an argument of ``trace``.
 
 The gradient of Im zeta in the (sigma, t) plane is (Im zeta', Re zeta') by
 Cauchy-Riemann; the predictor steps along the unit tangent perpendicular
@@ -13,12 +15,12 @@ to it and the corrector is a Newton projection back onto the level set.
 
 Step control (after Allgower & Georg, Numerical Continuation Methods,
 1990): the step halves when the corrector struggles or when
-|zeta| < 10 * zero_radius, and is additionally clamped to an eighth of the
+|zeta| < 10 * ZERO_RADIUS, and is additionally clamped to an eighth of the
 Newton distance |zeta| / |zeta'| so the trace cannot step over an
 on-contour zero (where Re zeta flips sign); a sign-flip backstop catches
 the remaining pathological case.  A terminal zero is declared when
-|zeta| < zero_radius and a full two-dimensional Newton on zeta converges;
-the Newton result is the reported zero.
+|zeta| < ZERO_RADIUS and a full two-dimensional Newton on zeta
+converges; the Newton result is the reported zero.
 
 Newton capture: the clamp shrinks the final approach to a zero
 geometrically, so a leftward trace tries the two-dimensional Newton as
@@ -32,7 +34,7 @@ t = 1e4 comes within the capture distance of a zero.
 
 Step sizes: a primary contour (odd k) contributes only its terminal zero,
 so it traces at the step ceiling 0.1.  A boundary contour (even k) keeps
-``TraceParams.step`` (0.02): its crossing is a 1-D Newton seeded from the
+the default step STEP = 0.02: its crossing is a 1-D Newton seeded from the
 chord between the accepted points either side of sigma = 1/2, stopped at
 |update| < 8 eps t, so a coarser path moves the crossing by a few ulps;
 at step 0.1 the 12th digit of 12 of the 1102 strip widths below 1e4
@@ -43,9 +45,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -69,32 +70,20 @@ from .zeta import (
     zeta_with_derivative,
 )
 
+# the one way the census traces: launch line, left stop, default step,
+# corrector tolerance on |Im zeta|, terminal-zero radius, step budget
+SIGMA_START = 5.0
+SIGMA_MIN = 0.0
+STEP = 0.02
+NEWTON_TOL = 1e-10
+ZERO_RADIUS = 1e-4
+MAX_STEPS = 10**6
+
 _LN2 = math.log(2.0)
 _MIN_STEP = 1e-6
 _MAX_STEP = 0.1
 _CAPTURE_DIST = 0.05
 _EPS = sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class TraceParams:
-    sigma_start: float = 5.0
-    sigma_min: float = 0.0
-    step: float = 0.02
-    newton_tol: float = 1e-10
-    zero_radius: float = 1e-4
-    max_steps: int = 10**6
-
-    def __post_init__(self) -> None:
-        if self.sigma_start < 4.0:
-            raise DomainError(f"sigma_start {self.sigma_start} < 4")
-        if not 0.0 < self.step <= _MAX_STEP:
-            raise DomainError(f"step {self.step} outside (0, {_MAX_STEP}]")
-        if not 0.0 < self.zero_radius <= 1e-2:
-            raise DomainError(f"zero_radius {self.zero_radius} outside (0, 1e-2]")
-
-
-DEFAULT_TRACE = TraceParams()
 
 
 @dataclass(frozen=True)
@@ -130,16 +119,12 @@ class ContourPath:
     crossing_t: float | None
 
 
-def launch_point(
-    k: int,
-    params: TraceParams = DEFAULT_TRACE,
-    eval_params: EvalParams = DEFAULT_EVAL,
-) -> ComplexPoint:
-    """Newton-corrected root of Im zeta(sigma_start + it) = 0 seeded at
+def launch_point(k: int, eval_params: EvalParams = DEFAULT_EVAL) -> ComplexPoint:
+    """Newton-corrected root of Im zeta(SIGMA_START + it) = 0 seeded at
     t = k pi / ln 2; Re zeta > 0 there."""
     if k < 2:
         raise DomainError(f"launch index k = {k} < 2")
-    sigma = params.sigma_start
+    sigma = SIGMA_START
     seed = k * math.pi / _LN2
     t = seed
     for _ in range(12):
@@ -194,30 +179,33 @@ def _cross_line(
 def trace(
     start: ComplexPoint,
     direction: int,
-    params: TraceParams = DEFAULT_TRACE,
     eval_params: EvalParams = DEFAULT_EVAL,
+    step: float = STEP,
 ) -> ContourPath:
     """Continue the Im(zeta) = 0 curve through ``start``.
 
     direction = -1 follows decreasing sigma (leftward, toward the critical
-    strip), +1 increasing sigma.  Raises StepCollapse / MaxSteps on the
-    corresponding failures; these would falsify the strip structure and are
-    never downgraded.
+    strip), +1 increasing sigma.  ``step`` is the step the controller
+    starts at and grows back to, at most _MAX_STEP.  Raises StepCollapse /
+    MaxSteps on the corresponding failures; these would falsify the strip
+    structure and are never downgraded.
     """
+    if not 0.0 < step <= _MAX_STEP:
+        raise DomainError(f"step {step} outside (0, {_MAX_STEP}]")
     s = complex(start.sigma, start.t)
     z, dz = zeta_with_derivative(s, eval_params)
-    if abs(z.imag) > params.newton_tol * max(1.0, abs(z)):
+    if abs(z.imag) > NEWTON_TOL * max(1.0, abs(z)):
         raise DomainError(f"trace start {start} is not on Im zeta = 0")
 
     rows = [(s.real, s.imag, z.real, z.imag)]
     crossing_t: float | None = None
     terminal: Terminal | None = None
     prev_tangent: complex | None = None
-    h = params.step
+    h = step
     easy = 0
     capture_dist = _CAPTURE_DIST if direction < 0 else 0.0
 
-    for _ in range(params.max_steps):
+    for _ in range(MAX_STEPS):
         grad = complex(dz.imag, dz.real)  # grad of Im zeta in (sigma, t)
         if abs(grad) == 0.0:
             raise StepCollapse(f"vanishing gradient at {s} (zeta'(s) = 0?)")
@@ -258,7 +246,7 @@ def trace(
             accepted = False
             for _ in range(4):
                 zp, dzp = zeta_with_derivative(p, eval_params)
-                if abs(zp.imag) < params.newton_tol * max(1.0, abs(zp)):
+                if abs(zp.imag) < NEWTON_TOL * max(1.0, abs(zp)):
                     accepted = True
                     break
                 g = complex(dzp.imag, dzp.real)
@@ -291,10 +279,10 @@ def trace(
             terminal = TerminatedAtZero(ComplexPoint(loc.real, loc.imag))
             break
 
-        if abs(z) < params.zero_radius:
+        if abs(z) < ZERO_RADIUS:
             loc = _newton_zero(s, eval_params)
             if loc is None:
-                raise StepCollapse(f"|zeta| < zero_radius near {s} but Newton failed")
+                raise StepCollapse(f"|zeta| < ZERO_RADIUS near {s} but Newton failed")
             terminal = TerminatedAtZero(ComplexPoint(loc.real, loc.imag))
             break
 
@@ -303,7 +291,7 @@ def trace(
                 0.5, (prev_s.real, prev_s.imag), (s.real, s.imag), eval_params
             )
 
-        if s.real <= params.sigma_min:
+        if s.real <= SIGMA_MIN:
             rows.append((s.real, s.imag, z.real, z.imag))
             terminal = ReachedSigmaMin(ComplexPoint(s.real, s.imag))
             break
@@ -314,16 +302,16 @@ def trace(
             terminal = Aborted("window_edge")
             break
 
-        if abs(z) < 10.0 * params.zero_radius:
+        if abs(z) < 10.0 * ZERO_RADIUS:
             h = max(0.5 * h, _MIN_STEP)
             easy = 0
         else:
             easy += 1
             if easy >= 5:
-                h = min(params.step, 2.0 * h)
+                h = min(step, 2.0 * h)
                 easy = 0
     else:
-        raise MaxSteps(f"trace from {start} exceeded {params.max_steps} steps")
+        raise MaxSteps(f"trace from {start} exceeded {MAX_STEPS} steps")
 
     return ContourPath(
         k=0,
@@ -333,59 +321,49 @@ def trace(
     )
 
 
-def _trace_from_launch(
-    k: int, params: TraceParams, eval_params: EvalParams
-) -> ContourPath:
+def _trace_from_launch(k: int, eval_params: EvalParams) -> ContourPath:
     """Trace leftward from launch index k, retrying at a finer step when
     the terminal type contradicts the launch parity.
 
-    Even k must cross the critical line and reach sigma_min; odd k must
+    Even k must cross the critical line and reach SIGMA_MIN; odd k must
     terminate at a zero.  Odd k contribute only that zero, so they trace
-    at the step ceiling; even k keep ``params.step``.  A contradiction at
+    at the step ceiling; even k keep STEP.  A contradiction at
     the starting step means the trace hopped branches inside a close-pair
     squeeze; the retry tightens the step the same way the zero scan
     refines its grid.  A contradiction that survives the finest step is
     surfaced by the callers.
     """
-    start = launch_point(k, params, eval_params)
+    start = launch_point(k, eval_params)
     expect_zero = bool(k % 2)
-    if expect_zero:
-        params = replace(params, step=_MAX_STEP)
-    path = trace(start, -1, params, eval_params)
+    step = _MAX_STEP if expect_zero else STEP
+    path = trace(start, -1, eval_params, step)
     path.k = k
     for shrink in (4.0, 16.0):
         if isinstance(path.terminal, TerminatedAtZero) == expect_zero:
             break
-        finer = replace(params, step=params.step / shrink)
-        path = trace(start, -1, finer, eval_params)
+        path = trace(start, -1, eval_params, step / shrink)
         path.k = k
     return path
 
 
-def strip_boundary(
-    m: int,
-    params: TraceParams = DEFAULT_TRACE,
-    eval_params: EvalParams = DEFAULT_EVAL,
-) -> tuple[float, float]:
+def strip_boundary(m: int, eval_params: EvalParams = DEFAULT_EVAL) -> tuple[float, float]:
     """(crossing height, min |zeta| from launch to crossing) of the m-th
-    strip-boundary contour, memoized by value of (m, params, eval_params)
-    because neighbouring strips share a boundary.
+    strip-boundary contour, memoized by value of (m, eval_params) because
+    neighbouring strips share a boundary.
 
-    Asserts that the contour reaches sigma_min without meeting a zero,
+    Asserts that the contour reaches SIGMA_MIN without meeting a zero,
     stays clear of zeros between launch and crossing, and crosses the
     critical line at a Gram point (Re zeta > 0 there by construction of
     the launch branch); any failure raises NotSpecial.
     """
-    return _strip_boundary(m, params, eval_params)
+    return _strip_boundary(m, eval_params)
 
 
 @lru_cache(maxsize=4096)
-def _strip_boundary(
-    m: int, params: TraceParams, eval_params: EvalParams
-) -> tuple[float, float]:
+def _strip_boundary(m: int, eval_params: EvalParams) -> tuple[float, float]:
     if m < 1:
         raise DomainError(f"strip boundary index m = {m} < 1")
-    path = _trace_from_launch(2 * m, params, eval_params)
+    path = _trace_from_launch(2 * m, eval_params)
     if isinstance(path.terminal, TerminatedAtZero):
         raise NotSpecial(
             f"boundary contour k = {2 * m} terminated at a zero "
@@ -395,7 +373,7 @@ def _strip_boundary(
         raise NotSpecial(f"boundary contour k = {2 * m} never crossed sigma = 1/2")
     right = path.samples[path.samples[:, 0] >= 0.5]
     min_abs = float(np.min(np.hypot(right[:, 2], right[:, 3])))
-    if min_abs <= params.zero_radius:
+    if min_abs <= ZERO_RADIUS:
         raise NotSpecial(
             f"boundary contour k = {2 * m} passed within {min_abs:.2e} of a zero"
         )
@@ -413,19 +391,14 @@ strip_boundary.cache_clear = _strip_boundary.cache_clear
 strip_boundary.cache_info = _strip_boundary.cache_info
 
 
-def special_gram_point(
-    m: int,
-    params: TraceParams = DEFAULT_TRACE,
-    eval_params: EvalParams = DEFAULT_EVAL,
-) -> float:
+def special_gram_point(m: int, eval_params: EvalParams = DEFAULT_EVAL) -> float:
     """Critical-line crossing height of the m-th strip-boundary contour,
     checked by ``strip_boundary``."""
-    return strip_boundary(m, params=params, eval_params=eval_params)[0]
+    return strip_boundary(m, eval_params)[0]
 
 
 def primary_zero_of_strip(
     m: int,
-    params: TraceParams = DEFAULT_TRACE,
     eval_params: EvalParams = DEFAULT_EVAL,
     *,
     check_containment: bool = True,
@@ -438,7 +411,7 @@ def primary_zero_of_strip(
     """
     if m < 1:
         raise DomainError(f"strip index m = {m} < 1")
-    path = _trace_from_launch(2 * m + 1, params, eval_params)
+    path = _trace_from_launch(2 * m + 1, eval_params)
     if not isinstance(path.terminal, TerminatedAtZero):
         raise NoTerminalZero(
             f"primary contour k = {2 * m + 1} ended as {path.terminal} without a zero"
@@ -449,8 +422,8 @@ def primary_zero_of_strip(
             f"primary zero of strip {m} at sigma = {zero.sigma} is off the critical line"
         )
     if check_containment:
-        bottom = special_gram_point(m, params, eval_params)
-        top = special_gram_point(m + 1, params, eval_params)
+        bottom = special_gram_point(m, eval_params)
+        top = special_gram_point(m + 1, eval_params)
         if not bottom < zero.t < top:
             raise EscapedStrip(
                 f"primary zero height {zero.t} outside strip {m} = [{bottom}, {top})"
@@ -458,32 +431,22 @@ def primary_zero_of_strip(
     return zero
 
 
-def unwrap_phase(path: ContourPath, zero_radius: float = 1e-4) -> np.ndarray:
+def unwrap_phase(path: ContourPath) -> np.ndarray:
     """Continuously unwrapped arg zeta along the path, anchored at the
-    launch end where zeta is within 2^-sigma_start of 1.
+    launch end where zeta is within 2^-SIGMA_START of 1.
 
     Raises PhaseJump when consecutive raw phases differ by >= pi, which
     signals sampling too coarse to unwrap; DomainError when the path holds
-    a point with |zeta| < zero_radius (phase undefined that close to a
+    a point with |zeta| < ZERO_RADIUS (phase undefined that close to a
     zero)."""
     if path.samples.shape[0] == 0:
         raise DomainError("cannot unwrap an empty path")
     mags = np.hypot(path.samples[:, 2], path.samples[:, 3])
-    if np.min(mags) < zero_radius:
-        raise DomainError("path holds a point with |zeta| below zero_radius")
+    if np.min(mags) < ZERO_RADIUS:
+        raise DomainError("path holds a point with |zeta| below ZERO_RADIUS")
     raw = np.arctan2(path.samples[:, 3], path.samples[:, 2])
     deltas = np.diff(raw)
     deltas = (deltas + math.pi) % (2.0 * math.pi) - math.pi
     if deltas.size and np.max(np.abs(deltas)) >= math.pi - 1e-9:
         raise PhaseJump("consecutive phase samples differ by >= pi; refine the step")
     return np.concatenate(([raw[0]], raw[0] + np.cumsum(deltas)))
-
-
-def dump_csv(path: ContourPath, directory: Path | str) -> Path:
-    """Write the path as contour_k<k>.csv (sigma,t,re_zeta,im_zeta)."""
-    target = Path(directory) / f"contour_k{path.k}.csv"
-    lines = ["sigma,t,re_zeta,im_zeta"]
-    for sigma, t, re, im in path.samples:
-        lines.append(f"{sigma:.12g},{t:.12g},{re:.12g},{im:.12g}")
-    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return target

@@ -19,6 +19,7 @@ from .zeta import rs_theta, rs_theta_deriv
 
 _TWO_PI = 2.0 * math.pi
 _MAX_NEWTON = 60
+_BOUNDARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,15 @@ class GramTable:
             n -= 1
         return n
 
-    def count_in(self, lo: float, hi: float, boundary_tol: float = 1e-6) -> int:
+    def count_in(self, lo: float, hi: float) -> int:
         """Number of Gram points g with lo <= g < hi (bottom inclusive).
 
         Endpoints that are themselves Gram points are located only to the
         boundary coincidence tolerance, so membership is decided with a
-        snap of ``boundary_tol`` (far below the minimum Gram spacing)."""
+        snap of _BOUNDARY_TOL (far below the minimum Gram spacing)."""
         self.extend_to_height(hi)
-        return bisect.bisect_left(self._heights, hi - boundary_tol) - bisect.bisect_left(
-            self._heights, lo - boundary_tol
+        return bisect.bisect_left(self._heights, hi - _BOUNDARY_TOL) - bisect.bisect_left(
+            self._heights, lo - _BOUNDARY_TOL
         )
 
     def index_near(self, t: float, tol: float = 1e-6) -> int | None:

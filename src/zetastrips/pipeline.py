@@ -18,14 +18,14 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Sequence
 
 from . import analysis
 from .cache import Cache, fingerprint, fmt, write_atomic, write_json_atomic
-from .contour import DEFAULT_TRACE, TraceParams, primary_zero_of_strip, strip_boundary
+from .contour import primary_zero_of_strip, strip_boundary
 from .errors import CacheInvalid, DomainError, NotSpecial
 from .gram import default_table, gap_ratio_series, gram_point
 from .strips import Strip, ZeroRecord, build_strips, find_zeros
@@ -39,9 +39,6 @@ ZEROS_HEADER = "j,t,strip_m"
 STRIPS_HEADER = (
     "m,bottom,top,width,gram_count,n_zeros,primary_index,primary_height,primary_stat"
 )
-
-FIGURE_RANGES = {3: (1, 70), 4: (70, 140), 5: (140, 280), 6: (280, 560), 7: (560, 1102)}
-DENSITY_RANGES = {11: (1, 70), 12: (70, 140), 13: (140, 280), 14: (280, 560), 15: (560, 1102)}
 
 # modules whose code decides the cached numbers
 _NUMERIC_SOURCES = ("zeta.py", "gram.py", "contour.py", "strips.py")
@@ -75,7 +72,6 @@ class RunConfig:
     out_dir: Path = Path("out")
     cache_dir: Path | None = None
     eval_params: EvalParams = DEFAULT_EVAL
-    trace_params: TraceParams = DEFAULT_TRACE
     progress: bool = False
 
     def __post_init__(self) -> None:
@@ -101,25 +97,12 @@ class RunConfig:
     def numeric_dict(self) -> dict:
         from . import __version__  # the package sets it after importing us
 
-        e, t = self.eval_params, self.trace_params
         return {
             "version": __version__,
             "sources_sha256": _numerics_digest(),
             "t_max": self.t_max,
             "m_max": self.m_max,
-            "eval": {
-                "em_terms_factor": e.em_terms_factor,
-                "bernoulli_order": e.bernoulli_order,
-                "target_abs_error": e.target_abs_error,
-            },
-            "trace": {
-                "sigma_start": t.sigma_start,
-                "sigma_min": t.sigma_min,
-                "step": t.step,
-                "newton_tol": t.newton_tol,
-                "zero_radius": t.zero_radius,
-                "max_steps": t.max_steps,
-            },
+            "eval": asdict(self.eval_params),
         }
 
     def cache(self) -> Cache:
@@ -153,9 +136,7 @@ def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
     """Crossing heights and min-|zeta| diagnostics for boundaries
     m = 1..m_count+1, where m_count strips fit under t_max (or m_max if
     set)."""
-    boundary = partial(
-        strip_boundary, params=config.trace_params, eval_params=config.eval_params
-    )
+    boundary = partial(strip_boundary, eval_params=config.eval_params)
     hi = _boundary_estimate(config.t_max, config.m_max)
     traced: list[tuple[float, float]] = []
     while True:
@@ -282,15 +263,13 @@ def compute(config: RunConfig, force: bool = False) -> ComputeResult:
             _emit(config.out_dir, f"{name}.csv", cache.load(name))
         return ComputeResult(strips=strips, boundaries=boundaries, from_cache=True)
 
-    tp, ep = config.trace_params, config.eval_params
+    ep = config.eval_params
     boundaries, min_abs = _boundary_batch(config)
     m_count = len(boundaries) - 1
     if config.progress:
         print(f"  {m_count} strips, top {boundaries[-1]:.3f}", file=sys.stderr)
 
-    primary = partial(
-        primary_zero_of_strip, params=tp, eval_params=ep, check_containment=False
-    )
+    primary = partial(primary_zero_of_strip, eval_params=ep, check_containment=False)
     primaries = [
         zero.t
         for zero in _run_jobs(

@@ -25,6 +25,7 @@ from .zeta import DEFAULT_EVAL, EvalParams, T_ABS_MAX, hardy_z, rs_theta
 
 _BISECT_TOL = 1e-9
 _MAX_REFINE = 4
+_WIDTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,10 @@ class Strip:
     primary_height: float
     primary_stat: float
 
-    def validate(self, width_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         if not self.bottom < self.top:
             raise DomainError(f"strip {self.m}: bottom >= top")
-        if abs(self.width - (self.top - self.bottom)) > width_tol:
+        if abs(self.width - (self.top - self.bottom)) > _WIDTH_TOL:
             raise DomainError(f"strip {self.m}: width inconsistent")
         if len(self.zeros) != self.gram_count:
             raise CountMismatch(
@@ -92,7 +93,6 @@ def find_zeros(
     expected_count: int | None = None,
     eval_params: EvalParams = DEFAULT_EVAL,
     *,
-    j_offset: int = 0,
     strip_m: int = 0,
 ) -> list[ZeroRecord]:
     """Critical zeros in (t_lo, t_hi) by sign-change scan of Z plus
@@ -125,7 +125,7 @@ def find_zeros(
             prev_t, prev_z = t, cur_z
         if expected_count is None or len(zeros) == expected_count:
             return [
-                ZeroRecord(j=j_offset + i + 1, t=height, strip_m=strip_m)
+                ZeroRecord(j=i + 1, t=height, strip_m=strip_m)
                 for i, height in enumerate(zeros)
             ]
         spacing *= 0.5

@@ -36,6 +36,26 @@ CENSUS_SHA256 = {
     "fits.json": "35d890cb33f3fc0f062fa53f6afe81fab5c723205b7bb55a17cdde22cb81960a",
 }
 
+# figures 1..16 rendered from that census, byte for byte
+FIGURE_SHA256 = {
+    1: "0690eb88bfa1bb1149d710dd2258e5d7dc9ba2770275bcd13fb3b2a32f59c5ea",
+    2: "f3b30c7735ff53a75421a1c9e7331c794de2b89b4afe7b6cdf0b851bfa2d224c",
+    3: "184dc339835aa7eeac0b0ae3619b95b5240d3d537b0f44ae08aa08978fd44129",
+    4: "c42e21ac162c6fbbaa107185803834ca40077865a7a2a325ab5052d47f0db875",
+    5: "1096ade422664a07ec3a9a83c5ebf4c9694c7478070b8ff57c14810a1a717aa8",
+    6: "398fc6164759721b45da7b165dd79b407d4deb2993cc041bcb3ff09d0a8a2343",
+    7: "062e2ee6cb4bafd89a7916c48d15a2be36e60fee1151138ebd94efc1e031c154",
+    8: "ef88dc2d18594201831163d43e2a5e2224937220bfd6cf0666fe0ab7d048edc1",
+    9: "0b58343a2782cb5372955bef8d462f6c4792dc619371ce4aabc86a4d77cfa0ca",
+    10: "3ebad4264f5bfa9badf76eb2ad94bbedec9b55c02c7829e5c7fc82f22a344c00",
+    11: "c417c979c40d01ba37d87a1452c33bb084a97790940124a9e32aaeeda196982e",
+    12: "758b33deb3b599f80ccb73ee1de79a1b4513461fe9acf0b4e96c39fa08473e78",
+    13: "eda8945001d8992975577b22fcda40ed04ffa8ef57f0d89d875f22138c9f5eac",
+    14: "94f240b4ad961ede867a4654ada280208daabf181f4ea33adbc23b86df50d359",
+    15: "5c98d163afc09f49dffc66121a2396528cbd2287effbd71c2ab4308308c22d36",
+    16: "63339990fb4434ef62a9a4907d3449125d16933dc414b2c824b84253e6b6498e",
+}
+
 
 @pytest.fixture(scope="session")
 def full_run(tmp_path_factory):
@@ -280,4 +300,7 @@ def test_supplementary_all_sixteen_figures(full_run):
         assert rc == 0, f"figure {figure}"
         svg = out / f"fig{figure}.svg"
         assert svg.exists() and svg.stat().st_size > 500
-    print("\nSUPPLEMENTARY: figures 1..16 rendered as SVG -> PASS")
+        digest = hashlib.sha256(svg.read_bytes()).hexdigest()
+        assert digest == FIGURE_SHA256[figure], f"figure {figure}"
+    print("\nSUPPLEMENTARY: figures 1..16 rendered as SVG, each matching its "
+          "pinned sha256 -> PASS")

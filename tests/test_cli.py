@@ -87,6 +87,19 @@ def test_plot_unknown_figure_is_usage_error(small_run):
     assert main(["--out", str(small_run), "--quiet", "plot", "--figure", "0"]) == 4
 
 
+def test_figure_range_past_the_census_exits_3(small_run, capsys):
+    # t_max = 100 ends at strip 10: no rerun fills strips 140.. at this t_max
+    for fig in (5, 6, 7, 13, 14, 15):
+        capsys.readouterr()
+        rc = main(["--t-max", "100", "--out", str(small_run), "--quiet", "plot",
+                   "--figure", str(fig)])
+        assert rc == 3, f"figure {fig}"
+        assert not (small_run / f"fig{fig}.svg").exists()
+        err = capsys.readouterr().err
+        assert f"figure {fig} plots strips" in err and "ends at strip 10;" in err
+        assert "run compute" not in err
+
+
 def test_missing_cache_exits_3(tmp_path):
     assert main(["--out", str(tmp_path / "none"), "--quiet", "analyze"]) == 3
     assert (

@@ -14,7 +14,6 @@ from zetastrips.contour import (
     Aborted,
     ReachedSigmaMin,
     TerminatedAtZero,
-    TraceParams,
     launch_point,
     primary_zero_of_strip,
     special_gram_point,
@@ -25,7 +24,7 @@ from zetastrips.contour import (
 from zetastrips.errors import DomainError, PhaseJump
 from zetastrips.gram import default_table
 from zetastrips.strips import find_zeros
-from zetastrips.zeta import ComplexPoint, hardy_z, zeta, zeta_with_derivative
+from zetastrips.zeta import DEFAULT_EVAL, ComplexPoint, hardy_z, zeta, zeta_with_derivative
 
 # frozen launch heights (Newton on the full evaluator, seeded at k pi/ln 2)
 LAUNCH_2_T = 9.165712891246
@@ -69,12 +68,12 @@ def test_trace_boundary_contour_k2():
     assert np.all(np.abs(samples[:, 3]) < 1e-8 * np.maximum(1.0, mags))
     # consecutive points closer than twice the step bound
     gaps = np.hypot(np.diff(samples[:, 0]), np.diff(samples[:, 1]))
-    assert np.max(gaps) < 2.0 * TraceParams().step
+    assert np.max(gaps) < 2.0 * contour.STEP
     # Re zeta stays positive along the whole branch
     assert np.min(samples[:, 2]) > 0.0
     # terminates within one step past sigma_min
-    assert TraceParams().sigma_min - TraceParams().step <= samples[-1, 0]
-    assert samples[-1, 0] <= TraceParams().sigma_min
+    assert contour.SIGMA_MIN - contour.STEP <= samples[-1, 0]
+    assert samples[-1, 0] <= contour.SIGMA_MIN
 
 
 def test_trace_primary_contour_k3_terminates_at_first_zero():
@@ -99,6 +98,12 @@ def test_trace_rightward_monotone_to_window_edge():
 def test_trace_rejects_off_contour_start():
     with pytest.raises(DomainError):
         trace(ComplexPoint(5.0, 9.3), -1)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.02, math.nextafter(contour._MAX_STEP, 1.0)])
+def test_trace_rejects_step_outside_the_ceiling(step):
+    with pytest.raises(DomainError):
+        trace(launch_point(2), -1, step=step)
 
 
 def test_tangent_orthogonality_and_cauchy_riemann():
@@ -187,9 +192,9 @@ def test_boundaries_never_enter_the_capture(monkeypatch):
 
 def test_strip_boundary_memo_ignores_the_call_form():
     strip_boundary.cache_clear()
-    special_gram_point(2)  # passes params and eval_params by keyword
+    special_gram_point(2)
     strip_boundary(2)
-    strip_boundary(2, TraceParams())
+    strip_boundary(2, DEFAULT_EVAL)
     info = strip_boundary.cache_info()
     assert (info.hits, info.misses) == (2, 1)
 
@@ -235,17 +240,3 @@ def test_strip_widths_near_model():
     for a, b in zip(crossings, crossings[1:]):
         width = b - a
         assert abs(width - 2.0 * math.pi / LN2) < 2.0
-
-
-def test_contour_csv_dump(tmp_path):
-    from zetastrips.contour import dump_csv
-
-    path = trace(launch_point(2), -1)
-    path.k = 2
-    target = dump_csv(path, tmp_path)
-    assert target.name == "contour_k2.csv"
-    lines = target.read_text().strip().splitlines()
-    assert lines[0] == "sigma,t,re_zeta,im_zeta"
-    assert len(lines) == path.samples.shape[0] + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert abs(first[0] - 5.0) < 1e-12 and abs(first[1] - LAUNCH_2_T) < 1e-9

@@ -3,6 +3,7 @@ cannot finish inside the evaluation window are rejected up front."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from zetastrips.contour import TerminatedAtZero
 from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
 from zetastrips.gram import gram_point
 from zetastrips.pipeline import RunConfig, compute
-from zetastrips.zeta import ComplexPoint
+from zetastrips.zeta import ComplexPoint, EvalParams
 
 
 def test_compute_checks_boundary_gram_residual(monkeypatch, tmp_path):
@@ -27,8 +28,8 @@ def test_compute_checks_boundary_gram_residual(monkeypatch, tmp_path):
 def test_compute_checks_primary_on_critical_line(monkeypatch, tmp_path):
     real_trace = contour._trace_from_launch
 
-    def shifted(k, params, eval_params):
-        path = real_trace(k, params, eval_params)
+    def shifted(k, eval_params):
+        path = real_trace(k, eval_params)
         if k % 2:  # primary contours: move the terminal zero off the line
             zero = path.terminal.zero
             path.terminal = TerminatedAtZero(ComplexPoint(zero.sigma + 1e-3, zero.t))
@@ -68,3 +69,14 @@ def test_cache_from_other_numerics_is_recomputed(monkeypatch, tmp_path):
     # same RunConfig, different numerics sources
     monkeypatch.setattr(pipeline, "_numerics_digest", lambda: "0" * 64)
     assert not compute(config).from_cache
+
+
+def test_every_eval_param_enters_the_fingerprint(tmp_path):
+    # a field missing here fails the key check, so none is left out silently
+    other = {"em_terms_factor": 3.3, "bernoulli_order": 18, "target_abs_error": 1e-9}
+    assert set(other) == {f.name for f in dataclasses.fields(EvalParams)}
+    base = RunConfig(t_max=100.0, out_dir=tmp_path).cache().fingerprint
+    for name, value in other.items():
+        params = dataclasses.replace(EvalParams(), **{name: value})
+        config = RunConfig(t_max=100.0, out_dir=tmp_path, eval_params=params)
+        assert config.cache().fingerprint != base, name
