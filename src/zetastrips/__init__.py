@@ -26,7 +26,7 @@ from .contour import (
 from .gram import GramPoint, GramTable, gap_model, gap_ratio_series, gram_point
 from .pipeline import RunConfig, analyze, compute
 from .strips import Strip, ZeroRecord, build_strips, find_zeros, zeros_per_width
-from .zeta import ComplexPoint, EvalParams, ZetaValue, hardy_z, rs_theta, zeta
+from .zeta import ComplexPoint, ZetaValue, hardy_z, rs_theta
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "ComplexPoint",
     "ContourPath",
     "DeviationSeries",
-    "EvalParams",
     "GramPoint",
     "GramTable",
     "LinearFit",
@@ -67,5 +66,4 @@ __all__ = [
     "trace",
     "unwrap_phase",
     "zeros_per_width",
-    "zeta",
 ]

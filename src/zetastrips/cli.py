@@ -25,7 +25,7 @@ from .gram import gram_point
 from .pipeline import RunConfig
 from .strips import find_zeros
 from .svgfig import Chart
-from .zeta import ComplexPoint, EvalParams, zeta
+from .zeta import ComplexPoint, zeta
 
 EXIT_IO = 1
 EXIT_MATH = 2
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: Path) -> dict[str, str]:
     """key = value lines; '#' starts a comment; unknown keys rejected."""
-    known = {"t_max", "m_max", "threads", "out", "cache", "precision"}
+    known = {"t_max", "m_max", "threads", "out", "cache"}
     values: dict[str, str] = {}
     for raw in path.read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -83,18 +83,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     threads = pick(args.threads, "threads", int)
     out = pick(args.out, "out", str)
     cache = pick(args.cache, "cache", str)
-    precision = pick(args.precision, "precision", float)
-
-    eval_params = (
-        EvalParams(target_abs_error=precision) if precision is not None else EvalParams()
-    )
     return RunConfig(
         t_max=t_max if t_max is not None else 1e4,
         m_max=m_max,
         threads=threads if threads is not None else 1,
         out_dir=Path(out) if out is not None else Path("out"),
         cache_dir=Path(cache) if cache is not None else None,
-        eval_params=eval_params,
         progress=not args.quiet,
     )
 
@@ -266,7 +260,6 @@ def cmd_plot(config: RunConfig, figure: int) -> int:
 
 
 def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
-    ep = config.eval_params
     checks: list[tuple[str, bool, str]] = []
 
     def run(name: str, fn) -> None:
@@ -277,7 +270,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         checks.append((name, ok, detail))
 
     def zeta_at_two():
-        val = zeta(ComplexPoint(2.0, 0.0), ep).value
+        val = zeta(ComplexPoint(2.0, 0.0)).value
         err = abs(val - math.pi**2 / 6.0)
         return err < 1e-10, f"|zeta(2) - pi^2/6| = {err:.2e}"
 
@@ -289,26 +282,24 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
             t = rng.uniform(7.0, 5000.0)
             if abs(complex(sigma, t) - 1.0) < 0.5:
                 continue
-            a = zeta(ComplexPoint(sigma, t), ep).value
-            b = zeta(ComplexPoint(sigma, -t), ep).value
+            a = zeta(ComplexPoint(sigma, t)).value
+            b = zeta(ComplexPoint(sigma, -t)).value
             worst = max(worst, abs(b - a.conjugate()))
         return worst < 1e-10, f"max |zeta(conj s) - conj zeta(s)| = {worst:.2e}"
 
     def derivative_check():
-        # tolerance scales with the configured precision target
-        tol = max(1e-6, 1e3 * ep.target_abs_error)
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(10):
             s = ComplexPoint(rng.uniform(0.0, 6.0), rng.uniform(10.0, 2000.0))
-            v = zeta(s, ep, derivative=True)
+            v = zeta(s, derivative=True)
             h = 1e-6
             fd = (
-                zeta(ComplexPoint(s.sigma + h, s.t), ep).value
-                - zeta(ComplexPoint(s.sigma - h, s.t), ep).value
+                zeta(ComplexPoint(s.sigma + h, s.t)).value
+                - zeta(ComplexPoint(s.sigma - h, s.t)).value
             ) / (2.0 * h)
             worst = max(worst, abs(fd - v.derivative) / abs(v.derivative))
-        return worst < tol, f"max relative FD mismatch = {worst:.2e} (tol {tol:.0e})"
+        return worst < 1e-6, f"max relative FD mismatch = {worst:.2e} (tol 1e-06)"
 
     def gram_minus_one():
         g = gram_point(-1).height
@@ -316,17 +307,17 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         return err < 1e-6, f"|g(-1) - 9.6669080561| = {err:.2e}"
 
     def first_zero():
-        zeros = find_zeros(10.0, 15.0, eval_params=ep)
+        zeros = find_zeros(10.0, 15.0)
         if len(zeros) != 1:
             return False, f"expected 1 zero in (10, 15), found {len(zeros)}"
         err = abs(zeros[0].t - 14.134725)
         return err < 1e-5, f"|zero - 14.134725| = {err:.2e}"
 
     def strip_one_identity():
-        bottom = special_gram_point(1, eval_params=ep)
-        top = special_gram_point(2, eval_params=ep)
-        zr = find_zeros(bottom, top, 1, ep)
-        primary = primary_zero_of_strip(1, eval_params=ep)
+        bottom = special_gram_point(1)
+        top = special_gram_point(2)
+        zr = find_zeros(bottom, top, 1)
+        primary = primary_zero_of_strip(1)
         ok = (
             abs(bottom - 9.6669080561) < 1e-6
             and len(zr) == 1
@@ -385,12 +376,6 @@ def make_parser() -> _Parser:
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default=None, help="artifact directory")
     parser.add_argument("--cache", default=None, help="cache directory")
-    parser.add_argument(
-        "--precision",
-        type=float,
-        default=None,
-        help="target absolute evaluation error (default 1e-10)",
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress progress")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("compute", help="populate the cache and emit CSV artifacts")

@@ -61,14 +61,7 @@ from .errors import (
     SeedDrift,
     StepCollapse,
 )
-from .zeta import (
-    SIGMA_MAX,
-    ComplexPoint,
-    EvalParams,
-    DEFAULT_EVAL,
-    rs_theta,
-    zeta_with_derivative,
-)
+from .zeta import SIGMA_MAX, ComplexPoint, rs_theta, zeta_with_derivative
 
 # the one way the census traces: launch line, left stop, default step,
 # corrector tolerance on |Im zeta|, terminal-zero radius, step budget
@@ -119,7 +112,7 @@ class ContourPath:
     crossing_t: float | None
 
 
-def launch_point(k: int, eval_params: EvalParams = DEFAULT_EVAL) -> ComplexPoint:
+def launch_point(k: int) -> ComplexPoint:
     """Newton-corrected root of Im zeta(SIGMA_START + it) = 0 seeded at
     t = k pi / ln 2; Re zeta > 0 there."""
     if k < 2:
@@ -128,7 +121,7 @@ def launch_point(k: int, eval_params: EvalParams = DEFAULT_EVAL) -> ComplexPoint
     seed = k * math.pi / _LN2
     t = seed
     for _ in range(12):
-        z, dz = zeta_with_derivative(complex(sigma, t), eval_params)
+        z, dz = zeta_with_derivative(complex(sigma, t))
         step = z.imag / dz.real  # d/dt Im zeta = Re zeta'
         t -= step
         if abs(step) < 8.0 * _EPS * max(1.0, abs(t)):
@@ -137,17 +130,17 @@ def launch_point(k: int, eval_params: EvalParams = DEFAULT_EVAL) -> ComplexPoint
         raise ConvergenceFailure(f"launch Newton for k = {k} did not settle")
     if abs(t - seed) > 0.5 * math.pi / _LN2:
         raise SeedDrift(f"launch for k = {k} drifted from {seed} to {t}")
-    z, _ = zeta_with_derivative(complex(sigma, t), eval_params)
+    z, _ = zeta_with_derivative(complex(sigma, t))
     if z.real <= 0.0:
         raise SeedDrift(f"launch for k = {k} landed on Re zeta <= 0 branch")
     return ComplexPoint(sigma, t)
 
 
-def _newton_zero(s: complex, eval_params: EvalParams) -> complex | None:
+def _newton_zero(s: complex) -> complex | None:
     """Two-dimensional Newton on zeta(s) = 0; None when it does not settle.
     Converged means the update has shrunk to a few ulps of |s|."""
     for _ in range(60):
-        z, dz = zeta_with_derivative(s, eval_params)
+        z, dz = zeta_with_derivative(s)
         if dz == 0:
             return None
         delta = z / dz
@@ -157,18 +150,13 @@ def _newton_zero(s: complex, eval_params: EvalParams) -> complex | None:
     return None
 
 
-def _cross_line(
-    sigma_line: float,
-    a: tuple[float, float],
-    b: tuple[float, float],
-    eval_params: EvalParams,
-) -> float:
+def _cross_line(sigma_line: float, a: tuple[float, float], b: tuple[float, float]) -> float:
     """Height where the contour crosses the vertical line sigma = sigma_line,
     by 1-D Newton in t seeded from the chord between accepted points."""
     frac = (sigma_line - a[0]) / (b[0] - a[0])
     t = a[1] + frac * (b[1] - a[1])
     for _ in range(20):
-        z, dz = zeta_with_derivative(complex(sigma_line, t), eval_params)
+        z, dz = zeta_with_derivative(complex(sigma_line, t))
         step = z.imag / dz.real
         t -= step
         if abs(step) < 8.0 * _EPS * max(1.0, abs(t)):
@@ -176,12 +164,7 @@ def _cross_line(
     raise ConvergenceFailure(f"line crossing at sigma = {sigma_line} did not settle")
 
 
-def trace(
-    start: ComplexPoint,
-    direction: int,
-    eval_params: EvalParams = DEFAULT_EVAL,
-    step: float = STEP,
-) -> ContourPath:
+def trace(start: ComplexPoint, direction: int, step: float = STEP) -> ContourPath:
     """Continue the Im(zeta) = 0 curve through ``start``.
 
     direction = -1 follows decreasing sigma (leftward, toward the critical
@@ -193,7 +176,7 @@ def trace(
     if not 0.0 < step <= _MAX_STEP:
         raise DomainError(f"step {step} outside (0, {_MAX_STEP}]")
     s = complex(start.sigma, start.t)
-    z, dz = zeta_with_derivative(s, eval_params)
+    z, dz = zeta_with_derivative(s)
     if abs(z.imag) > NEWTON_TOL * max(1.0, abs(z)):
         raise DomainError(f"trace start {start} is not on Im zeta = 0")
 
@@ -223,7 +206,7 @@ def trace(
         # parallel to the tangent; a converged 2-D Newton that lands close
         # ahead along it is the terminal zero of this contour
         if newton_dist < capture_dist:
-            loc = _newton_zero(s, eval_params)
+            loc = _newton_zero(s)
             if loc is not None:
                 ahead = loc - s
                 if abs(ahead) <= 2.0 * newton_dist and (
@@ -245,7 +228,7 @@ def trace(
             zp = dzp = None
             accepted = False
             for _ in range(4):
-                zp, dzp = zeta_with_derivative(p, eval_params)
+                zp, dzp = zeta_with_derivative(p)
                 if abs(zp.imag) < NEWTON_TOL * max(1.0, abs(zp)):
                     accepted = True
                     break
@@ -273,23 +256,21 @@ def trace(
         # on-contour zero passed between accepted points: Re flips sign
         if prev_z.real * z.real < 0.0:
             mid = 0.5 * (prev_s + s)
-            loc = _newton_zero(mid, eval_params)
+            loc = _newton_zero(mid)
             if loc is None:
                 raise StepCollapse(f"Re zeta sign flip near {mid} but Newton failed")
             terminal = TerminatedAtZero(ComplexPoint(loc.real, loc.imag))
             break
 
         if abs(z) < ZERO_RADIUS:
-            loc = _newton_zero(s, eval_params)
+            loc = _newton_zero(s)
             if loc is None:
                 raise StepCollapse(f"|zeta| < ZERO_RADIUS near {s} but Newton failed")
             terminal = TerminatedAtZero(ComplexPoint(loc.real, loc.imag))
             break
 
         if crossing_t is None and (prev_s.real - 0.5) * (s.real - 0.5) <= 0.0:
-            crossing_t = _cross_line(
-                0.5, (prev_s.real, prev_s.imag), (s.real, s.imag), eval_params
-            )
+            crossing_t = _cross_line(0.5, (prev_s.real, prev_s.imag), (s.real, s.imag))
 
         if s.real <= SIGMA_MIN:
             rows.append((s.real, s.imag, z.real, z.imag))
@@ -321,7 +302,7 @@ def trace(
     )
 
 
-def _trace_from_launch(k: int, eval_params: EvalParams) -> ContourPath:
+def _trace_from_launch(k: int) -> ContourPath:
     """Trace leftward from launch index k, retrying at a finer step when
     the terminal type contradicts the launch parity.
 
@@ -333,37 +314,33 @@ def _trace_from_launch(k: int, eval_params: EvalParams) -> ContourPath:
     refines its grid.  A contradiction that survives the finest step is
     surfaced by the callers.
     """
-    start = launch_point(k, eval_params)
+    start = launch_point(k)
     expect_zero = bool(k % 2)
     step = _MAX_STEP if expect_zero else STEP
-    path = trace(start, -1, eval_params, step)
+    path = trace(start, -1, step)
     path.k = k
     for shrink in (4.0, 16.0):
         if isinstance(path.terminal, TerminatedAtZero) == expect_zero:
             break
-        path = trace(start, -1, eval_params, step / shrink)
+        path = trace(start, -1, step / shrink)
         path.k = k
     return path
 
 
-def strip_boundary(m: int, eval_params: EvalParams = DEFAULT_EVAL) -> tuple[float, float]:
+@lru_cache(maxsize=4096)
+def strip_boundary(m: int, /) -> tuple[float, float]:
     """(crossing height, min |zeta| from launch to crossing) of the m-th
-    strip-boundary contour, memoized by value of (m, eval_params) because
-    neighbouring strips share a boundary.
+    strip-boundary contour, memoized because neighbouring strips share a
+    boundary; ``m`` is positional-only, so every call shares one entry.
 
     Asserts that the contour reaches SIGMA_MIN without meeting a zero,
     stays clear of zeros between launch and crossing, and crosses the
     critical line at a Gram point (Re zeta > 0 there by construction of
     the launch branch); any failure raises NotSpecial.
     """
-    return _strip_boundary(m, eval_params)
-
-
-@lru_cache(maxsize=4096)
-def _strip_boundary(m: int, eval_params: EvalParams) -> tuple[float, float]:
     if m < 1:
         raise DomainError(f"strip boundary index m = {m} < 1")
-    path = _trace_from_launch(2 * m, eval_params)
+    path = _trace_from_launch(2 * m)
     if isinstance(path.terminal, TerminatedAtZero):
         raise NotSpecial(
             f"boundary contour k = {2 * m} terminated at a zero "
@@ -387,22 +364,13 @@ def _strip_boundary(m: int, eval_params: EvalParams) -> tuple[float, float]:
     return crossing, min_abs
 
 
-strip_boundary.cache_clear = _strip_boundary.cache_clear
-strip_boundary.cache_info = _strip_boundary.cache_info
-
-
-def special_gram_point(m: int, eval_params: EvalParams = DEFAULT_EVAL) -> float:
+def special_gram_point(m: int) -> float:
     """Critical-line crossing height of the m-th strip-boundary contour,
     checked by ``strip_boundary``."""
-    return strip_boundary(m, eval_params)[0]
+    return strip_boundary(m)[0]
 
 
-def primary_zero_of_strip(
-    m: int,
-    eval_params: EvalParams = DEFAULT_EVAL,
-    *,
-    check_containment: bool = True,
-) -> ComplexPoint:
+def primary_zero_of_strip(m: int, *, check_containment: bool = True) -> ComplexPoint:
     """Terminal zero of the contour launched at height (2m+1) pi / ln 2.
 
     A contour that ends anywhere but at a zero raises NoTerminalZero.  The
@@ -411,7 +379,7 @@ def primary_zero_of_strip(
     """
     if m < 1:
         raise DomainError(f"strip index m = {m} < 1")
-    path = _trace_from_launch(2 * m + 1, eval_params)
+    path = _trace_from_launch(2 * m + 1)
     if not isinstance(path.terminal, TerminatedAtZero):
         raise NoTerminalZero(
             f"primary contour k = {2 * m + 1} ended as {path.terminal} without a zero"
@@ -422,8 +390,8 @@ def primary_zero_of_strip(
             f"primary zero of strip {m} at sigma = {zero.sigma} is off the critical line"
         )
     if check_containment:
-        bottom = special_gram_point(m, eval_params)
-        top = special_gram_point(m + 1, eval_params)
+        bottom = special_gram_point(m)
+        top = special_gram_point(m + 1)
         if not bottom < zero.t < top:
             raise EscapedStrip(
                 f"primary zero height {zero.t} outside strip {m} = [{bottom}, {top})"

@@ -29,7 +29,7 @@ from .contour import primary_zero_of_strip, strip_boundary
 from .errors import CacheInvalid, DomainError, NotSpecial
 from .gram import default_table, gap_ratio_series, gram_point
 from .strips import Strip, ZeroRecord, build_strips, find_zeros
-from .zeta import DEFAULT_EVAL, T_ABS_MAX, EvalParams
+from .zeta import T_ABS_MAX
 
 SLOPE = analysis.SLOPE_MODEL
 
@@ -56,7 +56,7 @@ def _numerics_digest() -> str:
 
 
 def _boundary_estimate(t_max: float, m_max: int | None) -> int:
-    """Number of boundary contours the first boundary batch traces: one past
+    """Number of boundary contours the boundary batch traces: one past
     m_max, or enough to pass t_max, as crossing m stays within 2.5 of
     m * SLOPE."""
     if m_max is not None:
@@ -71,7 +71,6 @@ class RunConfig:
     threads: int = 1
     out_dir: Path = Path("out")
     cache_dir: Path | None = None
-    eval_params: EvalParams = DEFAULT_EVAL
     progress: bool = False
 
     def __post_init__(self) -> None:
@@ -102,7 +101,6 @@ class RunConfig:
             "sources_sha256": _numerics_digest(),
             "t_max": self.t_max,
             "m_max": self.m_max,
-            "eval": asdict(self.eval_params),
         }
 
     def cache(self) -> Cache:
@@ -116,9 +114,9 @@ class ComputeResult:
     from_cache: bool = False
 
 
-def _zeros_job(args: tuple[int, float, float, int, EvalParams]) -> list[float]:
-    m, lo, hi, expected, ep = args
-    return [r.t for r in find_zeros(lo, hi, expected, ep, strip_m=m)]
+def _zeros_job(args: tuple[int, float, float, int]) -> list[float]:
+    m, lo, hi, expected = args
+    return [r.t for r in find_zeros(lo, hi, expected, strip_m=m)]
 
 
 def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:
@@ -135,25 +133,20 @@ def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:
 def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
     """Crossing heights and min-|zeta| diagnostics for boundaries
     m = 1..m_count+1, where m_count strips fit under t_max (or m_max if
-    set)."""
-    boundary = partial(strip_boundary, eval_params=config.eval_params)
-    hi = _boundary_estimate(config.t_max, config.m_max)
-    traced: list[tuple[float, float]] = []
-    while True:
-        traced += _run_jobs(
-            range(len(traced) + 1, hi + 1),
-            boundary,
-            config.threads,
-            "boundaries",
-            config.progress,
-        )
-        if config.m_max is not None or traced[-1][0] > config.t_max:
-            break
-        hi += 2  # estimate fell short; extend the batch
-
+    set).  One batch: with t_max, its last crossing must pass t_max, which
+    holds while every crossing stays above m * SLOPE - 2.5."""
+    last = _boundary_estimate(config.t_max, config.m_max)
+    traced = _run_jobs(
+        range(1, last + 1), strip_boundary, config.threads, "boundaries", config.progress
+    )
     if config.m_max is not None:
         count = config.m_max
     else:
+        if traced[-1][0] <= config.t_max:
+            raise NotSpecial(
+                f"boundary {last} crosses at {traced[-1][0]}, not above t_max "
+                f"{config.t_max}: more than 2.5 below {last} * SLOPE"
+            )
         count = sum(1 for crossing, _ in traced if crossing <= config.t_max) - 1
         if count < 1:
             raise DomainError(f"t_max {config.t_max} leaves no complete strip")
@@ -263,13 +256,12 @@ def compute(config: RunConfig, force: bool = False) -> ComputeResult:
             _emit(config.out_dir, f"{name}.csv", cache.load(name))
         return ComputeResult(strips=strips, boundaries=boundaries, from_cache=True)
 
-    ep = config.eval_params
     boundaries, min_abs = _boundary_batch(config)
     m_count = len(boundaries) - 1
     if config.progress:
         print(f"  {m_count} strips, top {boundaries[-1]:.3f}", file=sys.stderr)
 
-    primary = partial(primary_zero_of_strip, eval_params=ep, check_containment=False)
+    primary = partial(primary_zero_of_strip, check_containment=False)
     primaries = [
         zero.t
         for zero in _run_jobs(
@@ -280,7 +272,7 @@ def compute(config: RunConfig, force: bool = False) -> ComputeResult:
     table = default_table()
     table.extend_to_height(max(boundaries[-1], config.t_max) + 1.0)
     zero_jobs = [
-        (m, boundaries[m - 1], boundaries[m], table.count_in(boundaries[m - 1], boundaries[m]), ep)
+        (m, boundaries[m - 1], boundaries[m], table.count_in(boundaries[m - 1], boundaries[m]))
         for m in range(1, m_count + 1)
     ]
     zero_lists = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
@@ -299,16 +291,6 @@ def compute(config: RunConfig, force: bool = False) -> ComputeResult:
     _emit(config.out_dir, "strips.csv", strips_text)
     _emit(config.out_dir, "zeros.csv", zeros_text)
     return ComputeResult(strips=strips, boundaries=boundaries)
-
-
-def _fit_dict(fit: analysis.LinearFit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "slope_se": fit.slope_se,
-        "intercept_se": fit.intercept_se,
-        "n": fit.n,
-    }
 
 
 @dataclass
@@ -367,16 +349,11 @@ def analyze(config: RunConfig) -> AnalysisResult:
     branch_report = analysis.branch_spacing_report(strips, q_max=min(q_max, 2))
 
     fits = {
-        "bottoms": _fit_dict(bottoms),
-        "tops": _fit_dict(tops),
-        "density_log": _fit_dict(density_log),
-        "density_linear": _fit_dict(density_linear),
-        "primary_stats": {
-            "mean": primary.mean,
-            "variance": primary.variance,
-            "quartile_variances": list(primary.quartile_variances),
-            "n": primary.n,
-        },
+        "bottoms": asdict(bottoms),
+        "tops": asdict(tops),
+        "density_log": asdict(density_log),
+        "density_linear": asdict(density_linear),
+        "primary_stats": asdict(primary),
     }
     config.out_dir.mkdir(parents=True, exist_ok=True)
     write_json_atomic(config.out_dir / "fits.json", fits)

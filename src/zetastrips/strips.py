@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .errors import CountMismatch, DomainError, EscapedStrip
 from .gram import gap_model, default_table
-from .zeta import DEFAULT_EVAL, EvalParams, T_ABS_MAX, hardy_z, rs_theta
+from .zeta import T_ABS_MAX, hardy_z
 
 _BISECT_TOL = 1e-9
 _MAX_REFINE = 4
@@ -78,20 +78,10 @@ def _bisect_zero(
     return 0.5 * (lo + hi)
 
 
-def gram_count_identity(t_lo: float, t_hi: float) -> int:
-    """Number of Gram points in [t_lo, t_hi) from the theta identity;
-    exact integers as long as the endpoints are not within rounding
-    distance of a Gram point boundary themselves."""
-    lo_idx = math.ceil(round(rs_theta(t_lo) / math.pi, 9))
-    hi_idx = math.ceil(round(rs_theta(t_hi) / math.pi, 9))
-    return hi_idx - lo_idx
-
-
 def find_zeros(
     t_lo: float,
     t_hi: float,
     expected_count: int | None = None,
-    eval_params: EvalParams = DEFAULT_EVAL,
     *,
     strip_m: int = 0,
 ) -> list[ZeroRecord]:
@@ -106,22 +96,19 @@ def find_zeros(
     if not 7.0 <= t_lo < t_hi <= T_ABS_MAX:
         raise DomainError(f"find_zeros range [{t_lo}, {t_hi}] invalid")
 
-    def z(t: float) -> float:
-        return hardy_z(t, eval_params)
-
     spacing = gap_model(t_hi) / 8.0
     for _ in range(_MAX_REFINE + 1):
         count = max(2, math.ceil((t_hi - t_lo) / spacing) + 1)
         zeros: list[float] = []
         prev_t = t_lo
-        prev_z = z(prev_t)
+        prev_z = hardy_z(prev_t)
         for i in range(1, count + 1):
             t = min(t_lo + i * (t_hi - t_lo) / count, t_hi)
-            cur_z = z(t)
+            cur_z = hardy_z(t)
             if prev_z == 0.0:
                 zeros.append(prev_t)
             elif prev_z * cur_z < 0.0:
-                zeros.append(_bisect_zero(z, prev_t, t, prev_z))
+                zeros.append(_bisect_zero(hardy_z, prev_t, t, prev_z))
             prev_t, prev_z = t, cur_z
         if expected_count is None or len(zeros) == expected_count:
             return [

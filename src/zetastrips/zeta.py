@@ -8,16 +8,16 @@ the half term N^(-s)/2, and K Bernoulli correction terms
     T_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * N^(-s-2k+1).
 
 The reported ``est_error`` is the classical bound on the truncated
-Bernoulli tail,
+Bernoulli tail (Edwards, Riemann's Zeta Function, 1974, ch. 6),
 
     |R_K| <= |T_{K+1}| * |s + 2K + 1| / (sigma + 2K + 1),
 
 which is conservative for every point of the evaluation window
 sigma in [-2, 8], |t| <= 1.1e4.  It is read off the correction recurrence,
 which ends holding the rising product of T_{K+1}.  The log n come from one
-fixed table, sized by the window and the ``em_terms_factor`` ceiling.
-Derivatives differentiate each term analytically; no finite differences
-anywhere in the evaluator.
+fixed table, sized by the window and EM_TERMS_FACTOR.  Derivatives
+differentiate each term analytically; no finite differences anywhere in
+the evaluator.
 """
 
 from __future__ import annotations
@@ -33,7 +33,14 @@ SIGMA_MIN = -2.0
 SIGMA_MAX = 8.0
 T_ABS_MAX = 1.1e4
 THETA_T_MIN = 7.0
-EM_TERMS_FACTOR_MAX = 4.0
+
+# the one truncation of the census: N = ceil(factor |t| / 2pi) + 10 terms,
+# K = 20 corrections; the tail bound stays below about 5.1e-12 over the
+# window (worst at sigma = -2, |t| = 1.1e4), and a larger bound than
+# TARGET_ABS_ERROR raises PrecisionLoss
+EM_TERMS_FACTOR = 3.2
+BERNOULLI_ORDER = 20
+TARGET_ABS_ERROR = 1e-10
 
 _TWO_PI = 2.0 * math.pi
 
@@ -55,40 +62,11 @@ class ComplexPoint:
 
 
 @dataclass(frozen=True)
-class EvalParams:
-    """Euler-Maclaurin truncation controls.
-
-    The defaults keep the Bernoulli-tail bound below 1e-10 across the whole
-    window.  With the cutoff factor at its 1.2 floor the bound degrades to
-    ~1e-3 near t = 1e4 on the critical line, so low factors are only usable
-    with loose targets at small heights; zeta() raises PrecisionLoss rather
-    than silently under-deliver.
-    """
-
-    em_terms_factor: float = 3.2
-    bernoulli_order: int = 20
-    target_abs_error: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 1.2 <= self.em_terms_factor <= EM_TERMS_FACTOR_MAX:
-            raise DomainError(f"em_terms_factor {self.em_terms_factor} outside "
-                              f"[1.2, {EM_TERMS_FACTOR_MAX}]")
-        if not 4 <= self.bernoulli_order <= 20:
-            raise DomainError(f"bernoulli_order {self.bernoulli_order} outside [4, 20]")
-        if not 0.0 < self.target_abs_error <= 1e-6:
-            raise DomainError(
-                f"target_abs_error {self.target_abs_error} outside (0, 1e-6]"
-            )
-
-
-@dataclass(frozen=True)
 class ZetaValue:
     value: complex
     derivative: complex | None
     est_error: float
 
-
-DEFAULT_EVAL = EvalParams()
 
 # --- Bernoulli coefficients B_{2k}/(2k)!, k = 1..21 ------------------------
 # Exact rationals rounded to the nearest double; the tail bound reads k = 21.
@@ -103,9 +81,10 @@ _BERNOULLI_OVER_FACTORIAL = (
     9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
 )
 
-# (B_2k/(2k)!, 2k - 1, 2k) for the correction terms k = 1..20
+# (B_2k/(2k)!, 2k - 1, 2k) for the correction terms k = 1..BERNOULLI_ORDER
 _CORRECTIONS = tuple(
-    (c, 2.0 * k - 1.0, 2.0 * k) for k, c in enumerate(_BERNOULLI_OVER_FACTORIAL[:-1], 1)
+    (c, 2.0 * k - 1.0, 2.0 * k)
+    for k, c in enumerate(_BERNOULLI_OVER_FACTORIAL[:BERNOULLI_ORDER], 1)
 )
 
 
@@ -116,7 +95,7 @@ def _cutoff(t: float, factor: float) -> int:
 # log n, n = 1..N-1 for the largest cutoff N in the window; stored complex
 # so that numpy skips the float-to-complex cast of every call
 _LOG_N = np.log(
-    np.arange(1, _cutoff(T_ABS_MAX, EM_TERMS_FACTOR_MAX), dtype=np.float64)
+    np.arange(1, _cutoff(T_ABS_MAX, EM_TERMS_FACTOR), dtype=np.float64)
 ).astype(np.complex128)
 
 
@@ -128,12 +107,9 @@ def _check_window(sigma: float, t: float) -> None:
         )
 
 
-def _zeta_em(
-    s: complex, params: EvalParams, want_derivative: bool
-) -> tuple[complex, complex | None, float]:
+def _zeta_em(s: complex, want_derivative: bool) -> tuple[complex, complex | None, float]:
     """Core Euler-Maclaurin evaluation; callers have validated the window."""
-    order = params.bernoulli_order
-    n_cut = _cutoff(s.imag, params.em_terms_factor)
+    n_cut = _cutoff(s.imag, EM_TERMS_FACTOR)
 
     ln = _LOG_N[: n_cut - 1]
     terms = np.exp(-s * ln)
@@ -155,7 +131,7 @@ def _zeta_em(
         deriv += -ln_cut * integral - n_pow_ms * n_cut / (s - 1.0) ** 2
         deriv += -ln_cut * half
         dprod: complex = 1.0
-        for c_k, a, b in _CORRECTIONS[:order]:
+        for c_k, a, b in _CORRECTIONS:
             value += c_k * prod * npow
             deriv += c_k * (dprod - ln_cut * prod) * npow
             f1 = s + a
@@ -165,29 +141,24 @@ def _zeta_em(
             npow = npow / n_sq
     else:
         deriv = None
-        for c_k, a, b in _CORRECTIONS[:order]:
+        for c_k, a, b in _CORRECTIONS:
             value += c_k * prod * npow
             prod = prod * (s + a) * (s + b)
             npow = npow / n_sq
 
     # prod is now s(s+1)...(s+2K): |T_{K+1}| * |s+2K+1| / (sigma+2K+1)
-    npow_k = n_cut ** (-s.real - 2 * order - 1)
-    t_next = abs(_BERNOULLI_OVER_FACTORIAL[order]) * abs(prod) * npow_k
-    bound = t_next * abs(s + 2 * order + 1) / (s.real + 2 * order + 1)
-    if bound > params.target_abs_error:
+    npow_k = n_cut ** (-s.real - 2 * BERNOULLI_ORDER - 1)
+    t_next = abs(_BERNOULLI_OVER_FACTORIAL[BERNOULLI_ORDER]) * abs(prod) * npow_k
+    bound = t_next * abs(s + 2 * BERNOULLI_ORDER + 1) / (s.real + 2 * BERNOULLI_ORDER + 1)
+    if bound > TARGET_ABS_ERROR:
         raise PrecisionLoss(
-            f"tail bound {bound:.3e} exceeds target {params.target_abs_error:.3e} "
-            f"at s = {s} (N = {n_cut}, K = {order})"
+            f"tail bound {bound:.3e} exceeds target {TARGET_ABS_ERROR:.3e} "
+            f"at s = {s} (N = {n_cut}, K = {BERNOULLI_ORDER})"
         )
     return value, deriv, bound
 
 
-def zeta(
-    s: ComplexPoint | complex,
-    params: EvalParams = DEFAULT_EVAL,
-    *,
-    derivative: bool = False,
-) -> ZetaValue:
+def zeta(s: ComplexPoint | complex, *, derivative: bool = False) -> ZetaValue:
     """Evaluate zeta(s) (and optionally zeta'(s)) inside the window.
 
     Raises PoleProximity within 1e-6 of s = 1, WindowExceeded outside the
@@ -197,18 +168,16 @@ def zeta(
     _check_window(sc.real, sc.imag)
     if abs(sc - 1.0) < 1e-6:
         raise PoleProximity(f"s = {sc} within 1e-6 of the pole at 1")
-    value, deriv, bound = _zeta_em(sc, params, derivative)
+    value, deriv, bound = _zeta_em(sc, derivative)
     return ZetaValue(value=value, derivative=deriv, est_error=bound)
 
 
-def zeta_with_derivative(
-    s: complex, params: EvalParams = DEFAULT_EVAL
-) -> tuple[complex, complex]:
+def zeta_with_derivative(s: complex) -> tuple[complex, complex]:
     """(zeta(s), zeta'(s)) as plain complex numbers; the tracing hot path."""
     _check_window(s.real, s.imag)
     if abs(s - 1.0) < 1e-6:
         raise PoleProximity(f"s = {s} within 1e-6 of the pole at 1")
-    value, deriv, _ = _zeta_em(s, params, True)
+    value, deriv, _ = _zeta_em(s, True)
     assert deriv is not None
     return value, deriv
 
@@ -248,7 +217,7 @@ def _rs_theta_rotation(t: float) -> float:
     return rs_theta(t) + 31.0 / (80640.0 * t**5) + 127.0 / (430080.0 * t**7)
 
 
-def hardy_z(t: float, params: EvalParams = DEFAULT_EVAL) -> float:
+def hardy_z(t: float) -> float:
     """Hardy function Z(t) = e^{i theta(t)} zeta(1/2 + it), real-valued.
 
     |Z(t)| = |zeta(1/2 + it)|; sign changes of Z locate critical zeros.
@@ -257,7 +226,7 @@ def hardy_z(t: float, params: EvalParams = DEFAULT_EVAL) -> float:
     """
     if not THETA_T_MIN <= t <= T_ABS_MAX:
         raise DomainError(f"hardy_z requires t in [{THETA_T_MIN}, {T_ABS_MAX}], got {t}")
-    val, _, _ = _zeta_em(complex(0.5, t), params, False)
+    val, _, _ = _zeta_em(complex(0.5, t), False)
     phase = _rs_theta_rotation(t)
     rotation = complex(math.cos(phase), math.sin(phase))
     rotated = rotation * val

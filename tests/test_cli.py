@@ -202,15 +202,11 @@ def test_config_file_unknown_key(tmp_path):
 
 
 def test_precision_flag_rejects_loose_target(tmp_path):
-    rc = main(["--precision", "1e-3", "--out", str(tmp_path / "o"), "--quiet",
-               "verify"])
-    assert rc == 4  # EvalParams invariant caps the target at 1e-6
-
-
-def test_precision_flag_scales_verify_tolerance(tmp_path, capsys):
-    # loosest contract-legal precision still passes the scaled battery
-    rc = main(["--precision", "1e-6", "--out", str(tmp_path / "o"), "--quiet",
-               "verify"])
-    captured = capsys.readouterr().out
-    assert rc == 0
-    assert "tol 1e-03" in captured  # derivative tolerance relaxed with target
+    # the evaluator's truncation is fixed: precision is neither a flag nor a
+    # config key, so a loose target and even the old default 1e-10 exit 4
+    out = tmp_path / "o"
+    for target in ("1e-3", "1e-10"):
+        assert main(["--precision", target, "--out", str(out), "--quiet", "verify"]) == 4
+    conf = tmp_path / "run.conf"
+    conf.write_text("precision = 1e-10\n")
+    assert main(["--config", str(conf), "--out", str(out), "--quiet", "verify"]) == 4

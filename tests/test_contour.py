@@ -24,7 +24,7 @@ from zetastrips.contour import (
 from zetastrips.errors import DomainError, PhaseJump
 from zetastrips.gram import default_table
 from zetastrips.strips import find_zeros
-from zetastrips.zeta import DEFAULT_EVAL, ComplexPoint, hardy_z, zeta, zeta_with_derivative
+from zetastrips.zeta import ComplexPoint, hardy_z, zeta, zeta_with_derivative
 
 # frozen launch heights (Newton on the full evaluator, seeded at k pi/ln 2)
 LAUNCH_2_T = 9.165712891246
@@ -194,9 +194,12 @@ def test_strip_boundary_memo_ignores_the_call_form():
     strip_boundary.cache_clear()
     special_gram_point(2)
     strip_boundary(2)
-    strip_boundary(2, DEFAULT_EVAL)
+    strip_boundary(2)
     info = strip_boundary.cache_info()
     assert (info.hits, info.misses) == (2, 1)
+    # m is positional-only, so a keyword call cannot fill a second entry
+    with pytest.raises(TypeError):
+        strip_boundary(m=2)
 
 
 def test_unwrap_phase_boundary_path_stays_at_zero():

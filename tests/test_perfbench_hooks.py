@@ -17,7 +17,7 @@ from zetastrips.gram import default_table  # noqa: E402
 
 
 def _module(name: str):
-    # the package attribute `zetastrips.zeta` is the function, not the module
+    # by import path, as perfbench/layers.py reaches them
     return importlib.import_module(f"zetastrips.{name}")
 
 

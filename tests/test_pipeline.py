@@ -3,7 +3,6 @@ cannot finish inside the evaluation window are rejected up front."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -13,7 +12,7 @@ from zetastrips.contour import TerminatedAtZero
 from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
 from zetastrips.gram import gram_point
 from zetastrips.pipeline import RunConfig, compute
-from zetastrips.zeta import ComplexPoint, EvalParams
+from zetastrips.zeta import ComplexPoint
 
 
 def test_compute_checks_boundary_gram_residual(monkeypatch, tmp_path):
@@ -28,8 +27,8 @@ def test_compute_checks_boundary_gram_residual(monkeypatch, tmp_path):
 def test_compute_checks_primary_on_critical_line(monkeypatch, tmp_path):
     real_trace = contour._trace_from_launch
 
-    def shifted(k, eval_params):
-        path = real_trace(k, eval_params)
+    def shifted(k):
+        path = real_trace(k)
         if k % 2:  # primary contours: move the terminal zero off the line
             zero = path.terminal.zero
             path.terminal = TerminatedAtZero(ComplexPoint(zero.sigma + 1e-3, zero.t))
@@ -71,12 +70,18 @@ def test_cache_from_other_numerics_is_recomputed(monkeypatch, tmp_path):
     assert not compute(config).from_cache
 
 
-def test_every_eval_param_enters_the_fingerprint(tmp_path):
-    # a field missing here fails the key check, so none is left out silently
-    other = {"em_terms_factor": 3.3, "bernoulli_order": 18, "target_abs_error": 1e-9}
-    assert set(other) == {f.name for f in dataclasses.fields(EvalParams)}
-    base = RunConfig(t_max=100.0, out_dir=tmp_path).cache().fingerprint
-    for name, value in other.items():
-        params = dataclasses.replace(EvalParams(), **{name: value})
-        config = RunConfig(t_max=100.0, out_dir=tmp_path, eval_params=params)
-        assert config.cache().fingerprint != base, name
+def test_boundary_batch_that_falls_short_of_t_max_raises(monkeypatch, tmp_path):
+    # t_max sits 2.6 below boundary 12's launch height, so the batch ends at
+    # m = 12; crossings 2.8 below m * SLOPE leave that last one under t_max
+    t_max = 12 * pipeline.SLOPE - 2.6
+    assert pipeline._boundary_estimate(t_max, None) == 12
+    traced = []
+
+    def short(m):
+        traced.append(m)
+        return m * pipeline.SLOPE - 2.8, 1.0
+
+    monkeypatch.setattr(pipeline, "strip_boundary", short)
+    with pytest.raises(NotSpecial, match="boundary 12 "):
+        compute(RunConfig(t_max=t_max, out_dir=tmp_path))
+    assert traced == list(range(1, 13))  # one batch, no extension

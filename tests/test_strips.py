@@ -17,7 +17,6 @@ from zetastrips.strips import (
     ZeroRecord,
     build_strips,
     find_zeros,
-    gram_count_identity,
     zeros_per_width,
 )
 from zetastrips.zeta import hardy_z
@@ -76,7 +75,7 @@ def test_find_zeros_refines_to_resolve_close_pair(monkeypatch):
     # (spacing ~0.5 here), resolved after refinement
     pair = (100.0, 100.012)
 
-    def fake_z(t: float, params=None) -> float:
+    def fake_z(t: float) -> float:
         return (t - pair[0]) * (t - pair[1]) * (t - 90.0)
 
     monkeypatch.setattr(strips_mod, "hardy_z", fake_z)
@@ -87,19 +86,12 @@ def test_find_zeros_refines_to_resolve_close_pair(monkeypatch):
 
 
 def test_find_zeros_count_mismatch_after_refinement(monkeypatch):
-    def fake_z(t: float, params=None) -> float:
+    def fake_z(t: float) -> float:
         return t - 100.0  # exactly one sign change, never three
 
     monkeypatch.setattr(strips_mod, "hardy_z", fake_z)
     with pytest.raises(CountMismatch):
         find_zeros(95.0, 105.0, expected_count=3)
-
-
-def test_gram_count_identity_matches_table():
-    lo = special_gram_point(1)
-    hi = special_gram_point(2)
-    assert gram_count_identity(lo, hi) == 1
-    assert gram_count_identity(lo, special_gram_point(3)) == 3
 
 
 def test_build_single_strip(tmp_path):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import FIRST_ZEROS, bisect_root, central_diff, direct_sum_zeta
+from zetastrips import zeta as zeta_mod
 from zetastrips.errors import DomainError, PoleProximity, PrecisionLoss, WindowExceeded
 from zetastrips.zeta import (
     ComplexPoint,
-    EvalParams,
     T_ABS_MAX,
     hardy_z,
     rs_theta,
@@ -111,26 +111,14 @@ def test_window_exceeded():
         zeta(ComplexPoint(0.5, 1.2e4))
 
 
-def test_precision_loss_with_weak_params():
-    weak = EvalParams(em_terms_factor=1.2, bernoulli_order=4, target_abs_error=1e-6)
+def test_precision_loss_under_a_tight_target(monkeypatch):
+    # on the critical line the tail bound is about 1.9e-21 at t = 1e4 and
+    # 1.2e-28 at t = 15; a target between them raises only high up
+    monkeypatch.setattr(zeta_mod, "TARGET_ABS_ERROR", 1e-24)
     with pytest.raises(PrecisionLoss):
-        zeta(ComplexPoint(0.5, 1.0e4), weak)
-    # same params are fine at small heights
-    val = zeta(ComplexPoint(0.5, 15.0), weak)
-    assert val.est_error <= 1e-6
-
-
-def test_eval_params_invariants():
-    with pytest.raises(DomainError):
-        EvalParams(em_terms_factor=1.0)
-    with pytest.raises(DomainError):
-        EvalParams(bernoulli_order=3)
-    with pytest.raises(DomainError):
-        EvalParams(bernoulli_order=21)
-    with pytest.raises(DomainError):
-        EvalParams(target_abs_error=1e-5)
-    with pytest.raises(DomainError):
-        EvalParams(target_abs_error=0.0)
+        zeta(ComplexPoint(0.5, 1.0e4))
+    val = zeta(ComplexPoint(0.5, 15.0))
+    assert val.est_error <= 1e-24
 
 
 # --- rs_theta ----------------------------------------------------------------

@@ -4,7 +4,9 @@
 log n table and a separate tail-bound loop that rebuilt the rising
 product before the sum.  The current ``zeta._zeta_em`` must return the
 same floats (compared with ``==``, not a tolerance) and raise the same
-exception type at every sampled point of the window.
+exception type at every sampled point of the window, at the module's
+truncation constants and under a target tighter than the window's worst
+bound, where PrecisionLoss fires.
 """
 
 from __future__ import annotations
@@ -12,24 +14,24 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 
-from zetastrips.errors import DomainError, PrecisionLoss
+from zetastrips import zeta as zeta_mod
+from zetastrips.errors import PrecisionLoss
 from zetastrips.zeta import (
-    DEFAULT_EVAL,
-    EM_TERMS_FACTOR_MAX,
+    EM_TERMS_FACTOR,
     SIGMA_MAX,
     SIGMA_MIN,
     T_ABS_MAX,
-    EvalParams,
     _BERNOULLI_OVER_FACTORIAL,
     _LOG_N,
     _cutoff,
     _zeta_em,
 )
 
-WEAK = EvalParams(em_terms_factor=1.2, bernoulli_order=4, target_abs_error=1e-6)
 N_POINTS = 20_000
+# far below the window's worst tail bound (about 5.1e-12 at sigma = -2,
+# |t| = 1.1e4), so that about a twentieth of the points raise PrecisionLoss
+TIGHT_TARGET = 1e-15
 
 # --- frozen reference ---------------------------------------------------------
 
@@ -53,13 +55,13 @@ def _frozen_tail_bound(s: complex, n_cut: int, order: int, coeff) -> float:
     return t_next * abs(s + 2 * order + 1) / (s.real + 2 * order + 1)
 
 
-def _frozen_zeta_em(s: complex, params: EvalParams, want_derivative: bool):
-    order = params.bernoulli_order
+def _frozen_zeta_em(s: complex, want_derivative: bool, target: float):
+    order = 20
     coeff = _BERNOULLI_OVER_FACTORIAL
-    n_cut = math.ceil(params.em_terms_factor * abs(s.imag) / (2.0 * math.pi)) + 10
+    n_cut = math.ceil(3.2 * abs(s.imag) / (2.0 * math.pi)) + 10
 
     bound = _frozen_tail_bound(s, n_cut, order, coeff)
-    if bound > params.target_abs_error:
+    if bound > target:
         raise PrecisionLoss("tail bound exceeds target")
 
     ln = _frozen_logs(n_cut - 1)
@@ -96,9 +98,9 @@ def _frozen_zeta_em(s: complex, params: EvalParams, want_derivative: bool):
 # --- comparison ---------------------------------------------------------------
 
 
-def _outcome(fn, s: complex, params: EvalParams, want_derivative: bool):
+def _outcome(fn, *args):
     try:
-        return fn(s, params, want_derivative)
+        return fn(*args)
     except Exception as exc:  # the exception type is part of the contract
         return type(exc)
 
@@ -130,36 +132,39 @@ def _points() -> list[complex]:
     return edges + [complex(a, b) for a, b in zip(sigma, t)]
 
 
-def test_evaluator_matches_frozen_reference_bit_for_bit():
+def _compare(target: float) -> dict[str, int]:
+    """Compare both evaluators over the sampled window; outcome counts."""
     mismatches = []
     counts = {"values": 0, "PrecisionLoss": 0}
-    for i, s in enumerate(_points()):
-        params = WEAK if i % 2 else DEFAULT_EVAL
+    for s in _points():
         for want_derivative in (False, True):
-            new = _outcome(_zeta_em, s, params, want_derivative)
-            old = _outcome(_frozen_zeta_em, s, params, want_derivative)
+            new = _outcome(_zeta_em, s, want_derivative)
+            old = _outcome(_frozen_zeta_em, s, want_derivative, target)
             if not _same(new, old):
-                mismatches.append((s, params, want_derivative, new, old))
+                mismatches.append((s, want_derivative, new, old))
             elif old is PrecisionLoss:
                 counts["PrecisionLoss"] += 1
             elif not isinstance(old, type):
                 counts["values"] += 1
     assert not mismatches, mismatches[:5]
-    # both outcomes are exercised, under both parameter sets
+    return counts
+
+
+def test_evaluator_matches_frozen_reference_bit_for_bit():
+    counts = _compare(1e-10)
+    assert counts == {"values": 2 * (N_POINTS + 12), "PrecisionLoss": 0}
+
+
+def test_precision_loss_matches_frozen_reference(monkeypatch):
+    monkeypatch.setattr(zeta_mod, "TARGET_ABS_ERROR", TIGHT_TARGET)
+    counts = _compare(TIGHT_TARGET)
+    # both outcomes are exercised
     assert counts["values"] > N_POINTS
     assert counts["PrecisionLoss"] > 1000
 
 
 def test_fixed_log_table_equals_the_grown_table():
-    largest = _cutoff(T_ABS_MAX, EM_TERMS_FACTOR_MAX)
-    assert _LOG_N.size == largest - 1
+    largest = _cutoff(T_ABS_MAX, EM_TERMS_FACTOR)
+    assert _LOG_N.size == largest - 1 == 5612
     assert np.array_equal(_LOG_N.imag, np.zeros(_LOG_N.size))
     assert np.array_equal(_LOG_N.real, _frozen_logs(largest - 1))
-
-
-def test_em_terms_factor_ceiling():
-    EvalParams(em_terms_factor=EM_TERMS_FACTOR_MAX)
-    with pytest.raises(DomainError):
-        EvalParams(em_terms_factor=math.nextafter(EM_TERMS_FACTOR_MAX, 5.0))
-    with pytest.raises(DomainError):
-        EvalParams(em_terms_factor=float("nan"))
