@@ -21,9 +21,8 @@ from .contour import (
     primary_zero_of_strip,
     special_gram_point,
     trace,
-    unwrap_phase,
 )
-from .gram import GramPoint, GramTable, gap_model, gap_ratio_series, gram_point
+from .gram import GramTable, gap_model, gap_ratio_series, gram_point
 from .pipeline import RunConfig, analyze, compute
 from .strips import Strip, ZeroRecord, build_strips, find_zeros, zeros_per_width
 from .zeta import ComplexPoint, ZetaValue, hardy_z, rs_theta
@@ -36,7 +35,6 @@ __all__ = [
     "ComplexPoint",
     "ContourPath",
     "DeviationSeries",
-    "GramPoint",
     "GramTable",
     "LinearFit",
     "PrimaryStats",
@@ -64,6 +62,5 @@ __all__ = [
     "rs_theta",
     "special_gram_point",
     "trace",
-    "unwrap_phase",
     "zeros_per_width",
 ]

@@ -94,6 +94,8 @@ class Cache:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise CacheInvalid(f"cache meta for {kind!r} unreadable: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CacheInvalid(f"cache meta for {kind!r} is not a JSON object")
         if meta.get("schema_version") != SCHEMA_VERSION:
             raise CacheInvalid(
                 f"cache entry {kind!r} has schema {meta.get('schema_version')}, "

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
+from .cache import KINDS
 from .contour import primary_zero_of_strip, special_gram_point
 from .errors import CacheInvalid, CacheMissing, DomainError, ZetaStripsError
 from .gram import gram_point
@@ -302,7 +303,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         return worst < 1e-6, f"max relative FD mismatch = {worst:.2e} (tol 1e-06)"
 
     def gram_minus_one():
-        g = gram_point(-1).height
+        g = gram_point(-1)
         err = abs(g - 9.6669080561)
         return err < 1e-6, f"|g(-1) - 9.6669080561| = {err:.2e}"
 
@@ -332,7 +333,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         if not cache.dir.exists():
             return True, "no cache present (skipped)"
         problems = []
-        for kind in ("gram", "boundaries", "zeros", "strips"):
+        for kind in KINDS:
             if not cache.payload_path(kind).exists():
                 continue
             try:

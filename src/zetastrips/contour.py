@@ -6,7 +6,7 @@ contour meeting sigma = +infinity at height k pi / ln 2 is seeded at that
 height and Newton-corrected.  Even k are strip boundaries (they cross the
 critical line at special Gram points and continue to SIGMA_MIN); odd k
 are primary contours (they terminate at the strip's primary zero).
-The census traces every contour with the same fixed constants below;
+The census traces every contour leftward with the fixed constants below;
 only the step is an argument of ``trace``.
 
 The gradient of Im zeta in the (sigma, t) plane is (Im zeta', Re zeta') by
@@ -23,7 +23,7 @@ the remaining pathological case.  A terminal zero is declared when
 converges; the Newton result is the reported zero.
 
 Newton capture: the clamp shrinks the final approach to a zero
-geometrically, so a leftward trace tries the two-dimensional Newton as
+geometrically, so the trace tries the two-dimensional Newton as
 soon as the Newton distance drops below 0.05, and again each time it has
 halved since the last rejected try.  zeta is real on the contour, so the
 Newton step -zeta/zeta' runs along the tangent; the result is the
@@ -57,11 +57,10 @@ from .errors import (
     MaxSteps,
     NoTerminalZero,
     NotSpecial,
-    PhaseJump,
     SeedDrift,
     StepCollapse,
 )
-from .zeta import SIGMA_MAX, ComplexPoint, rs_theta, zeta_with_derivative
+from .zeta import ComplexPoint, rs_theta, zeta_with_derivative
 
 # the one way the census traces: launch line, left stop, default step,
 # corrector tolerance on |Im zeta|, terminal-zero radius, step budget
@@ -79,36 +78,18 @@ _CAPTURE_DIST = 0.05
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class ReachedSigmaMin:
-    point: ComplexPoint
-
-
-@dataclass(frozen=True)
-class TerminatedAtZero:
-    zero: ComplexPoint
-
-
-@dataclass(frozen=True)
-class Aborted:
-    reason: str
-
-
-Terminal = ReachedSigmaMin | TerminatedAtZero | Aborted
-
-
 @dataclass
 class ContourPath:
     """A traced Im(zeta) = 0 curve.
 
     ``samples`` has one row per accepted point: (sigma, t, Re zeta,
-    Im zeta).  ``crossing_t`` is the height at which the curve crosses
-    sigma = 1/2, when it does.
+    Im zeta).  ``zero`` is the terminal zero, or None when the curve
+    reached SIGMA_MIN.  ``crossing_t`` is the height at which the curve
+    crosses sigma = 1/2, when it does.
     """
 
-    k: int
     samples: np.ndarray
-    terminal: Terminal
+    zero: ComplexPoint | None
     crossing_t: float | None
 
 
@@ -164,14 +145,14 @@ def _cross_line(sigma_line: float, a: tuple[float, float], b: tuple[float, float
     raise ConvergenceFailure(f"line crossing at sigma = {sigma_line} did not settle")
 
 
-def trace(start: ComplexPoint, direction: int, step: float = STEP) -> ContourPath:
-    """Continue the Im(zeta) = 0 curve through ``start``.
+def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
+    """Continue the Im(zeta) = 0 curve through ``start`` leftward, toward
+    the critical strip, until it ends at a zero or reaches SIGMA_MIN.
 
-    direction = -1 follows decreasing sigma (leftward, toward the critical
-    strip), +1 increasing sigma.  ``step`` is the step the controller
-    starts at and grows back to, at most _MAX_STEP.  Raises StepCollapse /
-    MaxSteps on the corresponding failures; these would falsify the strip
-    structure and are never downgraded.
+    ``step`` is the step the controller starts at and grows back to, at
+    most _MAX_STEP.  Raises StepCollapse / MaxSteps on the corresponding
+    failures; these would falsify the strip structure and are never
+    downgraded.
     """
     if not 0.0 < step <= _MAX_STEP:
         raise DomainError(f"step {step} outside (0, {_MAX_STEP}]")
@@ -182,11 +163,11 @@ def trace(start: ComplexPoint, direction: int, step: float = STEP) -> ContourPat
 
     rows = [(s.real, s.imag, z.real, z.imag)]
     crossing_t: float | None = None
-    terminal: Terminal | None = None
+    zero: ComplexPoint | None = None
     prev_tangent: complex | None = None
     h = step
     easy = 0
-    capture_dist = _CAPTURE_DIST if direction < 0 else 0.0
+    capture_dist = _CAPTURE_DIST
 
     for _ in range(MAX_STEPS):
         grad = complex(dz.imag, dz.real)  # grad of Im zeta in (sigma, t)
@@ -194,7 +175,7 @@ def trace(start: ComplexPoint, direction: int, step: float = STEP) -> ContourPat
             raise StepCollapse(f"vanishing gradient at {s} (zeta'(s) = 0?)")
         tangent = complex(dz.real, -dz.imag) / abs(dz)
         if prev_tangent is None:
-            if (tangent.real > 0) != (direction > 0):
+            if tangent.real > 0:
                 tangent = -tangent
         elif (
             tangent.real * prev_tangent.real + tangent.imag * prev_tangent.imag
@@ -212,7 +193,7 @@ def trace(start: ComplexPoint, direction: int, step: float = STEP) -> ContourPat
                 if abs(ahead) <= 2.0 * newton_dist and (
                     ahead * tangent.conjugate()
                 ).real > 0.9 * abs(ahead):
-                    terminal = TerminatedAtZero(ComplexPoint(loc.real, loc.imag))
+                    zero = ComplexPoint(loc.real, loc.imag)
                     break
             capture_dist = 0.5 * newton_dist
 
@@ -259,28 +240,21 @@ def trace(start: ComplexPoint, direction: int, step: float = STEP) -> ContourPat
             loc = _newton_zero(mid)
             if loc is None:
                 raise StepCollapse(f"Re zeta sign flip near {mid} but Newton failed")
-            terminal = TerminatedAtZero(ComplexPoint(loc.real, loc.imag))
+            zero = ComplexPoint(loc.real, loc.imag)
             break
 
         if abs(z) < ZERO_RADIUS:
             loc = _newton_zero(s)
             if loc is None:
                 raise StepCollapse(f"|zeta| < ZERO_RADIUS near {s} but Newton failed")
-            terminal = TerminatedAtZero(ComplexPoint(loc.real, loc.imag))
+            zero = ComplexPoint(loc.real, loc.imag)
             break
 
         if crossing_t is None and (prev_s.real - 0.5) * (s.real - 0.5) <= 0.0:
             crossing_t = _cross_line(0.5, (prev_s.real, prev_s.imag), (s.real, s.imag))
 
-        if s.real <= SIGMA_MIN:
-            rows.append((s.real, s.imag, z.real, z.imag))
-            terminal = ReachedSigmaMin(ComplexPoint(s.real, s.imag))
-            break
-
         rows.append((s.real, s.imag, z.real, z.imag))
-
-        if s.real >= SIGMA_MAX - 0.01:
-            terminal = Aborted("window_edge")
+        if s.real <= SIGMA_MIN:
             break
 
         if abs(z) < 10.0 * ZERO_RADIUS:
@@ -294,17 +268,12 @@ def trace(start: ComplexPoint, direction: int, step: float = STEP) -> ContourPat
     else:
         raise MaxSteps(f"trace from {start} exceeded {MAX_STEPS} steps")
 
-    return ContourPath(
-        k=0,
-        samples=np.array(rows, dtype=np.float64),
-        terminal=terminal,
-        crossing_t=crossing_t,
-    )
+    return ContourPath(np.array(rows, dtype=np.float64), zero, crossing_t)
 
 
 def _trace_from_launch(k: int) -> ContourPath:
     """Trace leftward from launch index k, retrying at a finer step when
-    the terminal type contradicts the launch parity.
+    the terminal zero, or its absence, contradicts the launch parity.
 
     Even k must cross the critical line and reach SIGMA_MIN; odd k must
     terminate at a zero.  Odd k contribute only that zero, so they trace
@@ -317,13 +286,11 @@ def _trace_from_launch(k: int) -> ContourPath:
     start = launch_point(k)
     expect_zero = bool(k % 2)
     step = _MAX_STEP if expect_zero else STEP
-    path = trace(start, -1, step)
-    path.k = k
+    path = trace(start, step)
     for shrink in (4.0, 16.0):
-        if isinstance(path.terminal, TerminatedAtZero) == expect_zero:
+        if (path.zero is not None) == expect_zero:
             break
-        path = trace(start, -1, step / shrink)
-        path.k = k
+        path = trace(start, step / shrink)
     return path
 
 
@@ -341,10 +308,10 @@ def strip_boundary(m: int, /) -> tuple[float, float]:
     if m < 1:
         raise DomainError(f"strip boundary index m = {m} < 1")
     path = _trace_from_launch(2 * m)
-    if isinstance(path.terminal, TerminatedAtZero):
+    if path.zero is not None:
         raise NotSpecial(
             f"boundary contour k = {2 * m} terminated at a zero "
-            f"{path.terminal.zero}; strip structure falsified"
+            f"{path.zero}; strip structure falsified"
         )
     if path.crossing_t is None:
         raise NotSpecial(f"boundary contour k = {2 * m} never crossed sigma = 1/2")
@@ -373,18 +340,18 @@ def special_gram_point(m: int) -> float:
 def primary_zero_of_strip(m: int, *, check_containment: bool = True) -> ComplexPoint:
     """Terminal zero of the contour launched at height (2m+1) pi / ln 2.
 
-    A contour that ends anywhere but at a zero raises NoTerminalZero.  The
-    zero must lie on the critical line to 1e-6 and strictly inside strip
-    m; violations raise EscapedStrip.
+    A contour that reaches SIGMA_MIN without a zero raises NoTerminalZero.
+    The zero must lie on the critical line to 1e-6 and strictly inside
+    strip m; violations raise EscapedStrip.
     """
     if m < 1:
         raise DomainError(f"strip index m = {m} < 1")
     path = _trace_from_launch(2 * m + 1)
-    if not isinstance(path.terminal, TerminatedAtZero):
+    zero = path.zero
+    if zero is None:
         raise NoTerminalZero(
-            f"primary contour k = {2 * m + 1} ended as {path.terminal} without a zero"
+            f"primary contour k = {2 * m + 1} reached sigma = {SIGMA_MIN} without a zero"
         )
-    zero = path.terminal.zero
     if abs(zero.sigma - 0.5) > 1e-6:
         raise EscapedStrip(
             f"primary zero of strip {m} at sigma = {zero.sigma} is off the critical line"
@@ -397,24 +364,3 @@ def primary_zero_of_strip(m: int, *, check_containment: bool = True) -> ComplexP
                 f"primary zero height {zero.t} outside strip {m} = [{bottom}, {top})"
             )
     return zero
-
-
-def unwrap_phase(path: ContourPath) -> np.ndarray:
-    """Continuously unwrapped arg zeta along the path, anchored at the
-    launch end where zeta is within 2^-SIGMA_START of 1.
-
-    Raises PhaseJump when consecutive raw phases differ by >= pi, which
-    signals sampling too coarse to unwrap; DomainError when the path holds
-    a point with |zeta| < ZERO_RADIUS (phase undefined that close to a
-    zero)."""
-    if path.samples.shape[0] == 0:
-        raise DomainError("cannot unwrap an empty path")
-    mags = np.hypot(path.samples[:, 2], path.samples[:, 3])
-    if np.min(mags) < ZERO_RADIUS:
-        raise DomainError("path holds a point with |zeta| below ZERO_RADIUS")
-    raw = np.arctan2(path.samples[:, 3], path.samples[:, 2])
-    deltas = np.diff(raw)
-    deltas = (deltas + math.pi) % (2.0 * math.pi) - math.pi
-    if deltas.size and np.max(np.abs(deltas)) >= math.pi - 1e-9:
-        raise PhaseJump("consecutive phase samples differ by >= pi; refine the step")
-    return np.concatenate(([raw[0]], raw[0] + np.cumsum(deltas)))

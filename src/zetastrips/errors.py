@@ -56,10 +56,6 @@ class NoTerminalZero(ZetaStripsError):
     """A primary contour reached sigma_min without terminating at a zero."""
 
 
-class PhaseJump(ZetaStripsError):
-    """Consecutive phase samples differ by >= pi; path needs refinement."""
-
-
 class CountMismatch(ZetaStripsError):
     """Zero count disagrees with the Gram count after maximum grid
     refinement; signals a missed zero or a close pair."""

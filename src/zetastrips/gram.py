@@ -23,12 +23,6 @@ _BOUNDARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class GramPoint:
-    n: int
-    height: float
-
-
-@dataclass(frozen=True)
 class GapRatioRecord:
     """One row of the convergence series: 1 - gap/model, both variants."""
 
@@ -114,11 +108,12 @@ class GramTable:
                     raise ConvergenceFailure(f"non-increasing Gram point at n = {idx}")
                 self._heights.append(g)
 
-    def point(self, n: int) -> GramPoint:
+    def point(self, n: int) -> float:
+        """Height of the Gram point g_n."""
         if n < -1:
             raise DomainError(f"Gram index {n} < -1")
         self._extend_to(n)
-        return GramPoint(n=n, height=self._heights[n + 1])
+        return self._heights[n + 1]
 
     def extend_to_height(self, t: float) -> int:
         """Grow the table until g_n > t; returns the largest n with
@@ -153,15 +148,15 @@ class GramTable:
         n = round(rs_theta(t) / math.pi)
         if n < -1:
             return None
-        g = self.point(n).height
+        g = self.point(n)
         return n if abs(g - t) <= tol else None
 
 
 _DEFAULT_TABLE = GramTable()
 
 
-def gram_point(n: int) -> GramPoint:
-    """Gram point g_n from the shared table; rs_theta(g_n) = n pi to 1e-9."""
+def gram_point(n: int) -> float:
+    """Height of g_n from the shared table; rs_theta(g_n) = n pi to 1e-9."""
     return _DEFAULT_TABLE.point(n)
 
 
@@ -169,18 +164,17 @@ def default_table() -> GramTable:
     return _DEFAULT_TABLE
 
 
-def gap_ratio_series(n_max: int, table: GramTable | None = None) -> list[GapRatioRecord]:
+def gap_ratio_series(n_max: int) -> list[GapRatioRecord]:
     """Convergence series 1 - (g_n - g_{n-1}) / F(.) for n in [0, n_max],
     with both the plain F(g_{n-1}) and geometric-mean F(sqrt(g_n g_{n-1}))
     variants."""
     if n_max < 1:
         raise DomainError(f"gap_ratio_series requires n_max >= 1, got {n_max}")
-    tab = table if table is not None else _DEFAULT_TABLE
-    tab.point(n_max)
+    _DEFAULT_TABLE.point(n_max)
     records = []
-    prev = tab.point(-1).height
+    prev = _DEFAULT_TABLE.point(-1)
     for n in range(0, n_max + 1):
-        g = tab.point(n).height
+        g = _DEFAULT_TABLE.point(n)
         gap = g - prev
         plain = 1.0 - gap / gap_model(prev)
         geo = 1.0 - gap / gap_model(math.sqrt(g * prev))

@@ -74,7 +74,7 @@ class RunConfig:
     progress: bool = False
 
     def __post_init__(self) -> None:
-        g_1 = gram_point(1).height  # the Gram series needs g_0 and g_1 <= t_max
+        g_1 = gram_point(1)  # the Gram series needs g_0 and g_1 <= t_max
         if not g_1 <= self.t_max <= T_ABS_MAX:
             raise DomainError(f"t_max {self.t_max} outside [g_1 = {g_1:.4f}, {T_ABS_MAX}]")
         if self.m_max is not None and self.m_max < 1:
@@ -148,8 +148,6 @@ def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
                 f"{config.t_max}: more than 2.5 below {last} * SLOPE"
             )
         count = sum(1 for crossing, _ in traced if crossing <= config.t_max) - 1
-        if count < 1:
-            raise DomainError(f"t_max {config.t_max} leaves no complete strip")
     ordered = [crossing for crossing, _ in traced[: count + 1]]
     if any(later <= earlier for earlier, later in zip(ordered, ordered[1:])):
         raise NotSpecial("boundary crossings are not strictly increasing")
@@ -159,9 +157,9 @@ def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
 def _gram_csv(t_max: float) -> str:
     table = default_table()
     n_last = table.extend_to_height(t_max)
-    series = gap_ratio_series(n_last, table)
+    series = gap_ratio_series(n_last)
     lines = [GRAM_HEADER]
-    g_first = table.point(-1).height
+    g_first = table.point(-1)
     lines.append(f"-1,{fmt(g_first)},,,")
     for rec in series:
         lines.append(
@@ -223,33 +221,28 @@ def parse_strips_csv(strips_text: str, zeros_text: str) -> list[Strip]:
     for line in strips_text.strip().splitlines()[1:]:
         parts = line.split(",")
         m = int(parts[0])
-        bottom, top, width_csv = float(parts[1]), float(parts[2]), float(parts[3])
-        width = top - bottom
-        if abs(width - width_csv) > 1e-7 * max(1.0, abs(width)):
-            raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
-        zeros = tuple(zero_rows.get(m, ()))
         strip = Strip(
             m=m,
-            bottom=bottom,
-            top=top,
-            width=width,
+            bottom=float(parts[1]),
+            top=float(parts[2]),
             gram_count=int(parts[4]),
-            zeros=zeros,
+            zeros=tuple(zero_rows.get(m, ())),
             primary_index=int(parts[6]),
             primary_height=float(parts[7]),
-            primary_stat=(int(parts[6]) - 0.5) / len(zeros),
         )
+        if abs(strip.width - float(parts[3])) > 1e-7 * max(1.0, abs(strip.width)):
+            raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
         strip.validate()
         strips.append(strip)
     return strips
 
 
-def compute(config: RunConfig, force: bool = False) -> ComputeResult:
+def compute(config: RunConfig) -> ComputeResult:
     """Populate the cache (Gram table, boundaries, zeros, strips) and emit
     gram.csv / strips.csv / zeros.csv.  A warm, matching cache short-circuits
     all computation."""
     cache = config.cache()
-    if not force and cache.is_complete():
+    if cache.is_complete():
         strips = parse_strips_csv(cache.load("strips"), cache.load("zeros"))
         boundaries = [s.bottom for s in strips] + [strips[-1].top]
         for name in ("gram", "strips", "zeros"):
@@ -270,7 +263,6 @@ def compute(config: RunConfig, force: bool = False) -> ComputeResult:
     ]
 
     table = default_table()
-    table.extend_to_height(max(boundaries[-1], config.t_max) + 1.0)
     zero_jobs = [
         (m, boundaries[m - 1], boundaries[m], table.count_in(boundaries[m - 1], boundaries[m]))
         for m in range(1, m_count + 1)

@@ -25,7 +25,6 @@ from .zeta import T_ABS_MAX, hardy_z
 
 _BISECT_TOL = 1e-9
 _MAX_REFINE = 4
-_WIDTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,18 +39,24 @@ class Strip:
     m: int
     bottom: float
     top: float
-    width: float
     gram_count: int
     zeros: tuple[ZeroRecord, ...]
     primary_index: int
     primary_height: float
-    primary_stat: float
+
+    @property
+    def width(self) -> float:
+        return self.top - self.bottom
+
+    @property
+    def primary_stat(self) -> float:
+        """Relative position (primary_index - 1/2) / n_zeros of the primary
+        zero among the strip's zeros, in (0, 1) once validated."""
+        return (self.primary_index - 0.5) / len(self.zeros)
 
     def validate(self) -> None:
         if not self.bottom < self.top:
             raise DomainError(f"strip {self.m}: bottom >= top")
-        if abs(self.width - (self.top - self.bottom)) > _WIDTH_TOL:
-            raise DomainError(f"strip {self.m}: width inconsistent")
         if len(self.zeros) != self.gram_count:
             raise CountMismatch(
                 f"strip {self.m}: {len(self.zeros)} zeros vs "
@@ -59,9 +64,6 @@ class Strip:
             )
         if not 1 <= self.primary_index <= len(self.zeros):
             raise EscapedStrip(f"strip {self.m}: primary index out of range")
-        expected = (self.primary_index - 0.5) / len(self.zeros)
-        if not 0.0 < self.primary_stat < 1.0 or abs(self.primary_stat - expected) > 1e-12:
-            raise DomainError(f"strip {self.m}: primary_stat inconsistent")
 
 
 def _bisect_zero(
@@ -145,8 +147,6 @@ def build_strips(
             f"lists, got {len(boundaries)} and {len(zero_lists)}"
         )
     table = default_table()
-    table.extend_to_height(boundaries[-1] + 1.0)
-
     strips: list[Strip] = []
     j_offset = 0
     for m in range(1, m_count + 1):
@@ -177,7 +177,6 @@ def build_strips(
             m=m,
             bottom=bottom,
             top=top,
-            width=top - bottom,
             gram_count=gram_count,
             zeros=tuple(
                 ZeroRecord(j=j_offset + i + 1, t=t, strip_m=m)
@@ -185,7 +184,6 @@ def build_strips(
             ),
             primary_index=primary_index,
             primary_height=primary_height,
-            primary_stat=(primary_index - 0.5) / gram_count,
         )
         strip.validate()
         strips.append(strip)

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .cache import write_atomic
+
 WIDTH = 900
 HEIGHT = 560
 MARGIN_L = 80
@@ -229,4 +231,4 @@ class Chart:
             f"{_escape(self.ylabel)}</text>"
         )
         out.append("</svg>")
-        path.write_text("\n".join(out) + "\n", encoding="utf-8")
+        write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))

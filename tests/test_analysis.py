@@ -35,12 +35,10 @@ def _synthetic_strip(m: int, bottom: float, top: float, n_zeros: int, primary: i
         m=m,
         bottom=bottom,
         top=top,
-        width=top - bottom,
         gram_count=n_zeros,
         zeros=zeros,
         primary_index=primary,
         primary_height=zeros[primary - 1].t,
-        primary_stat=(primary - 0.5) / n_zeros,
     )
 
 
@@ -151,12 +149,10 @@ def test_density_fit_recovers_model_exactly():
                 m=m,
                 bottom=bottom,
                 top=bottom + w,
-                width=w,
                 gram_count=n_zeros,
                 zeros=zeros,
                 primary_index=2,
                 primary_height=zeros[1].t,
-                primary_stat=(2 - 0.5) / n_zeros,
             )
         )
     fit, dev = fit_density(strips)

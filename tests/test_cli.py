@@ -1,5 +1,5 @@
 """Command surface: compute/analyze/plot/verify, exit codes, cache
-behavior, config file handling."""
+behavior, config file handling, and the package's exported names."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import zetastrips
 from zetastrips import errors, pipeline
 from zetastrips.cli import main
 from zetastrips.errors import CacheInvalid
@@ -174,6 +175,24 @@ def test_corrupted_cache_triggers_recompute(small_run):
     finally:
         if payload.read_bytes() != original:
             payload.write_bytes(original)
+
+
+def test_cache_meta_that_is_not_an_object_is_invalid(tmp_path, capsys):
+    args = ["--t-max", "30", "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(args + ["compute"]) == 0
+    meta = tmp_path / "o" / "cache" / "strips.meta.json"
+    original = meta.read_bytes()
+    meta.write_text("[]", encoding="utf-8")  # valid JSON, not a meta object
+    assert main(args + ["analyze"]) == 3
+    capsys.readouterr()
+    assert main(args + ["compute"]) == 0
+    assert "(fresh run," in capsys.readouterr().out  # the entry was not trusted
+    assert meta.read_bytes() == original  # rebuilt to the same bytes
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in zetastrips.__all__ if not hasattr(zetastrips, name)]
+    assert missing == []
 
 
 def test_cache_fingerprint_rejects_other_config(small_run):

@@ -1,5 +1,5 @@
-"""Tracing contracts: launch points, path invariants, terminals, special
-Gram points, primary zeros, and phase unwrapping."""
+"""Tracing contracts: launch points, path invariants, terminal zeros,
+special Gram points, and primary zeros."""
 
 from __future__ import annotations
 
@@ -11,17 +11,13 @@ import pytest
 from conftest import LN2, bisect_root
 from zetastrips import contour
 from zetastrips.contour import (
-    Aborted,
-    ReachedSigmaMin,
-    TerminatedAtZero,
     launch_point,
     primary_zero_of_strip,
     special_gram_point,
     strip_boundary,
     trace,
-    unwrap_phase,
 )
-from zetastrips.errors import DomainError, PhaseJump
+from zetastrips.errors import DomainError
 from zetastrips.gram import default_table
 from zetastrips.strips import find_zeros
 from zetastrips.zeta import ComplexPoint, hardy_z, zeta, zeta_with_derivative
@@ -57,8 +53,8 @@ def test_launch_point_rejects_low_index():
 
 
 def test_trace_boundary_contour_k2():
-    path = trace(launch_point(2), -1)
-    assert isinstance(path.terminal, ReachedSigmaMin)
+    path = trace(launch_point(2))
+    assert path.zero is None
     assert path.crossing_t is not None
     assert abs(path.crossing_t - 9.6669080561) < 1e-6
 
@@ -78,36 +74,29 @@ def test_trace_boundary_contour_k2():
 
 def test_trace_primary_contour_k3_terminates_at_first_zero():
     oracle = bisect_root(hardy_z, 14.0, 14.3, tol=1e-10)
-    path = trace(launch_point(3), -1)
-    assert isinstance(path.terminal, TerminatedAtZero)
-    zero = path.terminal.zero
+    path = trace(launch_point(3))
+    zero = path.zero
+    assert zero is not None
     assert abs(zero.sigma - 0.5) < 1e-9
     assert abs(zero.t - oracle) < 1e-6
     assert abs(zero.t - 14.134725) < 1e-5
-
-
-def test_trace_rightward_monotone_to_window_edge():
-    path = trace(launch_point(2), +1)
-    assert isinstance(path.terminal, Aborted)
-    assert path.terminal.reason == "window_edge"
-    sigmas = path.samples[:, 0]
-    assert np.all(np.diff(sigmas) > 0.0)
-    assert sigmas[-1] >= 7.9
+    # zeta is real on the contour and keeps the launch sign up to the zero
+    assert np.min(path.samples[:, 2]) > 0.0
 
 
 def test_trace_rejects_off_contour_start():
     with pytest.raises(DomainError):
-        trace(ComplexPoint(5.0, 9.3), -1)
+        trace(ComplexPoint(5.0, 9.3))
 
 
 @pytest.mark.parametrize("step", [0.0, -0.02, math.nextafter(contour._MAX_STEP, 1.0)])
 def test_trace_rejects_step_outside_the_ceiling(step):
     with pytest.raises(DomainError):
-        trace(launch_point(2), -1, step=step)
+        trace(launch_point(2), step=step)
 
 
 def test_tangent_orthogonality_and_cauchy_riemann():
-    path = trace(launch_point(2), -1)
+    path = trace(launch_point(2))
     samples = path.samples
     for idx in range(0, samples.shape[0] - 1, 40):
         sigma, t = samples[idx, 0], samples[idx, 1]
@@ -200,41 +189,6 @@ def test_strip_boundary_memo_ignores_the_call_form():
     # m is positional-only, so a keyword call cannot fill a second entry
     with pytest.raises(TypeError):
         strip_boundary(m=2)
-
-
-def test_unwrap_phase_boundary_path_stays_at_zero():
-    path = trace(launch_point(2), -1)
-    theta = unwrap_phase(path)
-    assert theta.shape[0] == path.samples.shape[0]
-    # a boundary contour carries phase 0 (mod 2 pi) throughout
-    assert np.max(np.abs(theta)) < 1e-6
-    # the launch end is pinned near 0 by zeta -> 1
-    assert abs(theta[0]) < 2.0 * 2.0**-5
-
-
-def test_unwrap_phase_primary_path():
-    path = trace(launch_point(3), -1)
-    theta = unwrap_phase(path)
-    assert np.max(np.abs(theta)) < 1e-6
-
-
-def test_unwrap_phase_rejects_near_zero_points():
-    path = trace(launch_point(3), -1)
-    bad = path.samples.copy()
-    bad[-1, 2] = 1e-6  # fake a point nearly on a zero
-    bad[-1, 3] = 0.0
-    path.samples = bad
-    with pytest.raises(DomainError):
-        unwrap_phase(path)
-
-
-def test_unwrap_phase_detects_jump():
-    path = trace(launch_point(2), -1)
-    bad = path.samples.copy()
-    bad[10, 2] = -bad[10, 2]  # flip Re zeta: raw phase jumps by ~pi
-    path.samples = bad
-    with pytest.raises(PhaseJump):
-        unwrap_phase(path)
 
 
 def test_strip_widths_near_model():

@@ -26,7 +26,7 @@ G_2 = 27.670182217848122
 
 
 def test_first_gram_point_matches_paper_height():
-    g = gram_point(-1).height
+    g = gram_point(-1)
     assert abs(g - 9.6669080561) < 1e-6
     oracle = bisect_root(lambda t: rs_theta(t) + math.pi, 7.05, TWO_PI * math.e)
     assert abs(g - oracle) < 1e-9
@@ -34,21 +34,21 @@ def test_first_gram_point_matches_paper_height():
 
 
 def test_gram_zero_and_one():
-    assert abs(gram_point(0).height - G_0) < 1e-9
-    assert abs(gram_point(0).height - 17.8455995) < 1e-5
-    g1 = gram_point(1).height
+    assert abs(gram_point(0) - G_0) < 1e-9
+    assert abs(gram_point(0) - 17.8455995) < 1e-5
+    g1 = gram_point(1)
     assert abs(g1 - G_1) < 1e-9
     assert abs(rs_theta(g1) - math.pi) < 1e-9
 
 
 def test_residuals_across_the_range():
     for n in (2, 7, 100, 2500, 10141):
-        g = gram_point(n).height
+        g = gram_point(n)
         assert abs(rs_theta(g) - n * math.pi) < 1e-9
 
 
 def test_heights_strictly_increasing():
-    heights = [gram_point(n).height for n in range(-1, 300)]
+    heights = [gram_point(n) for n in range(-1, 300)]
     assert all(b > a for a, b in zip(heights, heights[1:]))
 
 
@@ -107,15 +107,15 @@ def test_count_identity_to_height():
     # counting convention starts at n = -1
     count = n_last + 2
     assert count == math.floor(rs_theta(1.0e4) / math.pi) + 2
-    direct = sum(1 for n in range(-1, n_last + 1) if table.point(n).height <= 1.0e4)
+    direct = sum(1 for n in range(-1, n_last + 1) if table.point(n) <= 1.0e4)
     assert direct == count
-    assert table.point(n_last).height <= 1.0e4 < table.point(n_last + 1).height
+    assert table.point(n_last) <= 1.0e4 < table.point(n_last + 1)
 
 
 def test_count_in_half_open_interval():
     table = GramTable()
-    g_lo = table.point(0).height
-    g_hi = table.point(5).height
+    g_lo = table.point(0)
+    g_hi = table.point(5)
     # bottom inclusive, top exclusive
     assert table.count_in(g_lo, g_hi) == 5
     # endpoints within the snap tolerance keep the same membership
@@ -125,7 +125,7 @@ def test_count_in_half_open_interval():
 
 def test_index_near():
     table = GramTable()
-    g = table.point(7).height
+    g = table.point(7)
     assert table.index_near(g) == 7
     assert table.index_near(g + 1e-7) == 7
     assert table.index_near(g + 0.3) is None

@@ -8,7 +8,6 @@ import math
 import pytest
 
 from zetastrips import contour, pipeline
-from zetastrips.contour import TerminatedAtZero
 from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
 from zetastrips.gram import gram_point
 from zetastrips.pipeline import RunConfig, compute
@@ -30,8 +29,7 @@ def test_compute_checks_primary_on_critical_line(monkeypatch, tmp_path):
     def shifted(k):
         path = real_trace(k)
         if k % 2:  # primary contours: move the terminal zero off the line
-            zero = path.terminal.zero
-            path.terminal = TerminatedAtZero(ComplexPoint(zero.sigma + 1e-3, zero.t))
+            path.zero = ComplexPoint(path.zero.sigma + 1e-3, path.zero.t)
         return path
 
     monkeypatch.setattr(contour, "_trace_from_launch", shifted)
@@ -53,7 +51,7 @@ def test_run_config_rejects_runs_past_the_window():
 
 
 def test_t_max_must_reach_g_1():
-    g_1 = gram_point(1).height
+    g_1 = gram_point(1)
     RunConfig(t_max=g_1)
     with pytest.raises(DomainError):
         RunConfig(t_max=math.nextafter(g_1, 0.0))

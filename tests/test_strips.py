@@ -138,12 +138,10 @@ def test_strip_validation_rejects_count_mismatch():
         m=1,
         bottom=10.0,
         top=19.0,
-        width=9.0,
         gram_count=2,
         zeros=zeros,
         primary_index=1,
         primary_height=12.0,
-        primary_stat=0.5,
     )
     with pytest.raises(CountMismatch):
         bad.validate()
@@ -155,12 +153,10 @@ def test_strip_validation_rejects_bad_primary_index():
         m=1,
         bottom=10.0,
         top=19.0,
-        width=9.0,
         gram_count=1,
         zeros=zeros,
         primary_index=2,
         primary_height=12.0,
-        primary_stat=0.5,
     )
     with pytest.raises(EscapedStrip):
         bad.validate()
