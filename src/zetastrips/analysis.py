@@ -175,8 +175,8 @@ class PrimaryStats:
 def primary_stats(strips: Sequence[Strip]) -> PrimaryStats:
     """Mean and variance of the primary-zero statistic, overall and per
     index quartile (contiguous quarters of the strip list)."""
-    if len(strips) < 4:
-        raise DomainError(f"need >= 4 strips, got {len(strips)}")
+    if len(strips) < 8:
+        raise DomainError(f"need >= 8 strips (two per quartile), got {len(strips)}")
     stats = np.array([s.primary_stat for s in strips], dtype=float)
     quarters = np.array_split(stats, 4)
     return PrimaryStats(

@@ -47,14 +47,6 @@ def write_json_atomic(path: Path, payload: dict) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
-def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def fingerprint(config_dict: dict) -> str:
     canon = json.dumps(round12(config_dict), sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -75,18 +67,19 @@ class Cache:
         if kind not in KINDS:
             raise CacheInvalid(f"unknown cache kind {kind!r}")
         self.dir.mkdir(parents=True, exist_ok=True)
-        payload = self.payload_path(kind)
-        write_atomic(payload, csv_text.encode("utf-8"))
+        data = csv_text.encode("utf-8")
+        write_atomic(self.payload_path(kind), data)
         meta = {
             "schema_version": SCHEMA_VERSION,
             "kind": kind,
-            "checksum": sha256_file(payload),
+            "checksum": hashlib.sha256(data).hexdigest(),
             "fingerprint": self.fingerprint,
         }
         write_json_atomic(self.meta_path(kind), meta)
 
-    def check(self, kind: str) -> None:
-        """Raise CacheMissing / CacheInvalid unless the entry is loadable."""
+    def load(self, kind: str) -> str:
+        """The payload, read once and returned only if the meta matches and
+        those bytes pass the checksum; else CacheMissing / CacheInvalid."""
         payload, meta_path = self.payload_path(kind), self.meta_path(kind)
         if not payload.exists() or not meta_path.exists():
             raise CacheMissing(f"cache entry {kind!r} not found in {self.dir}")
@@ -105,17 +98,7 @@ class Cache:
             raise CacheInvalid(f"cache entry {kind!r} mislabeled as {meta.get('kind')}")
         if meta.get("fingerprint") != self.fingerprint:
             raise CacheInvalid(f"cache entry {kind!r} built from a different config")
-        if meta.get("checksum") != sha256_file(payload):
+        data = payload.read_bytes()
+        if meta.get("checksum") != hashlib.sha256(data).hexdigest():
             raise CacheInvalid(f"cache entry {kind!r} failed its checksum")
-
-    def load(self, kind: str) -> str:
-        self.check(kind)
-        return self.payload_path(kind).read_text(encoding="utf-8")
-
-    def is_complete(self) -> bool:
-        try:
-            for kind in KINDS:
-                self.check(kind)
-        except (CacheMissing, CacheInvalid):
-            return False
-        return True
+        return data.decode("utf-8")

@@ -76,7 +76,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             return flag_value
         if key in file_vals:
-            return cast(file_vals[key])
+            try:
+                return cast(file_vals[key])
+            except ValueError:
+                raise UsageError(f"config key {key!r}: bad value {file_vals[key]!r}") from None
         return None
 
     t_max = pick(args.t_max, "t_max", float)
@@ -337,7 +340,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
             if not cache.payload_path(kind).exists():
                 continue
             try:
-                cache.check(kind)
+                cache.load(kind)
             except (CacheInvalid, CacheMissing) as exc:
                 problems.append(f"{kind}: {exc}")
         if problems:

@@ -118,17 +118,9 @@ class GramTable:
     def extend_to_height(self, t: float) -> int:
         """Grow the table until g_n > t; returns the largest n with
         g_n <= t."""
-        n = max(len(self._heights) - 2, -1)
-        while True:
-            if self._heights and self._heights[-1] > t:
-                break
-            n = len(self._heights) - 1
-            self._extend_to(n)
-        heights = self._heights
-        n = len(heights) - 2
-        while n >= -1 and heights[n + 1] > t:
-            n -= 1
-        return n
+        while not self._heights or self._heights[-1] <= t:
+            self._extend_to(len(self._heights) - 1)
+        return bisect.bisect_right(self._heights, t) - 2
 
     def count_in(self, lo: float, hi: float) -> int:
         """Number of Gram points g with lo <= g < hi (bottom inclusive).

@@ -24,9 +24,9 @@ from pathlib import Path
 from typing import Sequence
 
 from . import analysis
-from .cache import Cache, fingerprint, fmt, write_atomic, write_json_atomic
+from .cache import KINDS, Cache, fingerprint, fmt, write_atomic, write_json_atomic
 from .contour import primary_zero_of_strip, strip_boundary
-from .errors import CacheInvalid, DomainError, NotSpecial
+from .errors import CacheInvalid, CacheMissing, DomainError, NotSpecial
 from .gram import default_table, gap_ratio_series, gram_point
 from .strips import Strip, ZeroRecord, build_strips, find_zeros
 from .zeta import T_ABS_MAX
@@ -154,49 +154,34 @@ def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
     return ordered, [min_abs for _, min_abs in traced[: count + 1]]
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text of rows under header: floats on the 12-digit grid (fmt),
+    ints as written, None as an empty field."""
+    def cell(v) -> str:
+        return "" if v is None else fmt(v) if isinstance(v, float) else str(v)
+
+    return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"
+
+
 def _gram_csv(t_max: float) -> str:
     table = default_table()
-    n_last = table.extend_to_height(t_max)
-    series = gap_ratio_series(n_last)
-    lines = [GRAM_HEADER]
-    g_first = table.point(-1)
-    lines.append(f"-1,{fmt(g_first)},,,")
-    for rec in series:
-        lines.append(
-            f"{rec.n},{fmt(rec.height)},{fmt(rec.gap)},"
-            f"{fmt(rec.ratio_plain)},{fmt(rec.ratio_geometric)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _strips_csv(strips: Sequence[Strip]) -> str:
-    lines = [STRIPS_HEADER]
-    for s in strips:
-        lines.append(
-            f"{s.m},{fmt(s.bottom)},{fmt(s.top)},{fmt(s.width)},{s.gram_count},"
-            f"{len(s.zeros)},{s.primary_index},{fmt(s.primary_height)},"
-            f"{fmt(s.primary_stat)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _zeros_csv(strips: Sequence[Strip]) -> str:
-    lines = [ZEROS_HEADER]
-    for s in strips:
-        for z in s.zeros:
-            lines.append(f"{z.j},{fmt(z.t)},{z.strip_m}")
-    return "\n".join(lines) + "\n"
+    rows = [(-1, table.point(-1), None, None, None)]
+    rows += [
+        (r.n, r.height, r.gap, r.ratio_plain, r.ratio_geometric)
+        for r in gap_ratio_series(table.extend_to_height(t_max))
+    ]
+    return _csv(GRAM_HEADER, rows)
 
 
 def _boundaries_csv(boundaries: Sequence[float], min_abs: Sequence[float]) -> str:
     table = default_table()
-    lines = [BOUNDARY_HEADER]
+    rows = []
     for i, (crossing, mabs) in enumerate(zip(boundaries, min_abs), start=1):
         idx = table.index_near(crossing, 1e-6)
         if idx is None:
             raise NotSpecial(f"boundary {i} at {crossing} matches no Gram point")
-        lines.append(f"{i},{2 * i},{fmt(crossing)},{idx},{fmt(mabs)}")
-    return "\n".join(lines) + "\n"
+        rows.append((i, 2 * i, crossing, idx, mabs))
+    return _csv(BOUNDARY_HEADER, rows)
 
 
 def _emit(out_dir: Path, name: str, text: str) -> None:
@@ -207,7 +192,7 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
     write_atomic(target, text.encode("utf-8"))
 
 
-def parse_strips_csv(strips_text: str, zeros_text: str) -> list[Strip]:
+def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     """Rebuild Strip records from the cached CSVs.  Widths are recomputed
     from the parsed endpoints; the emitted width column is only checked to
     the 12-significant-digit emission grid."""
@@ -237,18 +222,8 @@ def parse_strips_csv(strips_text: str, zeros_text: str) -> list[Strip]:
     return strips
 
 
-def compute(config: RunConfig) -> ComputeResult:
-    """Populate the cache (Gram table, boundaries, zeros, strips) and emit
-    gram.csv / strips.csv / zeros.csv.  A warm, matching cache short-circuits
-    all computation."""
-    cache = config.cache()
-    if cache.is_complete():
-        strips = parse_strips_csv(cache.load("strips"), cache.load("zeros"))
-        boundaries = [s.bottom for s in strips] + [strips[-1].top]
-        for name in ("gram", "strips", "zeros"):
-            _emit(config.out_dir, f"{name}.csv", cache.load(name))
-        return ComputeResult(strips=strips, boundaries=boundaries, from_cache=True)
-
+def _census(config: RunConfig) -> tuple[list[Strip], dict[str, str]]:
+    """The strips traced, scanned and assembled afresh, and their cache texts."""
     boundaries, min_abs = _boundary_batch(config)
     m_count = len(boundaries) - 1
     if config.progress:
@@ -269,20 +244,37 @@ def compute(config: RunConfig) -> ComputeResult:
     ]
     zero_lists = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
     strips = build_strips(boundaries, primaries, zero_lists)
+    return strips, {
+        "gram": _gram_csv(config.t_max),
+        "boundaries": _boundaries_csv(boundaries, min_abs),
+        "zeros": _csv(ZEROS_HEADER, ((z.j, z.t, z.strip_m) for s in strips for z in s.zeros)),
+        "strips": _csv(STRIPS_HEADER, (
+            (s.m, s.bottom, s.top, s.width, s.gram_count, len(s.zeros), s.primary_index,
+             s.primary_height, s.primary_stat)
+            for s in strips
+        )),
+    }
 
-    gram_text = _gram_csv(config.t_max)
-    strips_text = _strips_csv(strips)
-    zeros_text = _zeros_csv(strips)
-    boundaries_text = _boundaries_csv(boundaries, min_abs)
 
-    cache.store("gram", gram_text)
-    cache.store("boundaries", boundaries_text)
-    cache.store("zeros", zeros_text)
-    cache.store("strips", strips_text)
-    _emit(config.out_dir, "gram.csv", gram_text)
-    _emit(config.out_dir, "strips.csv", strips_text)
-    _emit(config.out_dir, "zeros.csv", zeros_text)
-    return ComputeResult(strips=strips, boundaries=boundaries)
+def compute(config: RunConfig) -> ComputeResult:
+    """Populate the cache (Gram table, boundaries, zeros, strips) and emit
+    gram.csv / strips.csv / zeros.csv.  A warm cache, every entry of which
+    loads, short-circuits all computation."""
+    cache = config.cache()
+    try:
+        texts = {kind: cache.load(kind) for kind in KINDS}
+    except (CacheMissing, CacheInvalid):
+        strips, texts = _census(config)
+        for kind in KINDS:
+            cache.store(kind, texts[kind])
+        from_cache = False
+    else:
+        strips = parse_strips(texts["strips"], texts["zeros"])
+        from_cache = True
+    for name in ("gram", "strips", "zeros"):
+        _emit(config.out_dir, f"{name}.csv", texts[name])
+    boundaries = [s.bottom for s in strips] + [strips[-1].top]
+    return ComputeResult(strips=strips, boundaries=boundaries, from_cache=from_cache)
 
 
 @dataclass
@@ -326,7 +318,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     """Regressions and deviation series over the cached strips; writes
     fits.json, deviations.csv, arches.csv."""
     cache = config.cache()
-    strips = parse_strips_csv(cache.load("strips"), cache.load("zeros"))
+    strips = parse_strips(cache.load("strips"), cache.load("zeros"))
     bottoms = analysis.fit_bottoms(strips)
     tops = analysis.fit_tops(strips)
     density_log, density_dev = analysis.fit_density(strips)
@@ -351,15 +343,10 @@ def analyze(config: RunConfig) -> AnalysisResult:
     write_json_atomic(config.out_dir / "fits.json", fits)
 
     dens = dict(density_dev.records)
-    lines = ["m,bottom_dev,density_dev"]
-    for m, bdev in bottom_dev.records:
-        lines.append(f"{m},{fmt(bdev)},{fmt(dens[m])}")
-    _emit(config.out_dir, "deviations.csv", "\n".join(lines) + "\n")
-
-    lines = ["p,q,m_center,t_center"]
-    for a in arches:
-        lines.append(f"{a.p},{a.q},{fmt(a.m_center)},{fmt(a.t_center)}")
-    _emit(config.out_dir, "arches.csv", "\n".join(lines) + "\n")
+    deviations = ((m, bdev, dens[m]) for m, bdev in bottom_dev.records)
+    _emit(config.out_dir, "deviations.csv", _csv("m,bottom_dev,density_dev", deviations))
+    arch_rows = ((a.p, a.q, a.m_center, a.t_center) for a in arches)
+    _emit(config.out_dir, "arches.csv", _csv("p,q,m_center,t_center", arch_rows))
     return AnalysisResult(
         bottoms=bottoms,
         tops=tops,

@@ -173,6 +173,13 @@ def test_primary_stats_degenerate_variance_zero():
     assert stats.n == 40
 
 
+def test_primary_stats_needs_two_strips_per_quartile():
+    # seven strips leave one-strip quarters, whose ddof=1 variance is NaN
+    with pytest.raises(DomainError):
+        primary_stats(_exact_line_strips(7))
+    assert primary_stats(_exact_line_strips(8)).quartile_variances == (0.0,) * 4
+
+
 def test_primary_stats_known_spread():
     strips = []
     for m in range(1, 41):

@@ -10,6 +10,7 @@ import pytest
 
 import zetastrips
 from zetastrips import errors, pipeline
+from zetastrips.cache import KINDS, Cache
 from zetastrips.cli import main
 from zetastrips.errors import CacheInvalid
 from zetastrips.pipeline import RunConfig, compute
@@ -162,6 +163,49 @@ def test_verify_reports_corrupted_cache(small_run, capsys):
         payload.write_bytes(original)
 
 
+def test_verify_reports_payload_without_meta(small_run, capsys):
+    meta = small_run / "cache" / "zeros.meta.json"
+    original = meta.read_bytes()
+    try:
+        meta.unlink()
+        rc = main(["--t-max", "100", "--out", str(small_run), "--quiet", "verify"])
+        captured = capsys.readouterr().out
+        assert rc == 5
+        assert "FAIL cache_integrity: zeros:" in captured
+    finally:
+        meta.write_bytes(original)
+
+
+def test_warm_compute_loads_each_entry_once(small_run, monkeypatch):
+    loaded = []
+    real_load = Cache.load
+
+    def counting(cache, kind):
+        loaded.append(kind)
+        return real_load(cache, kind)
+
+    monkeypatch.setattr(Cache, "load", counting)
+    result = compute(RunConfig(t_max=100.0, out_dir=small_run, progress=False))
+    assert result.from_cache
+    assert sorted(loaded) == sorted(KINDS)
+
+
+def test_load_opens_its_payload_once(small_run, monkeypatch):
+    cache = RunConfig(t_max=100.0, out_dir=small_run, progress=False).cache()
+    payload = cache.payload_path("strips")
+    opened = []
+    real_open = Path.open
+
+    def counting(path, *args, **kwargs):
+        opened.append(Path(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting)
+    text = cache.load("strips")
+    assert opened.count(payload) == 1
+    assert text.encode("utf-8") == payload.read_bytes()
+
+
 def test_corrupted_cache_triggers_recompute(small_run):
     cache_dir = small_run / "cache"
     payload = cache_dir / "zeros.csv"
@@ -199,7 +243,7 @@ def test_cache_fingerprint_rejects_other_config(small_run):
     cfg_other = RunConfig(t_max=120.0, out_dir=small_run, progress=False)
     cache = cfg_other.cache()
     with pytest.raises(CacheInvalid):
-        cache.check("strips")
+        cache.load("strips")
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -212,6 +256,26 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     rc = main(["--config", str(conf), "--out", str(out), "--quiet", "compute"])
     assert rc == 0
     assert "cache" in capsys.readouterr().out  # second run served from cache
+
+
+@pytest.mark.parametrize("line", ["threads = two", "t_max = 1e3x", "m_max = 1.5"])
+def test_config_file_malformed_value_exits_4(line, tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(conf), "--out", str(out), "--quiet", "compute"]) == 4
+    key, value = (part.strip() for part in line.split("="))
+    err = capsys.readouterr().err
+    assert key in err and value in err
+    assert not out.exists()  # rejected before any work
+
+
+def test_analyze_of_too_few_strips_for_quartiles_exits_2(tmp_path):
+    # t_max = 75 gives 7 strips: one per quartile, no variance to report
+    args = ["--t-max", "75", "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(args + ["compute"]) == 0
+    assert main(args + ["analyze"]) == 2
+    assert not (tmp_path / "o" / "fits.json").exists()
 
 
 def test_config_file_unknown_key(tmp_path):
