@@ -337,7 +337,8 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
             return True, "no cache present (skipped)"
         problems = []
         for kind in KINDS:
-            if not cache.payload_path(kind).exists():
+            # an entry is absent only when both of its files are
+            if not (cache.payload_path(kind).exists() or cache.meta_path(kind).exists()):
                 continue
             try:
                 cache.load(kind)

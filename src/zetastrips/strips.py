@@ -11,6 +11,13 @@ critical line, and ``build_strips`` only assembles: it takes boundary
 crossings and primary zeros already checked by ``contour`` and the zero
 lists the scans returned, and checks each strip's zero count and
 primary zero.
+
+The scan calls the Euler-Maclaurin ``hardy_z`` only where its value
+decides a bit of an emitted zero.  Grid signs come from the
+Riemann-Siegel formula wherever its error bound settles them, and each
+zero is located by Illinois and then written as the float that a fixed
+bisection of its grid cell returns, with only the bisection midpoints
+next to the zero evaluated.
 """
 
 from __future__ import annotations
@@ -21,9 +28,16 @@ from typing import Callable, Sequence
 
 from .errors import CountMismatch, DomainError, EscapedStrip
 from .gram import gap_model, default_table
-from .zeta import T_ABS_MAX, hardy_z
+from .zeta import RS_T_MIN, T_ABS_MAX, hardy_z, riemann_siegel_z
 
+# zeros are the floats of a fixed bisection to 1e-9; Illinois locates the
+# sign change to 1e-10 first, and only bisection midpoints within the guard
+# of it are evaluated.  The guard is over 20 times the evaluator's noise
+# zone: hardy_z is within about 2e-11 of mpmath.siegelz, and |Z'| >= 0.40
+# at every zero below 1e4 (smallest 0.402, at t = 4292.73).
 _BISECT_TOL = 1e-9
+_LOCATE_TOL = 1e-10
+_REPLAY_GUARD = 1e-9
 _MAX_REFINE = 4
 
 
@@ -67,17 +81,63 @@ class Strip:
 
 
 def _bisect_zero(
-    f: Callable[[float], float], lo: float, hi: float, f_lo: float
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
 ) -> float:
-    """Bisect f on [lo, hi] given f_lo = f(lo): one evaluation per halving."""
+    """The zero that bisecting f on [lo, hi] to 1e-9 returns, given values
+    f_lo and f_hi of opposite signs that carry the signs of f(lo), f(hi).
+
+    Illinois first locates the sign change of f inside [lo, hi] to a
+    bracket [a, b] of width 1e-10.  The fixed bisection is then replayed:
+    a midpoint within _REPLAY_GUARD of [a, b] is evaluated, and any other
+    midpoint takes the sign of the end of [a, b] on its side.  Where the
+    cell holds one zero and |f| at the guard distance is far above the
+    evaluator's error, that is the sign f has there, so the result is the
+    plain bisection's float at a fraction of its evaluations.
+    """
+    a, b, f_a, f_b = lo, hi, f_lo, f_hi
+    side = 0
+    while b - a > _LOCATE_TOL:
+        # the secant point, kept half the tolerance inside the bracket so
+        # that a converged end is straddled rather than crept up on
+        c = b - f_b * (b - a) / (f_b - f_a)
+        c = min(max(c, a + 0.5 * _LOCATE_TOL), b - 0.5 * _LOCATE_TOL)
+        f_c = f(c)
+        if f_c == 0.0:
+            a = b = c
+            break
+        # Illinois: when one end moves twice running, halve the value kept
+        # at the other, so that both ends close in
+        if (f_c > 0.0) == (f_b > 0.0):
+            b, f_b = c, f_c
+            if side == -1:
+                f_a *= 0.5
+            side = -1
+        else:
+            a, f_a = c, f_c
+            if side == 1:
+                f_b *= 0.5
+            side = 1
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_lo * f_mid <= 0.0:
+        if mid < a - _REPLAY_GUARD:
+            lo = mid
+        elif mid > b + _REPLAY_GUARD:
+            hi = mid
+        elif f_lo * f(mid) <= 0.0:
             hi = mid
         else:
-            lo, f_lo = mid, f_mid
+            lo = mid
     return 0.5 * (lo + hi)
+
+
+def _grid_z(t: float) -> float:
+    """Z(t) for the scan grid: the Riemann-Siegel value where its bound
+    fixes the sign, else the Euler-Maclaurin hardy_z."""
+    if t >= RS_T_MIN:
+        value, bound = riemann_siegel_z(t)
+        if abs(value) > 2.0 * bound:
+            return value
+    return hardy_z(t)
 
 
 def find_zeros(
@@ -87,13 +147,16 @@ def find_zeros(
     *,
     strip_m: int = 0,
 ) -> list[ZeroRecord]:
-    """Critical zeros in (t_lo, t_hi) by sign-change scan of Z plus
-    bisection to 1e-9.
+    """Critical zeros in (t_lo, t_hi) by sign-change scan of Z, each the
+    float that bisection of its grid cell to 1e-9 returns.
 
-    The scan grid has spacing gap_model(t_hi)/8.  When ``expected_count``
-    is given (strip builds pass the Gram count) and the scan disagrees, the
-    grid is halved up to four times before CountMismatch is raised; a
-    missed zero is never interpolated.
+    The scan grid has spacing gap_model(t_hi)/8.  Its signs come from the
+    Riemann-Siegel formula where |Z_RS| exceeds twice its bound (t >= 200),
+    and from the Euler-Maclaurin hardy_z elsewhere, so every sign is the
+    one hardy_z has.  Each sign change is polished by ``_bisect_zero`` on
+    hardy_z.  When ``expected_count`` is given (strip builds pass the Gram
+    count) and the scan disagrees, the grid is halved up to four times
+    before CountMismatch is raised; a missed zero is never interpolated.
     """
     if not 7.0 <= t_lo < t_hi <= T_ABS_MAX:
         raise DomainError(f"find_zeros range [{t_lo}, {t_hi}] invalid")
@@ -103,14 +166,14 @@ def find_zeros(
         count = max(2, math.ceil((t_hi - t_lo) / spacing) + 1)
         zeros: list[float] = []
         prev_t = t_lo
-        prev_z = hardy_z(prev_t)
+        prev_z = _grid_z(prev_t)
         for i in range(1, count + 1):
             t = min(t_lo + i * (t_hi - t_lo) / count, t_hi)
-            cur_z = hardy_z(t)
+            cur_z = _grid_z(t)
             if prev_z == 0.0:
                 zeros.append(prev_t)
             elif prev_z * cur_z < 0.0:
-                zeros.append(_bisect_zero(hardy_z, prev_t, t, prev_z))
+                zeros.append(_bisect_zero(hardy_z, prev_t, t, prev_z, cur_z))
             prev_t, prev_z = t, cur_z
         if expected_count is None or len(zeros) == expected_count:
             return [

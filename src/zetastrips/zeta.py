@@ -18,6 +18,11 @@ which ends holding the rising product of T_{K+1}.  The log n come from one
 fixed table, sized by the window and EM_TERMS_FACTOR.  Derivatives
 differentiate each term analytically; no finite differences anywhere in
 the evaluator.
+
+``riemann_siegel_z`` evaluates Z(t) by the Riemann-Siegel formula with
+Gabcke's error bound, about 40 terms at t = 1e4 in place of 5103.  It
+only supplies signs the bound settles; every value the census emits
+comes from the Euler-Maclaurin evaluator.
 """
 
 from __future__ import annotations
@@ -235,3 +240,43 @@ def hardy_z(t: float) -> float:
             f"hardy_z imaginary residual {rotated.imag:.3e} at t = {t}"
         )
     return rotated.real
+
+
+# --- Riemann-Siegel formula -------------------------------------------------
+
+# Gabcke (1979): after the main sum and the C0 term, |Z - Z_RS| <= 0.127 t^-3/4
+# for t >= 200
+RS_T_MIN = 200.0
+RS_BOUND_COEFF = 0.127
+
+# the main sum's largest N in the window, floor(sqrt(1.1e4 / 2pi)) = 41
+_RS_TERMS = math.isqrt(int(T_ABS_MAX / _TWO_PI))
+_RS_LOG_N = np.log(np.arange(1, _RS_TERMS + 1, dtype=np.float64))
+_RS_RSQRT_N = 1.0 / np.sqrt(np.arange(1, _RS_TERMS + 1, dtype=np.float64))
+
+
+def riemann_siegel_z(t: float) -> tuple[float, float]:
+    """Z(t) by the Riemann-Siegel formula and its error bound (value, bound).
+
+    The value is the main sum 2 sum_{n <= N} n^-1/2 cos(theta(t) - t log n),
+    N = floor(a), a = sqrt(t/2pi), plus the first correction
+    (-1)^(N-1) a^-1/2 Psi(p), Psi(p) = cos 2pi(p^2 - p - 1/16) / cos 2pi p,
+    p = a - N (Edwards, Riemann's Zeta Function, 1974, ch. 7).  The bound is
+    Gabcke's 0.127 t^-3/4.  Where |cos 2pi p| < 1e-6 the quotient Psi is
+    not evaluated and the bound is infinite: no sign may be read there.
+    """
+    if not RS_T_MIN <= t <= T_ABS_MAX:
+        raise DomainError(
+            f"riemann_siegel_z requires t in [{RS_T_MIN}, {T_ABS_MAX}], got {t}"
+        )
+    a = math.sqrt(t / _TWO_PI)
+    n_main = math.floor(a)
+    phases = _rs_theta_rotation(t) - t * _RS_LOG_N[:n_main]
+    main = 2.0 * float(np.cos(phases) @ _RS_RSQRT_N[:n_main])
+    p = a - n_main
+    denom = math.cos(_TWO_PI * p)
+    if abs(denom) < 1e-6:
+        return main, math.inf
+    psi = math.cos(_TWO_PI * (p * p - p - 0.0625)) / denom
+    sign = 1.0 if n_main % 2 else -1.0
+    return main + sign * psi / math.sqrt(a), RS_BOUND_COEFF * t**-0.75

@@ -11,7 +11,7 @@ import pytest
 import zetastrips
 from zetastrips import errors, pipeline
 from zetastrips.cache import KINDS, Cache
-from zetastrips.cli import main
+from zetastrips.cli import EXIT_VERIFY, main
 from zetastrips.errors import CacheInvalid
 from zetastrips.pipeline import RunConfig, compute
 
@@ -174,6 +174,16 @@ def test_verify_reports_payload_without_meta(small_run, capsys):
         assert "FAIL cache_integrity: zeros:" in captured
     finally:
         meta.write_bytes(original)
+
+
+def test_verify_reports_meta_without_payload(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--t-max", "30", "--out", str(out), "--quiet", "compute"]) == 0
+    (out / "cache" / "zeros.csv").unlink()
+    rc = main(["--t-max", "30", "--out", str(out), "--quiet", "verify"])
+    captured = capsys.readouterr().out
+    assert rc == EXIT_VERIFY
+    assert "FAIL cache_integrity: zeros:" in captured
 
 
 def test_warm_compute_loads_each_entry_once(small_run, monkeypatch):

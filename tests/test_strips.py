@@ -10,7 +10,7 @@ from conftest import FIRST_ZEROS
 from zetastrips import strips as strips_mod
 from zetastrips.contour import special_gram_point
 from zetastrips.errors import CountMismatch, DomainError, EscapedStrip
-from zetastrips.gram import gap_model
+from zetastrips.gram import default_table, gap_model
 from zetastrips.pipeline import RunConfig, compute
 from zetastrips.strips import (
     Strip,
@@ -19,7 +19,7 @@ from zetastrips.strips import (
     find_zeros,
     zeros_per_width,
 )
-from zetastrips.zeta import hardy_z
+from zetastrips.zeta import RS_T_MIN, hardy_z, riemann_siegel_z
 
 
 def test_find_zeros_strip_one_interval():
@@ -48,19 +48,145 @@ def test_find_zeros_first_seven():
         assert abs(got.t - known) < 1e-7
 
 
-def test_bisection_takes_one_evaluation_per_halving():
-    calls = []
+def _plain_bisection(f, lo: float, hi: float, f_lo: float) -> float:
+    """Frozen reference: the zero scan's fixed bisection to 1e-9 as it stood
+    before the Illinois locate and replay, one evaluation per halving."""
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
 
-    def z(t):
+
+def _frozen_scan(t_lo: float, t_hi: float, expected_count: int) -> list[float]:
+    """Frozen reference: the scan as it stood, hardy_z at every grid point
+    and plain bisection of every sign change."""
+    spacing = gap_model(t_hi) / 8.0
+    for _ in range(5):
+        count = max(2, math.ceil((t_hi - t_lo) / spacing) + 1)
+        zeros: list[float] = []
+        prev_t, prev_z = t_lo, hardy_z(t_lo)
+        for i in range(1, count + 1):
+            t = min(t_lo + i * (t_hi - t_lo) / count, t_hi)
+            cur_z = hardy_z(t)
+            if prev_z == 0.0:
+                zeros.append(prev_t)
+            elif prev_z * cur_z < 0.0:
+                zeros.append(_plain_bisection(hardy_z, prev_t, t, prev_z))
+            prev_t, prev_z = t, cur_z
+        if len(zeros) == expected_count:
+            return zeros
+        spacing *= 0.5
+    raise AssertionError(f"frozen scan of ({t_lo}, {t_hi}) missed its count")
+
+
+def _counting(f):
+    calls: list[float] = []
+
+    def counted(t: float) -> float:
         calls.append(t)
-        return hardy_z(t)
+        return f(t)
 
+    return counted, calls
+
+
+def test_bisection_replays_plain_bisection_in_at_most_12_evaluations():
+    z, calls = _counting(hardy_z)
     lo, hi = 14.0, 14.25  # brackets the first zero
-    root = strips_mod._bisect_zero(z, lo, hi, hardy_z(lo))
-    halvings = math.ceil(math.log2((hi - lo) / strips_mod._BISECT_TOL))
-    assert len(calls) == halvings == 28
-    assert lo not in calls
+    root = strips_mod._bisect_zero(z, lo, hi, hardy_z(lo), hardy_z(hi))
+    assert root == _plain_bisection(hardy_z, lo, hi, hardy_z(lo))
+    assert len(calls) <= 12  # plain bisection takes 28
+    assert lo not in calls and hi not in calls
     assert abs(root - FIRST_ZEROS[0]) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def scanned_cells():
+    """(strip bounds and Gram count, sign-change cells the scan bisected,
+    zeros found) for strips 1..109, the 1e3 census, and 1000..1003, near
+    the top of the window."""
+    table = default_table()
+    strips = []
+    for m in (*range(1, 110), *range(1000, 1004)):
+        bottom, top = special_gram_point(m), special_gram_point(m + 1)
+        strips.append((bottom, top, table.count_in(bottom, top)))
+    cells = []
+    real = strips_mod._bisect_zero
+
+    def recording(f, lo, hi, f_lo, f_hi):
+        cells.append((lo, hi, f_lo, f_hi))
+        return real(f, lo, hi, f_lo, f_hi)
+
+    strips_mod._bisect_zero = recording
+    try:
+        found = [[r.t for r in find_zeros(*strip)] for strip in strips]
+    finally:
+        strips_mod._bisect_zero = real
+    return strips, cells, found
+
+
+def test_bisection_replay_is_exact_on_census_cells(scanned_cells):
+    _, cells, _ = scanned_cells
+    assert len(cells) > 600
+    for lo, hi, f_lo, f_hi in cells:
+        # the grid's signs at the cell ends are hardy_z's, whichever
+        # evaluator gave them
+        z_lo, z_hi = hardy_z(lo), hardy_z(hi)
+        assert (f_lo > 0.0) == (z_lo > 0.0) and (f_hi > 0.0) == (z_hi > 0.0)
+        z, calls = _counting(hardy_z)
+        root = strips_mod._bisect_zero(z, lo, hi, f_lo, f_hi)
+        assert root == _plain_bisection(hardy_z, lo, hi, z_lo), (lo, hi)
+        assert len(calls) <= 12, (lo, hi)
+
+
+def test_find_zeros_matches_the_frozen_scan(scanned_cells):
+    strips, _, found = scanned_cells
+    for strip, zeros in zip(strips, found):
+        assert zeros == _frozen_scan(*strip), strip
+
+
+def test_grid_falls_back_to_hardy_z_inside_the_margin(monkeypatch):
+    rs_calls: list[float] = []
+
+    def inside_margin(t: float) -> tuple[float, float]:
+        rs_calls.append(t)
+        value, bound = riemann_siegel_z(t)
+        return math.copysign(1.999 * bound, value), bound
+
+    hz, hz_calls = _counting(hardy_z)
+    monkeypatch.setattr(strips_mod, "riemann_siegel_z", inside_margin)
+    monkeypatch.setattr(strips_mod, "hardy_z", hz)
+    found = [r.t for r in find_zeros(1000.0, 1010.0)]
+    assert rs_calls and set(rs_calls) <= set(hz_calls)
+    assert found == _frozen_scan(1000.0, 1010.0, len(found))
+
+
+def test_grid_takes_the_riemann_siegel_sign_outside_the_margin(monkeypatch):
+    def outside_margin(t: float) -> tuple[float, float]:
+        return 2.001, 1.0  # positive everywhere: no sign change to polish
+
+    hz, hz_calls = _counting(hardy_z)
+    monkeypatch.setattr(strips_mod, "riemann_siegel_z", outside_margin)
+    monkeypatch.setattr(strips_mod, "hardy_z", hz)
+    assert find_zeros(1000.0, 1010.0) == []
+    assert hz_calls == []
+
+
+def test_grid_never_calls_riemann_siegel_below_its_range(monkeypatch):
+    rs_calls: list[float] = []
+
+    def recording(t: float) -> tuple[float, float]:
+        rs_calls.append(t)
+        return riemann_siegel_z(t)
+
+    monkeypatch.setattr(strips_mod, "riemann_siegel_z", recording)
+    find_zeros(150.0, 199.9)
+    assert rs_calls == []
+    find_zeros(190.0, 210.0)
+    assert rs_calls and min(rs_calls) >= RS_T_MIN
 
 
 def test_find_zeros_rejects_bad_range():

@@ -14,8 +14,10 @@ from zetastrips import zeta as zeta_mod
 from zetastrips.errors import DomainError, PoleProximity, PrecisionLoss, WindowExceeded
 from zetastrips.zeta import (
     ComplexPoint,
+    RS_T_MIN,
     T_ABS_MAX,
     hardy_z,
+    riemann_siegel_z,
     rs_theta,
     rs_theta_deriv,
     zeta,
@@ -211,6 +213,49 @@ def test_hardy_z_stops_at_the_window_ceiling():
     assert math.isfinite(hardy_z(T_ABS_MAX))
     with pytest.raises(DomainError):
         hardy_z(math.nextafter(T_ABS_MAX, math.inf))
+
+
+# --- riemann_siegel_z -------------------------------------------------------
+
+
+def _siegel_oracle_heights() -> list[float]:
+    """About 100 seeded heights in [200, 1.1e4], plus heights whose
+    p = frac(sqrt(t / 2pi)) lies within 1e-3 of 1/4 and 3/4, where the C0
+    term Psi(p) is a quotient of two small cosines."""
+    rng = np.random.default_rng(200_11_000)
+    heights = list(rng.uniform(RS_T_MIN, T_ABS_MAX, 100))
+    for n in rng.integers(6, 41, 6):
+        for centre in (0.25, 0.75):
+            for offset in (-1e-3, -1e-5, 1e-5, 1e-3):
+                heights.append(2.0 * math.pi * (n + centre + offset) ** 2)
+    return heights
+
+
+def test_riemann_siegel_z_and_hardy_z_against_mpmath_siegelz():
+    # fp.siegelz is mpmath's own Riemann-Siegel evaluation in double
+    # precision, within 4e-12 of mp.siegelz over this range
+    for t in _siegel_oracle_heights():
+        oracle = mpmath.fp.siegelz(t)
+        value, bound = riemann_siegel_z(t)
+        assert bound == 0.127 * t**-0.75
+        assert abs(value - oracle) <= bound, t
+        assert abs(hardy_z(t) - oracle) <= 1e-10, t
+
+
+def test_riemann_siegel_z_claims_no_bound_where_psi_is_unresolved():
+    # p = 1/4 exactly: cos 2pi p vanishes and Psi is a 0/0 quotient
+    t = 2.0 * math.pi * 20.25**2
+    value, bound = riemann_siegel_z(t)
+    assert bound == math.inf
+    assert math.isfinite(value)
+
+
+def test_riemann_siegel_z_domain():
+    assert riemann_siegel_z(RS_T_MIN)[1] < math.inf
+    with pytest.raises(DomainError):
+        riemann_siegel_z(math.nextafter(RS_T_MIN, 0.0))
+    with pytest.raises(DomainError):
+        riemann_siegel_z(math.nextafter(T_ABS_MAX, math.inf))
 
 
 @pytest.mark.parametrize("k", range(1, 22))
