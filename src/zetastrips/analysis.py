@@ -19,7 +19,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .strips import Strip, zeros_per_width
+from .strips import Strip
 
 _TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -132,25 +132,10 @@ def arch_centers(
     return out
 
 
-def resonance_check(p: int) -> float:
-    """Height where the mean strip height is p Gram gaps: solving
-    (2 pi / ln 2) / gap_model(t) = p gives t = 2 pi 2^p, which must equal
-    the q = 1 arch center."""
-    if p < 1:
-        raise DomainError(f"p = {p} < 1")
-    t = _TWO_PI * 2.0**p
-    predicted = ArchPrediction(
-        p=p, q=1, m_center=2.0**p * _LN2, t_center=2.0 ** (1 + p) * math.pi
-    )
-    if abs(t - predicted.t_center) > 1e-9 * t:
-        raise DomainError(f"resonance height {t} disagrees with arch center")
-    return t
-
-
 def fit_density(strips: Sequence[Strip]) -> tuple[LinearFit, DeviationSeries]:
     """OLS of zeros-per-width against ln m plus the residual series."""
     x = np.array([math.log(s.m) for s in strips], dtype=float)
-    y = np.array([zeros_per_width(s) for s in strips], dtype=float)
+    y = np.array([len(s.zeros) / s.width for s in strips], dtype=float)
     fit = _ols(x, y)
     resid = y - (fit.intercept + fit.slope * x)
     records = tuple((s.m, float(r)) for s, r in zip(strips, resid))
@@ -160,7 +145,7 @@ def fit_density(strips: Sequence[Strip]) -> tuple[LinearFit, DeviationSeries]:
 def fit_density_linear(strips: Sequence[Strip]) -> LinearFit:
     """Comparison fit of zeros-per-width against m itself."""
     x = np.array([s.m for s in strips], dtype=float)
-    y = np.array([zeros_per_width(s) for s in strips], dtype=float)
+    y = np.array([len(s.zeros) / s.width for s in strips], dtype=float)
     return _ols(x, y)
 
 

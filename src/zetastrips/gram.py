@@ -2,15 +2,17 @@
 
 Gram points are indexed from n = -1 (height 9.6669...), matching the strip
 census: the first strip bottom is the n = -1 Gram point.  The table is
-built sequentially; each new point is a safeguarded Newton solve of
+built sequentially; each new point is a plain Newton solve of
 rs_theta(g) = n pi seeded at the previous point plus the model gap.
+rs_theta is increasing and convex for t >= 7 (its second derivative is
+1/(2t) + 1/(24 t^3) + 7/(480 t^5) > 0), so Newton needs no bracket: after
+at most one step the iterates approach the root monotonically from above.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -40,44 +42,17 @@ def gap_model(t: float) -> float:
     return _TWO_PI / math.log(t / _TWO_PI)
 
 
-def _solve_theta(target: float, lo: float, hi: float, seed: float) -> float:
-    """Newton on rs_theta(t) = target with a bisection safeguard inside
-    the bracket [lo, hi]; rs_theta is monotone there."""
-    f_lo = rs_theta(lo) - target
-    f_hi = rs_theta(hi) - target
-    for _ in range(40):
-        if f_lo * f_hi <= 0.0:
-            break
-        hi += 0.5 * gap_model(max(hi, _TWO_PI + 1.0))
-        f_hi = rs_theta(hi) - target
-    else:
-        raise ConvergenceFailure(f"no bracket for theta = {target}")
-
-    x = min(max(seed, lo), hi)
+def _solve_theta(target: float, seed: float) -> float:
+    """Plain Newton on rs_theta(t) = target from seed; see the module doc."""
+    x = seed
     for _ in range(_MAX_NEWTON):
         f = rs_theta(x) - target
         # 5e-10 keeps the 1e-9 residual contract; one polish step lands the
-        # root at float granularity.  The step escape below covers ulp
-        # oscillation near the root at large heights.
+        # root at float granularity.
         if abs(f) < 5e-10:
             return x - f / rs_theta_deriv(x)
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = f / rs_theta_deriv(x)
-        x_new = x - step
-        if abs(step) < 4.0 * sys.float_info.epsilon * max(1.0, abs(x)):
-            break
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    residual = rs_theta(x) - target
-    if abs(residual) < 1e-9:
-        return x
-    raise ConvergenceFailure(
-        f"theta solve for target {target} stalled with residual {residual:.2e}"
-    )
+        x -= f / rs_theta_deriv(x)
+    raise ConvergenceFailure(f"theta solve for target {target} did not converge")
 
 
 class GramTable:
@@ -94,16 +69,11 @@ class GramTable:
     def _extend_to(self, n: int) -> None:
         with self._lock:
             if not self._heights:
-                # theta(7.05) < -pi < theta(2 pi e): a guaranteed bracket
-                self._heights.append(
-                    _solve_theta(-math.pi, 7.05, _TWO_PI * math.e, 9.7)
-                )
+                self._heights.append(_solve_theta(-math.pi, 9.7))
             while len(self._heights) - 2 < n:
                 idx = len(self._heights) - 1  # index of the next point
                 prev = self._heights[-1]
-                gap = gap_model(prev)
-                seed = prev + gap
-                g = _solve_theta(idx * math.pi, prev + 1e-9, prev + 2.5 * gap, seed)
+                g = _solve_theta(idx * math.pi, prev + gap_model(prev))
                 if g <= prev:
                     raise ConvergenceFailure(f"non-increasing Gram point at n = {idx}")
                 self._heights.append(g)

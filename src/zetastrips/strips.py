@@ -248,14 +248,7 @@ def build_strips(
             primary_index=primary_index,
             primary_height=primary_height,
         )
-        strip.validate()
         strips.append(strip)
         j_offset += gram_count
     return strips
 
-
-def zeros_per_width(strip: Strip) -> float:
-    """Zero count divided by strip width, the density statistic."""
-    if strip.width <= 0.0:
-        raise DomainError(f"strip {strip.m} has non-positive width")
-    return len(strip.zeros) / strip.width

@@ -69,7 +69,6 @@ def full_run(tmp_path_factory):
     return {
         "config": config,
         "strips": result.strips,
-        "boundaries": result.boundaries,
         "elapsed": elapsed,
         "from_cache": result.from_cache,
         "analysis": report,

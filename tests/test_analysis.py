@@ -20,9 +20,9 @@ from zetastrips.analysis import (
     fit_density_linear,
     fit_tops,
     primary_stats,
-    resonance_check,
 )
 from zetastrips.errors import DomainError
+from zetastrips.gram import gap_model
 from zetastrips.strips import Strip, ZeroRecord
 
 
@@ -97,6 +97,8 @@ def test_arch_centers_closed_form():
     for a in preds:
         assert math.gcd(a.p, a.q) == 1
         assert abs(a.t_center / a.m_center - TWO_PI / LN2) < 1e-9
+        # resonance: at a q = 1 center the mean strip height is p Gram gaps
+        assert abs(SLOPE_MODEL / gap_model(a.t_center) - a.p) < 1e-9
 
 
 def test_arch_centers_q2_excludes_reducible():
@@ -116,17 +118,6 @@ def test_arch_prediction_validates_ratio():
         ArchPrediction(p=4, q=1, m_center=11.0, t_center=32.0 * math.pi)
     with pytest.raises(DomainError):
         ArchPrediction(p=4, q=2, m_center=4.0 * LN2, t_center=8.0 * math.pi)
-
-
-def test_resonance_check_values():
-    assert abs(resonance_check(4) - 32.0 * math.pi) < 1e-12
-    assert abs(resonance_check(4) - 100.531) < 1e-3
-    assert abs(resonance_check(10) - 2048.0 * math.pi) < 1e-9
-    assert abs(resonance_check(10) - 6433.98) < 1e-2
-    # p = 1 is still well-defined but its center in strip units lies before
-    # the second strip, so no arch window exists around it
-    assert abs(resonance_check(1) - 4.0 * math.pi) < 1e-12
-    assert 2.0 * LN2 < 2.0
 
 
 def test_density_fit_recovers_model_exactly():

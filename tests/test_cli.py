@@ -247,6 +247,21 @@ def test_cache_meta_that_is_not_an_object_is_invalid(tmp_path, capsys):
 def test_every_exported_name_resolves():
     missing = [name for name in zetastrips.__all__ if not hasattr(zetastrips, name)]
     assert missing == []
+    assert sorted(zetastrips.__all__) == sorted(
+        [
+            "RunConfig",
+            "compute",
+            "analyze",
+            "gram_point",
+            "special_gram_point",
+            "primary_zero_of_strip",
+            "trace",
+            "hardy_z",
+            "find_zeros",
+            "Strip",
+            "arch_centers",
+        ]
+    )
 
 
 def test_cache_fingerprint_rejects_other_config(small_run):

@@ -4,7 +4,10 @@ series, and the counting identity."""
 from __future__ import annotations
 
 import math
+import random
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from zetastrips.gram import (
     gap_ratio_series,
     gram_point,
 )
-from zetastrips.zeta import rs_theta
+from zetastrips.zeta import T_ABS_MAX, rs_theta, rs_theta_deriv
 
 # frozen from the bisection oracle on rs_theta during development
 G_MINUS_1 = 9.666908077468545
@@ -134,3 +137,61 @@ def test_index_near():
 def test_series_requires_positive_n_max():
     with pytest.raises(DomainError):
         gap_ratio_series(0)
+
+
+def _safeguarded_solve_theta(target, lo, hi, seed):
+    """Frozen copy of the Gram solve before it became plain Newton: Newton
+    inside a widened bracket with a bisection fallback and a step escape."""
+    f_lo = rs_theta(lo) - target
+    f_hi = rs_theta(hi) - target
+    for _ in range(40):
+        if f_lo * f_hi <= 0.0:
+            break
+        hi += 0.5 * gap_model(max(hi, TWO_PI + 1.0))
+        f_hi = rs_theta(hi) - target
+    else:
+        raise AssertionError(f"no bracket for theta = {target}")
+    x = min(max(seed, lo), hi)
+    for _ in range(60):
+        f = rs_theta(x) - target
+        if abs(f) < 5e-10:
+            return x - f / rs_theta_deriv(x)
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        step = f / rs_theta_deriv(x)
+        x_new = x - step
+        if abs(step) < 4.0 * sys.float_info.epsilon * max(1.0, abs(x)):
+            break
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        x = x_new
+    residual = rs_theta(x) - target
+    assert abs(residual) < 1e-9, f"theta solve for {target} stalled"
+    return x
+
+
+def test_plain_newton_matches_the_safeguarded_solve_bit_for_bit():
+    heights = [_safeguarded_solve_theta(-math.pi, 7.05, TWO_PI * math.e, 9.7)]
+    while heights[-1] <= T_ABS_MAX:
+        idx = len(heights) - 1
+        prev = heights[-1]
+        gap = gap_model(prev)
+        heights.append(
+            _safeguarded_solve_theta(idx * math.pi, prev + 1e-9, prev + 2.5 * gap, prev + gap)
+        )
+    assert len(heights) == 11326  # g_-1 .. g_11324, the first point above 1.1e4
+    table = GramTable()
+    assert [table.point(n) for n in range(-1, len(heights) - 1)] == heights
+
+
+def test_gram_points_against_mpmath_from_n_30():
+    # below n = 30 the five-term rs_theta is more than 2 ulps of g off the
+    # exact theta; from n = 30 to 11323 the worst distance to the correctly
+    # rounded mpmath.grampoint is 3 ulps, reached at 19 n from 655 to 7438
+    ns = sorted(set(random.Random(11).sample(range(30, 11324), 200)) | {655, 7438})
+    mpmath.mp.dps = 30
+    for n in ns:
+        g = gram_point(n)
+        assert abs(g - float(mpmath.grampoint(n))) <= 3.0 * math.ulp(g), n
