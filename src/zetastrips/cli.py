@@ -46,9 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# config key (and flag dest) -> (RunConfig field, parser of a file value)
+CONFIG_KEYS = {
+    "t_max": ("t_max", float),
+    "threads": ("threads", int),
+    "out": ("out_dir", Path),
+    "cache": ("cache_dir", Path),
+}
+
+
 def _read_config_file(path: Path) -> dict[str, str]:
     """key = value lines; '#' starts a comment; unknown keys rejected."""
-    known = {"t_max", "m_max", "threads", "out", "cache"}
     values: dict[str, str] = {}
     for raw in path.read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -58,13 +66,15 @@ def _read_config_file(path: Path) -> dict[str, str]:
             raise UsageError(f"config line without '=': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in known:
+        if key not in CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
         values[key] = value
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """RunConfig from the values a flag or the config file set, flags
+    first; RunConfig's defaults fill the rest."""
     file_vals: dict[str, str] = {}
     if args.config is not None:
         path = Path(args.config)
@@ -72,29 +82,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"config file {path} not found")
         file_vals = _read_config_file(path)
 
-    def pick(flag_value, key: str, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in file_vals:
+    fields = {}
+    for key, (field, cast) in CONFIG_KEYS.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            fields[field] = flag
+        elif key in file_vals:
             try:
-                return cast(file_vals[key])
+                fields[field] = cast(file_vals[key])
             except ValueError:
                 raise UsageError(f"config key {key!r}: bad value {file_vals[key]!r}") from None
-        return None
-
-    t_max = pick(args.t_max, "t_max", float)
-    m_max = pick(args.m_max, "m_max", int)
-    threads = pick(args.threads, "threads", int)
-    out = pick(args.out, "out", str)
-    cache = pick(args.cache, "cache", str)
-    return RunConfig(
-        t_max=t_max if t_max is not None else 1e4,
-        m_max=m_max,
-        threads=threads if threads is not None else 1,
-        out_dir=Path(out) if out is not None else Path("out"),
-        cache_dir=Path(cache) if cache is not None else None,
-        progress=not args.quiet,
-    )
+    return RunConfig(progress=not args.quiet, **fields)
 
 
 def cmd_compute(config: RunConfig) -> int:
@@ -377,10 +375,9 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="zetastrips", description=__doc__)
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--t-max", dest="t_max", type=float, default=None)
-    parser.add_argument("--m-max", dest="m_max", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--out", default=None, help="artifact directory")
-    parser.add_argument("--cache", default=None, help="cache directory")
+    parser.add_argument("--out", type=Path, default=None, help="artifact directory")
+    parser.add_argument("--cache", type=Path, default=None, help="cache directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("compute", help="populate the cache and emit CSV artifacts")

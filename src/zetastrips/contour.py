@@ -93,28 +93,31 @@ class ContourPath:
     crossing_t: float | None
 
 
+def _line_root(sigma: float, t: float) -> float:
+    """Root of Im zeta(sigma + it) = 0 in t by 1-D Newton from t, stopped
+    once the update is below 8 eps t."""
+    for _ in range(20):
+        z, dz = zeta_with_derivative(complex(sigma, t))
+        step = z.imag / dz.real  # d/dt Im zeta = Re zeta'
+        t -= step
+        if abs(step) < 8.0 * _EPS * max(1.0, abs(t)):
+            return t
+    raise ConvergenceFailure(f"Newton on sigma = {sigma} did not settle near t = {t}")
+
+
 def launch_point(k: int) -> ComplexPoint:
     """Newton-corrected root of Im zeta(SIGMA_START + it) = 0 seeded at
     t = k pi / ln 2; Re zeta > 0 there."""
     if k < 2:
         raise DomainError(f"launch index k = {k} < 2")
-    sigma = SIGMA_START
     seed = k * math.pi / _LN2
-    t = seed
-    for _ in range(12):
-        z, dz = zeta_with_derivative(complex(sigma, t))
-        step = z.imag / dz.real  # d/dt Im zeta = Re zeta'
-        t -= step
-        if abs(step) < 8.0 * _EPS * max(1.0, abs(t)):
-            break
-    else:
-        raise ConvergenceFailure(f"launch Newton for k = {k} did not settle")
+    t = _line_root(SIGMA_START, seed)
     if abs(t - seed) > 0.5 * math.pi / _LN2:
         raise SeedDrift(f"launch for k = {k} drifted from {seed} to {t}")
-    z, _ = zeta_with_derivative(complex(sigma, t))
+    z, _ = zeta_with_derivative(complex(SIGMA_START, t))
     if z.real <= 0.0:
         raise SeedDrift(f"launch for k = {k} landed on Re zeta <= 0 branch")
-    return ComplexPoint(sigma, t)
+    return ComplexPoint(SIGMA_START, t)
 
 
 def _newton_zero(s: complex) -> complex | None:
@@ -129,20 +132,6 @@ def _newton_zero(s: complex) -> complex | None:
         if abs(delta) < 16.0 * _EPS * max(1.0, abs(s)):
             return s
     return None
-
-
-def _cross_line(sigma_line: float, a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Height where the contour crosses the vertical line sigma = sigma_line,
-    by 1-D Newton in t seeded from the chord between accepted points."""
-    frac = (sigma_line - a[0]) / (b[0] - a[0])
-    t = a[1] + frac * (b[1] - a[1])
-    for _ in range(20):
-        z, dz = zeta_with_derivative(complex(sigma_line, t))
-        step = z.imag / dz.real
-        t -= step
-        if abs(step) < 8.0 * _EPS * max(1.0, abs(t)):
-            return t
-    raise ConvergenceFailure(f"line crossing at sigma = {sigma_line} did not settle")
 
 
 def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
@@ -234,24 +223,22 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
         s, z, dz = p, zp, dzp
         prev_tangent = tangent
 
-        # on-contour zero passed between accepted points: Re flips sign
-        if prev_z.real * z.real < 0.0:
-            mid = 0.5 * (prev_s + s)
-            loc = _newton_zero(mid)
+        # terminal zero: an on-contour zero passed between accepted points
+        # (Re zeta flips sign; Newton from the midpoint), or |zeta| is
+        # within ZERO_RADIUS (Newton from s)
+        flipped = prev_z.real * z.real < 0.0
+        if flipped or abs(z) < ZERO_RADIUS:
+            seed = 0.5 * (prev_s + s) if flipped else s
+            loc = _newton_zero(seed)
             if loc is None:
-                raise StepCollapse(f"Re zeta sign flip near {mid} but Newton failed")
+                raise StepCollapse(f"terminal zero near {seed} but Newton failed")
             zero = ComplexPoint(loc.real, loc.imag)
             break
 
-        if abs(z) < ZERO_RADIUS:
-            loc = _newton_zero(s)
-            if loc is None:
-                raise StepCollapse(f"|zeta| < ZERO_RADIUS near {s} but Newton failed")
-            zero = ComplexPoint(loc.real, loc.imag)
-            break
-
+        # critical-line crossing: Newton seeded from the chord
         if crossing_t is None and (prev_s.real - 0.5) * (s.real - 0.5) <= 0.0:
-            crossing_t = _cross_line(0.5, (prev_s.real, prev_s.imag), (s.real, s.imag))
+            frac = (0.5 - prev_s.real) / (s.real - prev_s.real)
+            crossing_t = _line_root(0.5, prev_s.imag + frac * (s.imag - prev_s.imag))
 
         rows.append((s.real, s.imag, z.real, z.imag))
         if s.real <= SIGMA_MIN:

@@ -103,15 +103,15 @@ class GramTable:
             self._heights, lo - _BOUNDARY_TOL
         )
 
-    def index_near(self, t: float, tol: float = 1e-6) -> int | None:
-        """Gram index whose height is within tol of t, or None."""
+    def index_near(self, t: float) -> int | None:
+        """Gram index whose height is within _BOUNDARY_TOL of t, or None."""
         if t < 7.0:
             return None
         n = round(rs_theta(t) / math.pi)
         if n < -1:
             return None
         g = self.point(n)
-        return n if abs(g - t) <= tol else None
+        return n if abs(g - t) <= _BOUNDARY_TOL else None
 
 
 _DEFAULT_TABLE = GramTable()

@@ -55,19 +55,15 @@ def _numerics_digest() -> str:
     return h.hexdigest()
 
 
-def _boundary_estimate(t_max: float, m_max: int | None) -> int:
-    """Number of boundary contours the boundary batch traces: one past
-    m_max, or enough to pass t_max, as crossing m stays within 2.5 of
-    m * SLOPE."""
-    if m_max is not None:
-        return m_max + 1
+def _boundary_estimate(t_max: float) -> int:
+    """Number of boundary contours the boundary batch traces: enough to
+    pass t_max, as crossing m stays within 2.5 of m * SLOPE."""
     return math.ceil((t_max + 2.5) / SLOPE)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     t_max: float = 1e4
-    m_max: int | None = None
     threads: int = 1
     out_dir: Path = Path("out")
     cache_dir: Path | None = None
@@ -77,12 +73,10 @@ class RunConfig:
         g_1 = gram_point(1)  # the Gram series needs g_0 and g_1 <= t_max
         if not g_1 <= self.t_max <= T_ABS_MAX:
             raise DomainError(f"t_max {self.t_max} outside [g_1 = {g_1:.4f}, {T_ABS_MAX}]")
-        if self.m_max is not None and self.m_max < 1:
-            raise DomainError(f"m_max {self.m_max} < 1")
         if self.threads < 1:
             raise DomainError(f"threads {self.threads} < 1")
         # boundary m launches near m * SLOPE, which must lie in the window
-        last = _boundary_estimate(self.t_max, self.m_max)
+        last = _boundary_estimate(self.t_max)
         if last * SLOPE > T_ABS_MAX:
             raise DomainError(
                 f"boundary contour {last} launches near {last * SLOPE:.2f}, "
@@ -100,7 +94,6 @@ class RunConfig:
             "version": __version__,
             "sources_sha256": _numerics_digest(),
             "t_max": self.t_max,
-            "m_max": self.m_max,
         }
 
     def cache(self) -> Cache:
@@ -132,22 +125,20 @@ def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:
 
 def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
     """Crossing heights and min-|zeta| diagnostics for boundaries
-    m = 1..m_count+1, where m_count strips fit under t_max (or m_max if
-    set).  One batch: with t_max, its last crossing must pass t_max, which
-    holds while every crossing stays above m * SLOPE - 2.5."""
-    last = _boundary_estimate(config.t_max, config.m_max)
+    m = 1..m_count+1, where m_count strips fit under t_max.  One batch: its
+    last crossing must pass t_max, which holds while every crossing stays
+    above m * SLOPE - 2.5.  The crossings must strictly increase; the
+    primary and zero stages rely on that and do not check it again."""
+    last = _boundary_estimate(config.t_max)
     traced = _run_jobs(
         range(1, last + 1), strip_boundary, config.threads, "boundaries", config.progress
     )
-    if config.m_max is not None:
-        count = config.m_max
-    else:
-        if traced[-1][0] <= config.t_max:
-            raise NotSpecial(
-                f"boundary {last} crosses at {traced[-1][0]}, not above t_max "
-                f"{config.t_max}: more than 2.5 below {last} * SLOPE"
-            )
-        count = sum(1 for crossing, _ in traced if crossing <= config.t_max) - 1
+    if traced[-1][0] <= config.t_max:
+        raise NotSpecial(
+            f"boundary {last} crosses at {traced[-1][0]}, not above t_max "
+            f"{config.t_max}: more than 2.5 below {last} * SLOPE"
+        )
+    count = sum(1 for crossing, _ in traced if crossing <= config.t_max) - 1
     ordered = [crossing for crossing, _ in traced[: count + 1]]
     if any(later <= earlier for earlier, later in zip(ordered, ordered[1:])):
         raise NotSpecial("boundary crossings are not strictly increasing")
@@ -177,7 +168,7 @@ def _boundaries_csv(boundaries: Sequence[float], min_abs: Sequence[float]) -> st
     table = default_table()
     rows = []
     for i, (crossing, mabs) in enumerate(zip(boundaries, min_abs), start=1):
-        idx = table.index_near(crossing, 1e-6)
+        idx = table.index_near(crossing)
         if idx is None:
             raise NotSpecial(f"boundary {i} at {crossing} matches no Gram point")
         rows.append((i, 2 * i, crossing, idx, mabs))

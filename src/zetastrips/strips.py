@@ -194,8 +194,8 @@ def build_strips(
 ) -> list[Strip]:
     """Assemble and validate strips 1..len(primaries).
 
-    ``boundaries`` holds the len(primaries) + 1 crossing heights of the
-    checked boundary contours, ``primaries`` the primary-zero height of
+    ``boundaries`` holds the len(primaries) + 1 increasing crossing heights
+    of the checked boundary contours, ``primaries`` the primary-zero height of
     each strip and ``zero_lists`` the zero heights its scan found.  Each
     strip's zero count must equal its Gram count (CountMismatch), and its
     primary zero must lie inside it and coincide with one of its zeros
@@ -215,11 +215,6 @@ def build_strips(
     for m in range(1, m_count + 1):
         bottom, top = boundaries[m - 1], boundaries[m]
         primary_height, heights = primaries[m - 1], zero_lists[m - 1]
-        if bottom >= top:
-            raise EscapedStrip(
-                f"boundary crossings out of order at strip {m}: "
-                f"{bottom} >= {top}; contours may have intersected"
-            )
         gram_count = table.count_in(bottom, top)
         if len(heights) != gram_count:
             raise CountMismatch(

@@ -119,7 +119,16 @@ def test_bad_usage_exits_4(tmp_path):
 def test_t_max_past_the_window_exits_4(tmp_path):
     out = str(tmp_path / "o")
     assert main(["--t-max", "10993.01", "--out", out, "--quiet", "compute"]) == 4
-    assert main(["--m-max", "1213", "--out", out, "--quiet", "compute"]) == 4
+
+
+def test_m_max_flag_and_config_key_exit_4(tmp_path):
+    # t_max is the one census extent
+    out = tmp_path / "o"
+    assert main(["--m-max", "3", "--out", str(out), "--quiet", "compute"]) == 4
+    conf = tmp_path / "run.conf"
+    conf.write_text("m_max = 3\n")
+    assert main(["--config", str(conf), "--out", str(out), "--quiet", "compute"]) == 4
+    assert [p.name for p in tmp_path.iterdir()] == ["run.conf"]  # nothing written
 
 
 def test_t_max_below_the_first_gram_gap_exits_4(tmp_path):
@@ -283,7 +292,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "cache" in capsys.readouterr().out  # second run served from cache
 
 
-@pytest.mark.parametrize("line", ["threads = two", "t_max = 1e3x", "m_max = 1.5"])
+@pytest.mark.parametrize("line", ["threads = two", "t_max = 1e3x", "threads = 1.5"])
 def test_config_file_malformed_value_exits_4(line, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text(line + "\n")

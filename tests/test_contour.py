@@ -122,15 +122,15 @@ def test_special_gram_point_first_two():
     # deviation from the 2 m pi / ln 2 model stays inside (-2, 2)
     assert -2.0 < s2 - 2.0 * 2.0 * math.pi / LN2 < 2.0
     assert s1 < s2
-    assert default_table().index_near(s1, 1e-6) == -1
-    assert default_table().index_near(s2, 1e-6) == 0
+    assert default_table().index_near(s1) == -1
+    assert default_table().index_near(s2) == 0
 
 
 def test_special_gram_points_are_ordered_for_small_m():
     crossings = [special_gram_point(m) for m in range(1, 6)]
     assert all(b > a for a, b in zip(crossings, crossings[1:]))
     for m, c in enumerate(crossings, start=1):
-        assert default_table().index_near(c, 1e-6) is not None
+        assert default_table().index_near(c) is not None
 
 
 def test_special_gram_point_rejects_m_zero():

@@ -39,15 +39,12 @@ def test_compute_checks_primary_on_critical_line(monkeypatch, tmp_path):
 
 def test_run_config_rejects_runs_past_the_window():
     # the last boundary traced for t_max = 10992.5 is m = 1213, launched
-    # near 10995.51; a higher t_max or m_max needs m = 1214 at 11004.57
+    # near 10995.51; a higher t_max needs m = 1214 at 11004.57
     RunConfig(t_max=10992.5)
-    RunConfig(m_max=1212)
     with pytest.raises(DomainError):
         RunConfig(t_max=10993.01)
     with pytest.raises(DomainError):
         RunConfig(t_max=1.1e4)
-    with pytest.raises(DomainError):
-        RunConfig(m_max=1213)
 
 
 def test_t_max_must_reach_g_1():
@@ -60,7 +57,7 @@ def test_t_max_must_reach_g_1():
 
 
 def test_cache_from_other_numerics_is_recomputed(monkeypatch, tmp_path):
-    config = RunConfig(t_max=30.0, m_max=1, out_dir=tmp_path)
+    config = RunConfig(t_max=25.0, out_dir=tmp_path)
     compute(config)
     assert compute(config).from_cache
     # same RunConfig, different numerics sources
@@ -68,11 +65,18 @@ def test_cache_from_other_numerics_is_recomputed(monkeypatch, tmp_path):
     assert not compute(config).from_cache
 
 
+def test_gram_csv_ends_at_the_last_gram_point_below_t_max(tmp_path):
+    compute(RunConfig(t_max=120.0, out_dir=tmp_path))
+    last = (tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines()[-1]
+    n = int(last.split(",")[0])
+    assert gram_point(n) <= 120.0 < gram_point(n + 1)
+
+
 def test_boundary_batch_that_falls_short_of_t_max_raises(monkeypatch, tmp_path):
     # t_max sits 2.6 below boundary 12's launch height, so the batch ends at
     # m = 12; crossings 2.8 below m * SLOPE leave that last one under t_max
     t_max = 12 * pipeline.SLOPE - 2.6
-    assert pipeline._boundary_estimate(t_max, None) == 12
+    assert pipeline._boundary_estimate(t_max) == 12
     traced = []
 
     def short(m):

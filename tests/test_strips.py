@@ -220,7 +220,7 @@ def test_find_zeros_count_mismatch_after_refinement(monkeypatch):
 
 
 def test_build_single_strip(tmp_path):
-    built = compute(RunConfig(m_max=1, out_dir=tmp_path)).strips
+    built = compute(RunConfig(t_max=25.0, out_dir=tmp_path)).strips
     assert len(built) == 1
     s = built[0]
     assert abs(s.bottom - 9.6669080561) < 1e-6
@@ -232,7 +232,7 @@ def test_build_single_strip(tmp_path):
 
 
 def test_build_three_strips_identity_and_indices(tmp_path):
-    built = compute(RunConfig(m_max=3, out_dir=tmp_path)).strips
+    built = compute(RunConfig(t_max=40.0, out_dir=tmp_path)).strips
     assert [s.m for s in built] == [1, 2, 3]
     j = 0
     for s in built:
@@ -250,7 +250,8 @@ def test_build_three_strips_identity_and_indices(tmp_path):
 
 
 def test_zeros_per_width_tracks_gap_model(tmp_path):
-    built = compute(RunConfig(m_max=12, out_dir=tmp_path)).strips
+    built = compute(RunConfig(t_max=120.0, out_dir=tmp_path)).strips
+    assert len(built) == 12  # top crossing 117.63; the next is 126.10
     for s in built[10:]:
         midpoint = 0.5 * (s.bottom + s.top)
         model = 1.0 / gap_model(midpoint)
@@ -300,8 +301,6 @@ def test_assemble_strip_rejects_foreign_primary():
 def test_build_strips_requires_positive_m():
     with pytest.raises(DomainError):
         build_strips([special_gram_point(1)], [], [])
-    with pytest.raises(DomainError):
-        RunConfig(m_max=0)
 
 
 def test_build_strips_checks_count_before_primary():
