@@ -1,9 +1,10 @@
 """Command-line front end: compute, analyze, plot, verify.
 
 Exit codes: 0 success, 1 I/O error, 2 math anomaly (any package error
-other than a missing or invalid cache: a contour or count check failed),
-3 missing inputs (cache or analysis artifacts absent), 4 usage error,
-5 verification failure.
+other than a CacheMissing: a contour or count check failed), 3 missing
+inputs (CacheMissing and its subclass CacheInvalid: a cache or analysis
+artifact absent or invalid, or a figure range the census does not
+reach), 4 usage error, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import pipeline
 from .cache import KINDS
 from .contour import primary_zero_of_strip, special_gram_point
-from .errors import CacheInvalid, CacheMissing, DomainError, ZetaStripsError
+from .errors import CacheMissing, DomainError, ZetaStripsError
 from .gram import gram_point
 from .pipeline import RunConfig
 from .strips import find_zeros
@@ -95,7 +96,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(progress=not args.quiet, **fields)
 
 
-def cmd_compute(config: RunConfig) -> int:
+def cmd_compute(config: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.time()
     result = pipeline.compute(config)
     source = "cache" if result.from_cache else "fresh run"
@@ -107,16 +108,27 @@ def cmd_compute(config: RunConfig) -> int:
     return 0
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    result = pipeline.analyze(config)
+def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
+    try:
+        result = pipeline.analyze(config)
+    except CacheMissing as exc:  # or its subclass CacheInvalid
+        raise type(exc)(f"{exc}; run 'zetastrips compute' first") from exc
     for line in result.summary_lines():
         print(line)
     print(f"artifacts in {config.out_dir}: fits.json deviations.csv arches.csv")
     return 0
 
 
-def _load_csv_columns(path: Path) -> dict[str, list[float]]:
-    text = path.read_text(encoding="utf-8").strip().splitlines()
+def _read_input(out: Path, name: str) -> str:
+    """Text of the artifact a figure reads, or CacheMissing naming it."""
+    try:
+        return (out / name).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise CacheMissing(f"{name} missing from {out}; run compute/analyze first") from None
+
+
+def _load_csv_columns(out: Path, filename: str) -> dict[str, list[float]]:
+    text = _read_input(out, filename).strip().splitlines()
     header = text[0].split(",")
     cols: dict[str, list[float]] = {name: [] for name in header}
     for line in text[1:]:
@@ -125,71 +137,66 @@ def _load_csv_columns(path: Path) -> dict[str, list[float]]:
     return cols
 
 
-FIGURE_RANGES = {3: (1, 70), 4: (70, 140), 5: (140, 280), 6: (280, 560), 7: (560, 1102)}
-DENSITY_RANGES = {11: (1, 70), 12: (70, 140), 13: (140, 280), 14: (280, 560), 15: (560, 1102)}
+# the strip ranges of the deviation figures 3-7 and 11-15
+STRIP_RANGES = ((1, 70), (70, 140), (140, 280), (280, 560), (560, 1102))
 
 
 def _gram_chart(out: Path) -> Chart:
-    cols = _load_csv_columns(out / "gram.csv")
-    chart = Chart(
-        title="Gram gap convergence to the spacing model",
-        xlabel="Gram point number n",
-        ylabel="|1 - gap / model|",
-        xlog=True,
-        ylog=True,
-    )
+    cols = _load_csv_columns(out, "gram.csv")
+    series = []
     for label, column in (("plain", "gap_ratio"), ("geometric mean", "gap_ratio_geo")):
         pairs = [
             (n, abs(r))
             for n, r in zip(cols["n"], cols[column])
             if n >= 1 and not math.isnan(r) and r != 0.0
         ]
-        chart.add_series(label, [p[0] for p in pairs], [p[1] for p in pairs])
-    return chart
+        series.append((label, [p[0] for p in pairs], [p[1] for p in pairs]))
+    return Chart(
+        title="Gram gap convergence to the spacing model",
+        xlabel="Gram point number n",
+        ylabel="|1 - gap / model|",
+        series=series,
+        xlog=True,
+        ylog=True,
+    )
 
 
 def _bottoms_chart(out: Path) -> Chart:
-    cols = _load_csv_columns(out / "strips.csv")
-    fit = json.loads((out / "fits.json").read_text(encoding="utf-8"))["bottoms"]
+    cols = _load_csv_columns(out, "strips.csv")
+    fit = json.loads(_read_input(out, "fits.json"))["bottoms"]
     ms = cols["m"]
     line_x = [ms[0], ms[-1]]
     line_y = [fit["intercept"] + fit["slope"] * x for x in line_x]
-    chart = Chart(
+    return Chart(
         title="Strip bottom height vs strip number",
         xlabel="strip number m",
         ylabel="bottom height t",
+        series=[("", ms, cols["bottom"])],
         line=(line_x, line_y),
     )
-    chart.add_series("", ms, cols["bottom"])
-    return chart
 
 
 def _density_chart(out: Path) -> Chart:
-    cols = _load_csv_columns(out / "strips.csv")
-    fit = json.loads((out / "fits.json").read_text(encoding="utf-8"))["density_log"]
+    cols = _load_csv_columns(out, "strips.csv")
+    fit = json.loads(_read_input(out, "fits.json"))["density_log"]
     ms = cols["m"]
     dens = [n / w for n, w in zip(cols["n_zeros"], cols["width"])]
     line_x = list(np.geomspace(ms[0], ms[-1], 64))
     line_y = [fit["intercept"] + fit["slope"] * math.log(x) for x in line_x]
-    chart = Chart(
+    return Chart(
         title="Zero density per strip vs strip number",
         xlabel="strip number m (log)",
         ylabel="zeros / width",
+        series=[("", ms, dens)],
         xlog=True,
         line=(line_x, line_y),
     )
-    chart.add_series("", ms, dens)
-    return chart
 
 
-def _deviation_chart(out: Path, figure: int) -> Chart:
-    """Bottom-height (FIGURE_RANGES) or zero-density (DENSITY_RANGES)
-    deviations of one strip range, with the arch centres inside it."""
-    if figure in FIGURE_RANGES:
-        (lo, hi), column, title = FIGURE_RANGES[figure], "bottom_dev", "Bottom-height"
-    else:
-        (lo, hi), column, title = DENSITY_RANGES[figure], "density_dev", "Zero-density"
-    cols = _load_csv_columns(out / "deviations.csv")
+def _deviation_chart(out: Path, figure: int, span: tuple, column: str, title: str) -> Chart:
+    """deviations.csv's ``column`` over the strips in span, and the arch centres there."""
+    lo, hi = span
+    cols = _load_csv_columns(out, "deviations.csv")
     xs = [m for m in cols["m"] if lo <= m <= hi]
     ys = [v for m, v in zip(cols["m"], cols[column]) if lo <= m <= hi]
     if not xs:
@@ -198,64 +205,45 @@ def _deviation_chart(out: Path, figure: int) -> Chart:
             f"figure {figure} plots strips {lo}..{hi}, but the census in {out} "
             f"ends at strip {last}; only a larger --t-max reaches that range"
         )
-    arch_cols = _load_csv_columns(out / "arches.csv")
-    markers = [m for m in arch_cols["m_center"] if lo <= m <= hi]
-    chart = Chart(
+    arch_cols = _load_csv_columns(out, "arches.csv")
+    return Chart(
         title=f"{title} deviation, strips {lo}..{hi}",
         xlabel="strip number m",
         ylabel="deviation",
-        vmarkers=markers,
+        series=[("", xs, ys)],
+        vmarkers=[m for m in arch_cols["m_center"] if lo <= m <= hi],
     )
-    chart.add_series("", xs, ys)
-    return chart
 
 
-def _strips_chart(column: str, title: str, xlabel: str, ylabel: str, xlog: bool = False):
-    """Builder of a chart of one strips.csv column against m."""
-
-    def build(out: Path) -> Chart:
-        cols = _load_csv_columns(out / "strips.csv")
-        chart = Chart(title=title, xlabel=xlabel, ylabel=ylabel, xlog=xlog)
-        chart.add_series("", cols["m"], cols[column])
-        return chart
-
-    return build
+def _strips_chart(out: Path, column: str, **labels) -> Chart:
+    """strips.csv's ``column`` against m, on a Chart of the given labels."""
+    cols = _load_csv_columns(out, "strips.csv")
+    return Chart(series=[("", cols["m"], cols[column])], **labels)
 
 
-_DEVIATION_INPUTS = ("deviations.csv", "arches.csv")
-
-# figure number -> (artifacts it reads from the output directory, chart builder)
+# figure number -> builder of its chart from the output directory
 FIGURES = {
-    1: (("gram.csv",), _gram_chart),
-    2: (("strips.csv", "fits.json"), _bottoms_chart),
-    **{f: (_DEVIATION_INPUTS, partial(_deviation_chart, figure=f)) for f in FIGURE_RANGES},
-    8: (("strips.csv",), _strips_chart(
-        "n_zeros", "Zeros per strip vs strip number", "strip number m (log)",
-        "zero count", xlog=True,
-    )),
-    9: (("strips.csv", "fits.json"), _density_chart),
-    10: (("strips.csv",), _strips_chart(
-        "width", "Strip width on the critical line vs strip number",
-        "strip number m (log)", "width", xlog=True,
-    )),
-    **{f: (_DEVIATION_INPUTS, partial(_deviation_chart, figure=f)) for f in DENSITY_RANGES},
-    16: (("strips.csv",), _strips_chart(
-        "primary_stat", "Relative position of the primary zero in its strip",
-        "strip number m", "(primary index - 0.5) / zero count",
-    )),
+    1: _gram_chart,
+    2: _bottoms_chart,
+    **{3 + i: partial(_deviation_chart, figure=3 + i, span=span, column="bottom_dev",
+                      title="Bottom-height") for i, span in enumerate(STRIP_RANGES)},
+    8: partial(_strips_chart, column="n_zeros", title="Zeros per strip vs strip number",
+               xlabel="strip number m (log)", ylabel="zero count", xlog=True),
+    9: _density_chart,
+    10: partial(_strips_chart, column="width",
+                title="Strip width on the critical line vs strip number",
+                xlabel="strip number m (log)", ylabel="width", xlog=True),
+    **{11 + i: partial(_deviation_chart, figure=11 + i, span=span, column="density_dev",
+                       title="Zero-density") for i, span in enumerate(STRIP_RANGES)},
+    16: partial(_strips_chart, column="primary_stat",
+                title="Relative position of the primary zero in its strip",
+                xlabel="strip number m", ylabel="(primary index - 0.5) / zero count"),
 }
 
 
-def cmd_plot(config: RunConfig, figure: int) -> int:
-    if figure not in FIGURES:
-        raise UsageError(f"figure must be 1..{len(FIGURES)}, got {figure}")
-    inputs, build = FIGURES[figure]
-    out = config.out_dir
-    for name in inputs:
-        if not (out / name).exists():
-            raise CacheMissing(f"{name} missing from {out}; run compute/analyze first")
-    chart = build(out)  # its inputs were found in out, so out exists
-    target = out / f"fig{figure}.svg"
+def cmd_plot(config: RunConfig, args: argparse.Namespace) -> int:
+    chart = FIGURES[args.figure](config.out_dir)  # it read out, so out exists
+    target = config.out_dir / f"fig{args.figure}.svg"
     chart.render(target)
     print(f"wrote {target}")
     return 0
@@ -340,7 +328,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
                 continue
             try:
                 cache.load(kind)
-            except (CacheInvalid, CacheMissing) as exc:
+            except CacheMissing as exc:
                 problems.append(f"{kind}: {exc}")
         if problems:
             return False, "; ".join(problems)
@@ -356,7 +344,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     t0 = time.time()
     checks = _verify_checks(config)
     failures = []
@@ -374,17 +362,21 @@ def cmd_verify(config: RunConfig) -> int:
 def make_parser() -> _Parser:
     parser = _Parser(prog="zetastrips", description=__doc__)
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--t-max", dest="t_max", type=float, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--out", type=Path, default=None, help="artifact directory")
-    parser.add_argument("--cache", type=Path, default=None, help="cache directory")
+    for key, (field, cast) in CONFIG_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+                            help=f"RunConfig.{field}")
     parser.add_argument("--quiet", action="store_true", help="suppress progress")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("compute", help="populate the cache and emit CSV artifacts")
-    sub.add_parser("analyze", help="fits, deviations, arch predictions")
-    plot = sub.add_parser("plot", help="render one figure as SVG")
-    plot.add_argument("--figure", type=int, required=True)
-    sub.add_parser("verify", help="quick oracle and invariant battery")
+    for name, run, text in (
+        ("compute", cmd_compute, "populate the cache and emit CSV artifacts"),
+        ("analyze", cmd_analyze, "fits, deviations, arch predictions"),
+        ("plot", cmd_plot, "render one figure as SVG"),
+        ("verify", cmd_verify, "quick oracle and invariant battery"),
+    ):
+        sub.add_parser(name, help=text).set_defaults(run=run)
+    sub.choices["plot"].add_argument(
+        "--figure", type=int, required=True, choices=sorted(FIGURES)
+    )
     return parser
 
 
@@ -396,22 +388,12 @@ def main(argv: list[str] | None = None) -> int:
             config = build_config(args)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
-        if args.command == "compute":
-            return cmd_compute(config)
-        if args.command == "analyze":
-            return cmd_analyze(config)
-        if args.command == "plot":
-            return cmd_plot(config, args.figure)
-        if args.command == "verify":
-            return cmd_verify(config)
-        raise UsageError(f"unknown command {args.command}")
+        return args.run(config, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CacheMissing, CacheInvalid) as exc:
+    except CacheMissing as exc:  # its message names the remedy
         print(f"missing/invalid inputs: {exc}", file=sys.stderr)
-        if args.command != "plot":  # plot messages name their own remedy
-            print("hint: run 'zetastrips compute' first", file=sys.stderr)
         return EXIT_MISSING
     except ZetaStripsError as exc:
         print(f"math anomaly: {type(exc).__name__}: {exc}", file=sys.stderr)

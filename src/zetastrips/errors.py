@@ -61,9 +61,10 @@ class CountMismatch(ZetaStripsError):
     refinement; signals a missed zero or a close pair."""
 
 
-class CacheInvalid(ZetaStripsError):
-    """Cache entry failed checksum, schema, or fingerprint validation."""
-
-
 class CacheMissing(ZetaStripsError):
-    """A command that requires a populated cache found none."""
+    """A command found no cache entry or input artifact that it needs."""
+
+
+class CacheInvalid(CacheMissing):
+    """Cache entry failed checksum, schema, or fingerprint validation; it
+    serves no better than a missing one."""

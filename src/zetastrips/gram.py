@@ -132,7 +132,6 @@ def gap_ratio_series(n_max: int) -> list[GapRatioRecord]:
     variants."""
     if n_max < 1:
         raise DomainError(f"gap_ratio_series requires n_max >= 1, got {n_max}")
-    _DEFAULT_TABLE.point(n_max)
     records = []
     prev = _DEFAULT_TABLE.point(-1)
     for n in range(0, n_max + 1):

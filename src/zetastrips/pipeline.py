@@ -82,10 +82,14 @@ class RunConfig:
                 f"boundary contour {last} launches near {last * SLOPE:.2f}, "
                 f"above the evaluation window |t| <= {T_ABS_MAX}"
             )
+        # either directory may be given as a str; it is a Path from here on
+        object.__setattr__(self, "out_dir", Path(self.out_dir))
+        if self.cache_dir is not None:
+            object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
     @property
     def cache_path(self) -> Path:
-        return Path(self.cache_dir) if self.cache_dir is not None else self.out_dir / "cache"
+        return self.cache_dir if self.cache_dir is not None else self.out_dir / "cache"
 
     def numeric_dict(self) -> dict:
         from . import __version__  # the package sets it after importing us
@@ -254,7 +258,7 @@ def compute(config: RunConfig) -> ComputeResult:
     cache = config.cache()
     try:
         texts = {kind: cache.load(kind) for kind in KINDS}
-    except (CacheMissing, CacheInvalid):
+    except CacheMissing:  # or its subclass CacheInvalid
         strips, texts = _census(config)
         for kind in KINDS:
             cache.store(kind, texts[kind])
@@ -321,7 +325,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     q_max = 3 if m_hi >= 100 else 2
     p_max = max(4, math.ceil(q_max * math.log2(m_hi / math.log(2.0))))
     arches = analysis.arch_centers(p_max, q_max, m_limit=m_hi)
-    branch_report = analysis.branch_spacing_report(strips, q_max=min(q_max, 2))
+    branch_report = analysis.branch_spacing_report(strips)
 
     fits = {
         "bottoms": asdict(bottoms),

@@ -9,8 +9,8 @@ being repaired.
 This module traces nothing.  ``find_zeros`` scans one interval of the
 critical line, and ``build_strips`` only assembles: it takes boundary
 crossings and primary zeros already checked by ``contour`` and the zero
-lists the scans returned, and checks each strip's zero count and
-primary zero.
+lists the scans returned.  ``Strip.validate`` checks each strip's zero
+count and primary zero, built afresh or read back from the cache.
 
 The scan calls the Euler-Maclaurin ``hardy_z`` only where its value
 decides a bit of an emitted zero.  Grid signs come from the
@@ -69,6 +69,9 @@ class Strip:
         return (self.primary_index - 0.5) / len(self.zeros)
 
     def validate(self) -> None:
+        """The one check of fresh and cached strips: a positive zero count equal
+        to the Gram count (CountMismatch), and the primary zero inside the
+        strip within 1e-5 of its zero (EscapedStrip)."""
         if not self.bottom < self.top:
             raise DomainError(f"strip {self.m}: bottom >= top")
         if len(self.zeros) != self.gram_count:
@@ -76,8 +79,20 @@ class Strip:
                 f"strip {self.m}: {len(self.zeros)} zeros vs "
                 f"{self.gram_count} Gram points"
             )
+        if not self.zeros:
+            raise CountMismatch(f"strip {self.m} is empty; no such strip is expected")
         if not 1 <= self.primary_index <= len(self.zeros):
             raise EscapedStrip(f"strip {self.m}: primary index out of range")
+        miss = abs(self.zeros[self.primary_index - 1].t - self.primary_height)
+        if miss > 1e-5:
+            raise EscapedStrip(
+                f"strip {self.m}: primary zero at {self.primary_height} is "
+                f"{miss:.2e} away from zero {self.primary_index} of the strip"
+            )
+        if not self.bottom < self.primary_height < self.top:
+            raise EscapedStrip(
+                f"strip {self.m}: primary zero {self.primary_height} outside strip"
+            )
 
 
 def _bisect_zero(
@@ -215,35 +230,21 @@ def build_strips(
     for m in range(1, m_count + 1):
         bottom, top = boundaries[m - 1], boundaries[m]
         primary_height, heights = primaries[m - 1], zero_lists[m - 1]
-        gram_count = table.count_in(bottom, top)
-        if len(heights) != gram_count:
-            raise CountMismatch(
-                f"strip {m}: {len(heights)} zeros vs {gram_count} Gram points"
-            )
-        if not heights:
-            raise CountMismatch(f"strip {m} is empty; no such strip is expected")
         diffs = [abs(t - primary_height) for t in heights]
-        primary_index = diffs.index(min(diffs)) + 1
-        if min(diffs) > 1e-5:
-            raise EscapedStrip(
-                f"strip {m}: primary zero at {primary_height} matches no "
-                f"enumerated zero (nearest {min(diffs):.2e} away)"
-            )
-        if not bottom < primary_height < top:
-            raise EscapedStrip(f"strip {m}: primary zero {primary_height} outside strip")
         strip = Strip(
             m=m,
             bottom=bottom,
             top=top,
-            gram_count=gram_count,
+            gram_count=table.count_in(bottom, top),
             zeros=tuple(
                 ZeroRecord(j=j_offset + i + 1, t=t, strip_m=m)
                 for i, t in enumerate(heights)
             ),
-            primary_index=primary_index,
+            primary_index=diffs.index(min(diffs)) + 1 if diffs else 0,  # the nearest zero
             primary_height=primary_height,
         )
+        strip.validate()
         strips.append(strip)
-        j_offset += gram_count
+        j_offset += len(heights)
     return strips
 

@@ -9,7 +9,8 @@ fixed formatting, no timestamps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from html import escape
 from pathlib import Path
 from typing import Sequence
 
@@ -26,12 +27,6 @@ POINT_COLOR = "#1f77b4"
 POINT2_COLOR = "#d62728"
 LINE_COLOR = "#2ca02c"
 MARKER_COLOR = "#999999"
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -75,28 +70,24 @@ class Chart:
     title: str
     xlabel: str
     ylabel: str
+    # (label, xs, ys) of each point series; a labelled one gets a legend entry
+    series: Sequence[tuple[str, Sequence[float], Sequence[float]]]
     xlog: bool = False
     ylog: bool = False
-    series: list[tuple[str, Sequence[float], Sequence[float]]] = field(
-        default_factory=list
-    )
     line: tuple[Sequence[float], Sequence[float]] | None = None
     vmarkers: Sequence[float] = ()
 
-    def add_series(self, label: str, xs: Sequence[float], ys: Sequence[float]) -> None:
-        self.series.append((label, xs, ys))
+    def _plottable(self, xs: Sequence[float], ys: Sequence[float]) -> list[tuple]:
+        """The points (x, y) that the axes can show: positive on a log axis."""
+        return [
+            (x, y) for x, y in zip(xs, ys)
+            if (not self.xlog or x > 0) and (not self.ylog or y > 0)
+        ]
 
     def render(self, path: Path) -> None:
-        xs_all: list[float] = []
-        ys_all: list[float] = []
-        for _, xs, ys in self.series:
-            for x, y in zip(xs, ys):
-                if self.xlog and x <= 0:
-                    continue
-                if self.ylog and y <= 0:
-                    continue
-                xs_all.append(x)
-                ys_all.append(y)
+        points = [(label, self._plottable(xs, ys)) for label, xs, ys in self.series]
+        xs_all = [x for _, pts in points for x, _ in pts]
+        ys_all = [y for _, pts in points for _, y in pts]
         if not xs_all:
             raise ValueError(f"chart '{self.title}' has no plottable points")
 
@@ -145,7 +136,8 @@ class Chart:
         out.append('<rect width="100%" height="100%" fill="#ffffff"/>')
         out.append(
             f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-            f'font-size="18" font-family="sans-serif">{_escape(self.title)}</text>'
+            f'font-size="18" font-family="sans-serif">'
+            f"{escape(self.title, quote=False)}</text>"
         )
 
         x_ticks = _log_ticks(x_lo, x_hi) if self.xlog else _nice_ticks(x_lo, x_hi)
@@ -188,22 +180,16 @@ class Chart:
         )
 
         if self.line is not None:
-            pts = " ".join(
-                f"{px(x):.2f},{py(y):.2f}"
-                for x, y in zip(*self.line)
-                if (not self.xlog or x > 0) and (not self.ylog or y > 0)
-            )
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in self._plottable(*self.line))
             out.append(
                 f'<polyline fill="none" stroke="{LINE_COLOR}" '
                 f'stroke-width="2" points="{pts}"/>'
             )
 
         colors = [POINT_COLOR, POINT2_COLOR]
-        for idx, (label, xs, ys) in enumerate(self.series):
+        for idx, (label, pts) in enumerate(points):
             color = colors[idx % len(colors)]
-            for x, y in zip(xs, ys):
-                if (self.xlog and x <= 0) or (self.ylog and y <= 0):
-                    continue
+            for x, y in pts:
                 out.append(
                     f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.2" '
                     f'fill="{color}" fill-opacity="0.75"/>'
@@ -216,19 +202,20 @@ class Chart:
                 )
                 out.append(
                     f'<text x="{WIDTH - MARGIN_R - 140}" y="{ly}" '
-                    f'font-size="12" font-family="sans-serif">{_escape(label)}</text>'
+                    f'font-size="12" font-family="sans-serif">'
+                    f"{escape(label, quote=False)}</text>"
                 )
 
         out.append(
             f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" '
             f'y="{HEIGHT - 18}" text-anchor="middle" font-size="14" '
-            f'font-family="sans-serif">{_escape(self.xlabel)}</text>'
+            f'font-family="sans-serif">{escape(self.xlabel, quote=False)}</text>'
         )
         mid_y = (MARGIN_T + HEIGHT - MARGIN_B) / 2
         out.append(
             f'<text x="22" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
             f'font-family="sans-serif" transform="rotate(-90 22 {mid_y:.1f})">'
-            f"{_escape(self.ylabel)}</text>"
+            f"{escape(self.ylabel, quote=False)}</text>"
         )
         out.append("</svg>")
         write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))

@@ -146,7 +146,7 @@ def test_every_package_error_has_its_exit_code(error, monkeypatch, tmp_path):
 
     monkeypatch.setattr(pipeline, "compute", fail)
     rc = main(["--t-max", "100", "--out", str(tmp_path / "o"), "--quiet", "compute"])
-    assert rc == (3 if error in (errors.CacheMissing, errors.CacheInvalid) else 2)
+    assert rc == (3 if issubclass(error, errors.CacheMissing) else 2)
 
 
 def test_verify_passes_fresh(tmp_path, capsys):

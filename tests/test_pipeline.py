@@ -4,10 +4,12 @@ cannot finish inside the evaluation window are rejected up front."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
 from zetastrips import contour, pipeline
+from zetastrips.cache import fmt
 from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
 from zetastrips.gram import gram_point
 from zetastrips.pipeline import RunConfig, compute
@@ -63,6 +65,29 @@ def test_cache_from_other_numerics_is_recomputed(monkeypatch, tmp_path):
     # same RunConfig, different numerics sources
     monkeypatch.setattr(pipeline, "_numerics_digest", lambda: "0" * 64)
     assert not compute(config).from_cache
+
+
+def test_run_config_takes_str_directories(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    config = RunConfig(t_max=25.0, out_dir="x")
+    assert config.cache_path == Path("x") / "cache"
+    assert RunConfig(t_max=25.0, out_dir="x", cache_dir="c").cache_path == Path("c")
+    compute(config)
+    assert (tmp_path / "x" / "strips.csv").exists()
+
+
+def test_cached_strips_pass_the_fresh_strip_checks(tmp_path):
+    # a strips entry whose meta and checksum are valid, but whose strip 1
+    # has its primary zero 1 above its top
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    compute(config)
+    cache = config.cache()
+    header, first, *rest = cache.load("strips").splitlines()
+    cells = first.split(",")
+    cells[7] = fmt(float(cells[2]) + 1.0)  # primary_height = top + 1
+    cache.store("strips", "\n".join([header, ",".join(cells), *rest]) + "\n")
+    with pytest.raises(EscapedStrip):
+        compute(config)
 
 
 def test_gram_csv_ends_at_the_last_gram_point_below_t_max(tmp_path):
