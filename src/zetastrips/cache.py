@@ -4,7 +4,8 @@ Each cache entry is a CSV payload plus a sidecar meta JSON carrying the
 schema version, the entry kind, a sha256 of the payload bytes, and a
 fingerprint of the numerical configuration that produced it.  A reader
 never sees a torn entry: payload and meta are written to temp files and
-renamed, payload first.
+renamed, payload first.  ``write_atomic`` is also the write of every output
+artifact, and it leaves a file that already holds its bytes untouched.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ def round12(obj):
 
 
 def write_atomic(path: Path, data: bytes) -> None:
+    """The one write policy of every artifact and cache file: path ends up
+    holding data, written to a temp file and renamed over it, unless it
+    already holds exactly these bytes; then it is left as it is, inode and
+    mtime included."""
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 I/O error, 2 math anomaly (any package error
 other than a CacheMissing: a contour or count check failed), 3 missing
 inputs (CacheMissing and its subclass CacheInvalid: a cache or analysis
-artifact absent or invalid, or a figure range the census does not
-reach), 4 usage error, 5 verification failure.
+artifact absent, invalid or unparsable, or a figure range the census does
+not reach), 4 usage error, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import pipeline
 from .cache import KINDS
 from .contour import primary_zero_of_strip, special_gram_point
-from .errors import CacheMissing, DomainError, ZetaStripsError
+from .errors import CacheInvalid, CacheMissing, DomainError, ZetaStripsError
 from .gram import gram_point
 from .pipeline import RunConfig
 from .strips import find_zeros
@@ -119,22 +119,41 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_input(out: Path, name: str) -> str:
-    """Text of the artifact a figure reads, or CacheMissing naming it."""
+def _read_input(out: Path, name: str, parse):
+    """parse(text) of the artifact a figure reads; CacheMissing naming an
+    absent file, CacheInvalid naming one that does not decode or parse."""
     try:
-        return (out / name).read_text(encoding="utf-8")
+        return parse((out / name).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CacheMissing(f"{name} missing from {out}; run compute/analyze first") from None
+    except (ValueError, KeyError, IndexError, TypeError) as exc:  # UnicodeDecodeError too
+        raise CacheInvalid(
+            f"{name} in {out} is malformed ({type(exc).__name__}: {exc}); "
+            "run compute/analyze again"
+        ) from None
 
 
-def _load_csv_columns(out: Path, filename: str) -> dict[str, list[float]]:
-    text = _read_input(out, filename).strip().splitlines()
-    header = text[0].split(",")
-    cols: dict[str, list[float]] = {name: [] for name in header}
-    for line in text[1:]:
-        for name, field in zip(header, line.split(",")):
-            cols[name].append(float(field) if field else math.nan)
-    return cols
+def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]]:
+    """The named columns of a figure's CSV input, an empty field as nan."""
+    def parse(text: str) -> list[list[float]]:
+        lines = text.strip().splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        return [
+            [float(row[i]) if row[i] else math.nan for row in rows]
+            for i in map(header.index, names)
+        ]
+
+    return _read_input(out, filename, parse)
+
+
+def _load_fit(out: Path, key: str) -> tuple[float, float]:
+    """(intercept, slope) of the fit ``key`` in fits.json."""
+    def parse(text: str) -> tuple[float, float]:
+        fit = json.loads(text)[key]
+        return float(fit["intercept"]), float(fit["slope"])
+
+    return _read_input(out, "fits.json", parse)
 
 
 # the strip ranges of the deviation figures 3-7 and 11-15
@@ -142,12 +161,14 @@ STRIP_RANGES = ((1, 70), (70, 140), (140, 280), (280, 560), (560, 1102))
 
 
 def _gram_chart(out: Path) -> Chart:
-    cols = _load_csv_columns(out, "gram.csv")
+    ns, plain, geometric = _load_csv_columns(
+        out, "gram.csv", "n", "gap_ratio", "gap_ratio_geo"
+    )
     series = []
-    for label, column in (("plain", "gap_ratio"), ("geometric mean", "gap_ratio_geo")):
+    for label, ratios in (("plain", plain), ("geometric mean", geometric)):
         pairs = [
             (n, abs(r))
-            for n, r in zip(cols["n"], cols[column])
+            for n, r in zip(ns, ratios)
             if n >= 1 and not math.isnan(r) and r != 0.0
         ]
         series.append((label, [p[0] for p in pairs], [p[1] for p in pairs]))
@@ -162,27 +183,25 @@ def _gram_chart(out: Path) -> Chart:
 
 
 def _bottoms_chart(out: Path) -> Chart:
-    cols = _load_csv_columns(out, "strips.csv")
-    fit = json.loads(_read_input(out, "fits.json"))["bottoms"]
-    ms = cols["m"]
+    ms, bottoms = _load_csv_columns(out, "strips.csv", "m", "bottom")
+    intercept, slope = _load_fit(out, "bottoms")
     line_x = [ms[0], ms[-1]]
-    line_y = [fit["intercept"] + fit["slope"] * x for x in line_x]
+    line_y = [intercept + slope * x for x in line_x]
     return Chart(
         title="Strip bottom height vs strip number",
         xlabel="strip number m",
         ylabel="bottom height t",
-        series=[("", ms, cols["bottom"])],
+        series=[("", ms, bottoms)],
         line=(line_x, line_y),
     )
 
 
 def _density_chart(out: Path) -> Chart:
-    cols = _load_csv_columns(out, "strips.csv")
-    fit = json.loads(_read_input(out, "fits.json"))["density_log"]
-    ms = cols["m"]
-    dens = [n / w for n, w in zip(cols["n_zeros"], cols["width"])]
+    ms, n_zeros, widths = _load_csv_columns(out, "strips.csv", "m", "n_zeros", "width")
+    intercept, slope = _load_fit(out, "density_log")
+    dens = [n / w for n, w in zip(n_zeros, widths)]
     line_x = list(np.geomspace(ms[0], ms[-1], 64))
-    line_y = [fit["intercept"] + fit["slope"] * math.log(x) for x in line_x]
+    line_y = [intercept + slope * math.log(x) for x in line_x]
     return Chart(
         title="Zero density per strip vs strip number",
         xlabel="strip number m (log)",
@@ -196,29 +215,29 @@ def _density_chart(out: Path) -> Chart:
 def _deviation_chart(out: Path, figure: int, span: tuple, column: str, title: str) -> Chart:
     """deviations.csv's ``column`` over the strips in span, and the arch centres there."""
     lo, hi = span
-    cols = _load_csv_columns(out, "deviations.csv")
-    xs = [m for m in cols["m"] if lo <= m <= hi]
-    ys = [v for m, v in zip(cols["m"], cols[column]) if lo <= m <= hi]
+    ms, values = _load_csv_columns(out, "deviations.csv", "m", column)
+    xs = [m for m in ms if lo <= m <= hi]
+    ys = [v for m, v in zip(ms, values) if lo <= m <= hi]
     if not xs:
-        last = int(max(cols["m"], default=0))
+        last = int(max(ms, default=0))
         raise CacheMissing(
             f"figure {figure} plots strips {lo}..{hi}, but the census in {out} "
             f"ends at strip {last}; only a larger --t-max reaches that range"
         )
-    arch_cols = _load_csv_columns(out, "arches.csv")
+    (centers,) = _load_csv_columns(out, "arches.csv", "m_center")
     return Chart(
         title=f"{title} deviation, strips {lo}..{hi}",
         xlabel="strip number m",
         ylabel="deviation",
         series=[("", xs, ys)],
-        vmarkers=[m for m in arch_cols["m_center"] if lo <= m <= hi],
+        vmarkers=[m for m in centers if lo <= m <= hi],
     )
 
 
 def _strips_chart(out: Path, column: str, **labels) -> Chart:
     """strips.csv's ``column`` against m, on a Chart of the given labels."""
-    cols = _load_csv_columns(out, "strips.csv")
-    return Chart(series=[("", cols["m"], cols[column])], **labels)
+    ms, values = _load_csv_columns(out, "strips.csv", "m", column)
+    return Chart(series=[("", ms, values)], **labels)
 
 
 # figure number -> builder of its chart from the output directory
@@ -359,7 +378,10 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def make_parser() -> _Parser:
+    """The CLI's parser, built once per process: it depends only on
+    CONFIG_KEYS and FIGURES, and parsing leaves it unchanged."""
     parser = _Parser(prog="zetastrips", description=__doc__)
     parser.add_argument("--config", help="key = value config file")
     for key, (field, cast) in CONFIG_KEYS.items():

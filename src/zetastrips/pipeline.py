@@ -181,10 +181,7 @@ def _boundaries_csv(boundaries: Sequence[float], min_abs: Sequence[float]) -> st
 
 def _emit(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / name
-    if target.exists() and target.read_text(encoding="utf-8") == text:
-        return
-    write_atomic(target, text.encode("utf-8"))
+    write_atomic(out_dir / name, text.encode("utf-8"))
 
 
 def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:

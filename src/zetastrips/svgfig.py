@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from html import escape
 from pathlib import Path
 from typing import Sequence
 
@@ -55,6 +54,23 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
             ticks.append(10.0**e)
         e += 1
     return ticks or [lo, hi]
+
+
+def _escape(text: str) -> str:
+    """Text content escaped for SVG, as html.escape(text, quote=False) does;
+    the html package would import its 2231-entry entity table for this."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _axis_fraction(lo: float, hi: float, log: bool):
+    """v -> its fraction of the axis [lo, hi], in log10 on a log axis; the
+    limits' logs and the span are taken once per axis."""
+    if log:
+        log_lo = math.log10(lo)
+        span = math.log10(hi) - log_lo
+        return lambda v: (math.log10(v) - log_lo) / span
+    span = hi - lo
+    return lambda v: (v - lo) / span
 
 
 def _fmt_tick(v: float) -> str:
@@ -110,23 +126,14 @@ class Chart:
         plot_w = WIDTH - MARGIN_L - MARGIN_R
         plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+        fx = _axis_fraction(x_lo, x_hi, self.xlog)
+        fy = _axis_fraction(y_lo, y_hi, self.ylog)
+
         def px(x: float) -> float:
-            if self.xlog:
-                f = (math.log10(x) - math.log10(x_lo)) / (
-                    math.log10(x_hi) - math.log10(x_lo)
-                )
-            else:
-                f = (x - x_lo) / (x_hi - x_lo)
-            return MARGIN_L + f * plot_w
+            return MARGIN_L + fx(x) * plot_w
 
         def py(y: float) -> float:
-            if self.ylog:
-                f = (math.log10(y) - math.log10(y_lo)) / (
-                    math.log10(y_hi) - math.log10(y_lo)
-                )
-            else:
-                f = (y - y_lo) / (y_hi - y_lo)
-            return HEIGHT - MARGIN_B - f * plot_h
+            return HEIGHT - MARGIN_B - fy(y) * plot_h
 
         out: list[str] = []
         out.append(
@@ -137,7 +144,7 @@ class Chart:
         out.append(
             f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
             f'font-size="18" font-family="sans-serif">'
-            f"{escape(self.title, quote=False)}</text>"
+            f"{_escape(self.title)}</text>"
         )
 
         x_ticks = _log_ticks(x_lo, x_hi) if self.xlog else _nice_ticks(x_lo, x_hi)
@@ -203,19 +210,19 @@ class Chart:
                 out.append(
                     f'<text x="{WIDTH - MARGIN_R - 140}" y="{ly}" '
                     f'font-size="12" font-family="sans-serif">'
-                    f"{escape(label, quote=False)}</text>"
+                    f"{_escape(label)}</text>"
                 )
 
         out.append(
             f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" '
             f'y="{HEIGHT - 18}" text-anchor="middle" font-size="14" '
-            f'font-family="sans-serif">{escape(self.xlabel, quote=False)}</text>'
+            f'font-family="sans-serif">{_escape(self.xlabel)}</text>'
         )
         mid_y = (MARGIN_T + HEIGHT - MARGIN_B) / 2
         out.append(
             f'<text x="22" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
             f'font-family="sans-serif" transform="rotate(-90 22 {mid_y:.1f})">'
-            f"{escape(self.ylabel, quote=False)}</text>"
+            f"{_escape(self.ylabel)}</text>"
         )
         out.append("</svg>")
         write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))

@@ -4,6 +4,7 @@ behavior, config file handling, and the package's exported names."""
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,65 @@ def test_missing_cache_exits_3(tmp_path):
         main(["--out", str(tmp_path / "none"), "--quiet", "plot", "--figure", "2"])
         == 3
     )
+
+
+@pytest.mark.parametrize(
+    "figure, name, data",
+    [
+        (8, "strips.csv", b"\xff"),  # not UTF-8
+        (2, "strips.csv", b"m,bottom\n1,abc\n"),  # a cell that is not a number
+        (10, "strips.csv", b"m,n_zeros\n1,1\n"),  # no width column
+        (2, "fits.json", b"{"),  # not JSON
+    ],
+)
+def test_malformed_figure_input_exits_3(figure, name, data, small_run, tmp_path, capsys):
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("cache", "*.svg"))
+    (out / name).write_bytes(data)
+    rc = main(["--t-max", "100", "--out", str(out), "--quiet", "plot", "--figure", str(figure)])
+    assert rc == 3
+    assert f"{name} in {out} is malformed" in capsys.readouterr().err
+    assert not (out / f"fig{figure}.svg").exists()
+
+
+def _file_states(*dirs: Path) -> dict:
+    return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for d in dirs for p in d.iterdir()}
+
+
+def test_rerun_over_an_unchanged_cache_rewrites_nothing(small_run, tmp_path):
+    out, cache_dir = tmp_path / "o", small_run / "cache"
+    args = ["--t-max", "100", "--out", str(out), "--cache", str(cache_dir), "--quiet"]
+    figures = (1, 2, 3, 8, 9, 10, 11, 16)
+
+    def report_round() -> None:
+        assert main(args + ["compute"]) == 0
+        assert main(args + ["analyze"]) == 0
+        for fig in figures:
+            assert main(args + ["plot", "--figure", str(fig)]) == 0
+
+    report_round()
+    before = _file_states(out, cache_dir)
+    assert len(before) == 6 + len(figures) + 2 * len(KINDS)
+    report_round()
+    assert _file_states(out, cache_dir) == before
+
+    # an absent or a different target is still written, and only those
+    (out / "fig2.svg").unlink()
+    (out / "fits.json").write_bytes(b"{}\n")
+    report_round()
+    after = _file_states(out, cache_dir)
+    assert {p.name for p in after if after[p] != before[p]} == {"fig2.svg", "fits.json"}
+    assert (out / "fits.json").read_bytes() == (small_run / "fits.json").read_bytes()
+
+
+def test_compute_rewrites_a_non_utf8_artifact(small_run, tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "strips.csv").write_bytes(b"\xff")
+    rc = main(["--t-max", "100", "--out", str(out), "--cache", str(small_run / "cache"),
+               "--quiet", "compute"])
+    assert rc == 0
+    assert (out / "strips.csv").read_bytes() == (small_run / "strips.csv").read_bytes()
 
 
 def test_bad_usage_exits_4(tmp_path):
