@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class ArchPrediction:
             )
 
 
-@dataclass(frozen=True)
-class DeviationSeries:
-    kind: Literal["bottom_dev", "density_dev"]
-    records: tuple[tuple[int, float], ...]
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> LinearFit:
     """Ordinary least squares with homoskedastic standard errors."""
     n = x.size
@@ -98,12 +92,11 @@ def fit_tops(strips: Sequence[Strip]) -> LinearFit:
     return _ols(x, y)
 
 
-def bottom_deviation_series(strips: Sequence[Strip]) -> DeviationSeries:
-    """bottom(m) - 2 m pi / ln 2 for every strip."""
+def bottom_deviation_series(strips: Sequence[Strip]) -> list[tuple[int, float]]:
+    """(m, bottom(m) - 2 m pi / ln 2) for every strip."""
     if not strips:
         raise DomainError("no strips")
-    records = tuple((s.m, s.bottom - s.m * SLOPE_MODEL) for s in strips)
-    return DeviationSeries(kind="bottom_dev", records=records)
+    return [(s.m, s.bottom - s.m * SLOPE_MODEL) for s in strips]
 
 
 def arch_centers(
@@ -132,14 +125,13 @@ def arch_centers(
     return out
 
 
-def fit_density(strips: Sequence[Strip]) -> tuple[LinearFit, DeviationSeries]:
-    """OLS of zeros-per-width against ln m plus the residual series."""
+def fit_density(strips: Sequence[Strip]) -> tuple[LinearFit, list[tuple[int, float]]]:
+    """OLS of zeros-per-width against ln m plus its (m, residual) series."""
     x = np.array([math.log(s.m) for s in strips], dtype=float)
     y = np.array([len(s.zeros) / s.width for s in strips], dtype=float)
     fit = _ols(x, y)
     resid = y - (fit.intercept + fit.slope * x)
-    records = tuple((s.m, float(r)) for s, r in zip(strips, resid))
-    return fit, DeviationSeries(kind="density_dev", records=records)
+    return fit, [(s.m, float(r)) for s, r in zip(strips, resid)]
 
 
 def fit_density_linear(strips: Sequence[Strip]) -> LinearFit:
@@ -172,69 +164,36 @@ def primary_stats(strips: Sequence[Strip]) -> PrimaryStats:
     )
 
 
-@dataclass(frozen=True)
-class BranchSpacing:
-    """Measured vertical structure of the nested arches near one center.
-
-    Strips in the window are grouped by zero-count surplus relative to the
-    window's modal count; ``mean_gap`` is the average vertical distance
-    between adjacent branch means of the bottom-deviation series.
-    """
-
-    p: int
-    q: int
-    m_center: float
-    window: tuple[int, int]
-    branch_means: tuple[tuple[int, float], ...]
-    mean_gap: float | None
-
-
-def arch_branch_spacing(
-    strips: Sequence[Strip], prediction: ArchPrediction
-) -> BranchSpacing:
-    """Branch-gap measurement near one predicted arch center; reported,
-    never asserted."""
+def arch_branch_spacing(strips: Sequence[Strip], prediction: ArchPrediction) -> float | None:
+    """Mean vertical gap between adjacent branch means of the bottom-deviation
+    series near one predicted arch center, the window's strips grouped by
+    zero-count surplus over its modal count; None when the window holds
+    fewer than 8 strips or no two adjacent branches.  Reported, never asserted."""
     m_c = prediction.m_center
     half = max(12.0, 0.12 * m_c)
     window = [s for s in strips if abs(s.m - m_c) <= half]
     if len(window) < 8:
-        return BranchSpacing(
-            p=prediction.p,
-            q=prediction.q,
-            m_center=m_c,
-            window=(0, 0),
-            branch_means=(),
-            mean_gap=None,
-        )
+        return None
     counts = [len(s.zeros) for s in window]
     modal = max(set(counts), key=counts.count)
     branches: dict[int, list[float]] = {}
     for s in window:
         label = len(s.zeros) - modal
         branches.setdefault(label, []).append(s.bottom - s.m * SLOPE_MODEL)
-    means = sorted(
-        (label, float(np.mean(vals))) for label, vals in branches.items()
-    )
+    means = sorted((label, float(np.mean(vals))) for label, vals in branches.items())
     gaps = [
         abs(means[i + 1][1] - means[i][1])
         for i in range(len(means) - 1)
         if means[i + 1][0] - means[i][0] == 1
     ]
-    return BranchSpacing(
-        p=prediction.p,
-        q=prediction.q,
-        m_center=m_c,
-        window=(window[0].m, window[-1].m),
-        branch_means=tuple(means),
-        mean_gap=float(np.mean(gaps)) if gaps else None,
-    )
+    return float(np.mean(gaps)) if gaps else None
 
 
 def branch_spacing_report(
     strips: Sequence[Strip], p_max: int = 10, q_max: int = 2
-) -> list[BranchSpacing]:
-    """Branch spacings near every in-range arch center up to (p_max, q_max);
-    the q = 2 gaps are expected near half the q = 1 gaps."""
+) -> list[tuple[int, float | None]]:
+    """(q, mean branch gap) near every in-range arch center up to
+    (p_max, q_max); the q = 2 gaps are expected near half the q = 1 gaps."""
     m_hi = strips[-1].m if strips else 0
     preds = arch_centers(p_max, q_max, m_limit=float(m_hi))
-    return [arch_branch_spacing(strips, pred) for pred in preds]
+    return [(pred.q, arch_branch_spacing(strips, pred)) for pred in preds]

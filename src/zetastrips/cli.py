@@ -58,8 +58,14 @@ CONFIG_KEYS = {
 
 def _read_config_file(path: Path) -> dict[str, str]:
     """key = value lines; '#' starts a comment; unknown keys rejected."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise UsageError(f"config file {path} not found") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 ({exc})") from None
     values: dict[str, str] = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -76,12 +82,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
 def build_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the values a flag or the config file set, flags
     first; RunConfig's defaults fill the rest."""
-    file_vals: dict[str, str] = {}
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file {path} not found")
-        file_vals = _read_config_file(path)
+    file_vals = _read_config_file(Path(args.config)) if args.config is not None else {}
 
     fields = {}
     for key, (field, cast) in CONFIG_KEYS.items():
@@ -134,11 +135,14 @@ def _read_input(out: Path, name: str, parse):
 
 
 def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]]:
-    """The named columns of a figure's CSV input, an empty field as nan."""
+    """The named columns of a figure's CSV input, an empty field as nan; a
+    file with no data rows is malformed."""
     def parse(text: str) -> list[list[float]]:
         lines = text.strip().splitlines()
         header = lines[0].split(",")
         rows = [line.split(",") for line in lines[1:]]
+        if not rows:
+            raise ValueError("no data rows")
         return [
             [float(row[i]) if row[i] else math.nan for row in rows]
             for i in map(header.index, names)
@@ -219,7 +223,7 @@ def _deviation_chart(out: Path, figure: int, span: tuple, column: str, title: st
     xs = [m for m in ms if lo <= m <= hi]
     ys = [v for m, v in zip(ms, values) if lo <= m <= hi]
     if not xs:
-        last = int(max(ms, default=0))
+        last = int(max(ms))
         raise CacheMissing(
             f"figure {figure} plots strips {lo}..{hi}, but the census in {out} "
             f"ends at strip {last}; only a larger --t-max reaches that range"

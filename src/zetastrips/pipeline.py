@@ -28,7 +28,7 @@ from .cache import KINDS, Cache, fingerprint, fmt, write_atomic, write_json_atom
 from .contour import primary_zero_of_strip, strip_boundary
 from .errors import CacheInvalid, CacheMissing, DomainError, NotSpecial
 from .gram import default_table, gap_ratio_series, gram_point
-from .strips import Strip, ZeroRecord, build_strips, find_zeros
+from .strips import Strip, build_strips, find_zeros
 from .zeta import T_ABS_MAX
 
 SLOPE = analysis.SLOPE_MODEL
@@ -188,12 +188,10 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     """Rebuild Strip records from the cached CSVs.  Widths are recomputed
     from the parsed endpoints; the emitted width column is only checked to
     the 12-significant-digit emission grid."""
-    zero_rows: dict[int, list[ZeroRecord]] = {}
+    zero_rows: dict[int, list[float]] = {}
     for line in zeros_text.strip().splitlines()[1:]:
-        j_s, t_s, m_s = line.split(",")
-        zero_rows.setdefault(int(m_s), []).append(
-            ZeroRecord(j=int(j_s), t=float(t_s), strip_m=int(m_s))
-        )
+        _, t_s, m_s = line.split(",")
+        zero_rows.setdefault(int(m_s), []).append(float(t_s))
     strips = []
     for line in strips_text.strip().splitlines()[1:]:
         parts = line.split(",")
@@ -236,10 +234,11 @@ def _census(config: RunConfig) -> tuple[list[Strip], dict[str, str]]:
     ]
     zero_lists = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
     strips = build_strips(boundaries, primaries, zero_lists)
+    heights = ((t, s.m) for s in strips for t in s.zeros)
     return strips, {
         "gram": _gram_csv(config.t_max),
         "boundaries": _boundaries_csv(boundaries, min_abs),
-        "zeros": _csv(ZEROS_HEADER, ((z.j, z.t, z.strip_m) for s in strips for z in s.zeros)),
+        "zeros": _csv(ZEROS_HEADER, ((j, t, m) for j, (t, m) in enumerate(heights, 1))),
         "strips": _csv(STRIPS_HEADER, (
             (s.m, s.bottom, s.top, s.width, s.gram_count, len(s.zeros), s.primary_index,
              s.primary_height, s.primary_stat)
@@ -276,10 +275,10 @@ class AnalysisResult:
     density_log: analysis.LinearFit
     density_linear: analysis.LinearFit
     primary: analysis.PrimaryStats
-    bottom_dev: analysis.DeviationSeries
-    density_dev: analysis.DeviationSeries
+    bottom_dev: list[tuple[int, float]]
+    density_dev: list[tuple[int, float]]
     arches: list[analysis.ArchPrediction]
-    branch_report: list[analysis.BranchSpacing]
+    branch_report: list[tuple[int, float | None]]
 
     def summary_lines(self) -> list[str]:
         out = [
@@ -293,8 +292,8 @@ class AnalysisResult:
             "quartile_variances="
             + ",".join(f"{v:.4f}" for v in self.primary.quartile_variances),
         ]
-        q1 = [b.mean_gap for b in self.branch_report if b.q == 1 and b.mean_gap]
-        q2 = [b.mean_gap for b in self.branch_report if b.q == 2 and b.mean_gap]
+        q1 = [gap for q, gap in self.branch_report if q == 1 and gap]
+        q2 = [gap for q, gap in self.branch_report if q == 2 and gap]
         if q1:
             out.append(f"branch_gap_q1={sum(q1) / len(q1):.4f} ({len(q1)} centers)")
         if q2 and q1:
@@ -334,8 +333,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     write_json_atomic(config.out_dir / "fits.json", fits)
 
-    dens = dict(density_dev.records)
-    deviations = ((m, bdev, dens[m]) for m, bdev in bottom_dev.records)
+    deviations = ((m, bdev, ddev) for (m, bdev), (_, ddev) in zip(bottom_dev, density_dev))
     _emit(config.out_dir, "deviations.csv", _csv("m,bottom_dev,density_dev", deviations))
     arch_rows = ((a.p, a.q, a.m_center, a.t_center) for a in arches)
     _emit(config.out_dir, "arches.csv", _csv("p,q,m_center,t_center", arch_rows))

@@ -54,7 +54,7 @@ class Strip:
     bottom: float
     top: float
     gram_count: int
-    zeros: tuple[ZeroRecord, ...]
+    zeros: tuple[float, ...]
     primary_index: int
     primary_height: float
 
@@ -69,9 +69,9 @@ class Strip:
         return (self.primary_index - 0.5) / len(self.zeros)
 
     def validate(self) -> None:
-        """The one check of fresh and cached strips: a positive zero count equal
-        to the Gram count (CountMismatch), and the primary zero inside the
-        strip within 1e-5 of its zero (EscapedStrip)."""
+        """The one check of fresh and cached strips: bottom < top (DomainError),
+        a positive zero count equal to the Gram count (CountMismatch), and the
+        primary zero inside the strip within 1e-5 of its zero (EscapedStrip)."""
         if not self.bottom < self.top:
             raise DomainError(f"strip {self.m}: bottom >= top")
         if len(self.zeros) != self.gram_count:
@@ -83,7 +83,7 @@ class Strip:
             raise CountMismatch(f"strip {self.m} is empty; no such strip is expected")
         if not 1 <= self.primary_index <= len(self.zeros):
             raise EscapedStrip(f"strip {self.m}: primary index out of range")
-        miss = abs(self.zeros[self.primary_index - 1].t - self.primary_height)
+        miss = abs(self.zeros[self.primary_index - 1] - self.primary_height)
         if miss > 1e-5:
             raise EscapedStrip(
                 f"strip {self.m}: primary zero at {self.primary_height} is "
@@ -226,7 +226,6 @@ def build_strips(
         )
     table = default_table()
     strips: list[Strip] = []
-    j_offset = 0
     for m in range(1, m_count + 1):
         bottom, top = boundaries[m - 1], boundaries[m]
         primary_height, heights = primaries[m - 1], zero_lists[m - 1]
@@ -236,15 +235,11 @@ def build_strips(
             bottom=bottom,
             top=top,
             gram_count=table.count_in(bottom, top),
-            zeros=tuple(
-                ZeroRecord(j=j_offset + i + 1, t=t, strip_m=m)
-                for i, t in enumerate(heights)
-            ),
+            zeros=tuple(heights),
             primary_index=diffs.index(min(diffs)) + 1 if diffs else 0,  # the nearest zero
             primary_height=primary_height,
         )
         strip.validate()
         strips.append(strip)
-        j_offset += len(heights)
     return strips
 

@@ -1,8 +1,8 @@
 """Self-contained SVG scatter charts; no plotting framework.
 
-One generic renderer covers all sixteen figures: linear or log axes,
-an optional second series, an optional fitted line, and optional vertical
-marker lines (arch centers).  Output is deterministic: fixed canvas,
+One generic renderer covers all sixteen figures: linear or log axes, any
+number of point series, labelled ones in a legend, an optional fitted line,
+and optional vertical marker lines (arch centers).  Output is deterministic: fixed canvas,
 fixed formatting, no timestamps.
 """
 

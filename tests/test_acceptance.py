@@ -261,7 +261,7 @@ def test_supplementary_density_fit_properties(full_run):
         fitted = fit.intercept + fit.slope * math.log(m)
         worst = max(worst, abs(fitted - model) / model)
     assert worst < 0.05
-    resid = dict(full_run["analysis"].density_dev.records)
+    resid = dict(full_run["analysis"].density_dev)
     early = np.mean([abs(resid[m]) for m in range(1, 71)])
     late = np.mean([abs(resid[m]) for m in range(560, 1103)])
     assert late < early

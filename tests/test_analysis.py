@@ -23,14 +23,11 @@ from zetastrips.analysis import (
 )
 from zetastrips.errors import DomainError
 from zetastrips.gram import gap_model
-from zetastrips.strips import Strip, ZeroRecord
+from zetastrips.strips import Strip
 
 
 def _synthetic_strip(m: int, bottom: float, top: float, n_zeros: int, primary: int) -> Strip:
-    zeros = tuple(
-        ZeroRecord(j=0, t=bottom + (i + 0.5) * (top - bottom) / n_zeros, strip_m=m)
-        for i in range(n_zeros)
-    )
+    zeros = tuple(bottom + (i + 0.5) * (top - bottom) / n_zeros for i in range(n_zeros))
     return Strip(
         m=m,
         bottom=bottom,
@@ -38,7 +35,7 @@ def _synthetic_strip(m: int, bottom: float, top: float, n_zeros: int, primary: i
         gram_count=n_zeros,
         zeros=zeros,
         primary_index=primary,
-        primary_height=zeros[primary - 1].t,
+        primary_height=zeros[primary - 1],
     )
 
 
@@ -75,9 +72,7 @@ def test_fit_needs_three_points():
 
 def test_bottom_deviation_series_values():
     strips = [_synthetic_strip(1, 9.6669080561, 17.8456, 1, 1)]
-    series = bottom_deviation_series(strips)
-    assert series.kind == "bottom_dev"
-    m, dev = series.records[0]
+    [(m, dev)] = bottom_deviation_series(strips)
     assert m == 1
     # 9.6669080561 - 9.06472028... frozen arithmetic
     assert abs(dev - 0.6022) < 1e-4
@@ -129,10 +124,7 @@ def test_density_fit_recovers_model_exactly():
         density = math.log(SLOPE_MODEL * m / TWO_PI) / TWO_PI
         n_zeros = 3
         bottom = SLOPE_MODEL * m
-        zeros = tuple(
-            ZeroRecord(j=0, t=bottom + (i + 0.5) * SLOPE_MODEL / n_zeros, strip_m=m)
-            for i in range(n_zeros)
-        )
+        zeros = tuple(bottom + (i + 0.5) * SLOPE_MODEL / n_zeros for i in range(n_zeros))
         # scale width so zeros/width equals the model density exactly
         w = n_zeros / density
         strips.append(
@@ -143,14 +135,14 @@ def test_density_fit_recovers_model_exactly():
                 gram_count=n_zeros,
                 zeros=zeros,
                 primary_index=2,
-                primary_height=zeros[1].t,
+                primary_height=zeros[1],
             )
         )
     fit, dev = fit_density(strips)
-    assert dev.kind == "density_dev"
     # model: density = (ln m + ln(SLOPE*1.5/2pi... const)) / 2pi, slope 1/2pi
     assert abs(fit.slope - 1.0 / TWO_PI) < 1e-4
-    assert max(abs(v) for _, v in dev.records) < 1e-9
+    assert [m for m, _ in dev] == list(range(1, 301))
+    assert max(abs(v) for _, v in dev) < 1e-9
     linear = fit_density_linear(strips)
     assert linear.n == fit.n
 
@@ -190,11 +182,7 @@ def test_branch_spacing_measures_offsets():
         surplus = (m % 3) - 1  # -1, 0, +1 cycling
         bottom = SLOPE_MODEL * m + 0.3 * surplus
         strips.append(_synthetic_strip(m, bottom, bottom + SLOPE_MODEL, 3 + surplus, 1))
-    pred = ArchPrediction(
-        p=6, q=1, m_center=64.0 * LN2, t_center=128.0 * math.pi
-    )
-    spacing = branch_spacing_report(strips, p_max=6, q_max=1)[-1]
-    assert spacing.mean_gap is not None
-    assert abs(spacing.mean_gap - 0.3) < 1e-9
-    labels = [lbl for lbl, _ in spacing.branch_means]
-    assert labels == [-1, 0, 1]
+    q, gap = branch_spacing_report(strips, p_max=6, q_max=1)[-1]
+    assert q == 1
+    assert gap is not None
+    assert abs(gap - 0.3) < 1e-9

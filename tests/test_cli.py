@@ -118,6 +118,8 @@ def test_missing_cache_exits_3(tmp_path):
         (2, "strips.csv", b"m,bottom\n1,abc\n"),  # a cell that is not a number
         (10, "strips.csv", b"m,n_zeros\n1,1\n"),  # no width column
         (2, "fits.json", b"{"),  # not JSON
+        (2, "strips.csv", b"m,bottom\n"),  # a header but no data rows
+        (1, "gram.csv", b"n,g,gap,gap_ratio,gap_ratio_geo\n"),
     ],
 )
 def test_malformed_figure_input_exits_3(figure, name, data, small_run, tmp_path, capsys):
@@ -370,6 +372,15 @@ def test_analyze_of_too_few_strips_for_quartiles_exits_2(tmp_path):
     assert main(args + ["compute"]) == 0
     assert main(args + ["analyze"]) == 2
     assert not (tmp_path / "o" / "fits.json").exists()
+
+
+def test_config_file_not_utf8_exits_4(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_bytes(b"t_max = 1e3\n\xff\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(conf), "--out", str(out), "--quiet", "compute"]) == 4
+    assert f"config file {conf} is not UTF-8" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.conf"]  # nothing written
 
 
 def test_config_file_unknown_key(tmp_path):

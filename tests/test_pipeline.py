@@ -112,3 +112,21 @@ def test_boundary_batch_that_falls_short_of_t_max_raises(monkeypatch, tmp_path):
     with pytest.raises(NotSpecial, match="boundary 12 "):
         compute(RunConfig(t_max=t_max, out_dir=tmp_path))
     assert traced == list(range(1, 13))  # one batch, no extension
+
+
+def test_warm_strips_match_fresh_ones_on_the_emission_grid(tmp_path):
+    # the cache stores 12 significant digits, so floats agree on that grid
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    fresh = compute(config)
+    warm = compute(config)
+    assert (fresh.from_cache, warm.from_cache) == (False, True)
+
+    def grid(strips):
+        return [
+            (s.m, fmt(s.bottom), fmt(s.top), s.gram_count, [fmt(t) for t in s.zeros],
+             s.primary_index, fmt(s.primary_height))
+            for s in strips
+        ]
+
+    assert len(fresh.strips) == 10
+    assert grid(warm.strips) == grid(fresh.strips)

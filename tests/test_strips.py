@@ -8,13 +8,13 @@ import pytest
 
 from conftest import FIRST_ZEROS
 from zetastrips import strips as strips_mod
+from zetastrips.cache import fmt
 from zetastrips.contour import special_gram_point
 from zetastrips.errors import CountMismatch, DomainError, EscapedStrip
 from zetastrips.gram import default_table, gap_model
 from zetastrips.pipeline import RunConfig, compute
 from zetastrips.strips import (
     Strip,
-    ZeroRecord,
     build_strips,
     find_zeros,
 )
@@ -234,16 +234,19 @@ def test_build_single_strip(tmp_path):
 def test_build_three_strips_identity_and_indices(tmp_path):
     built = compute(RunConfig(t_max=40.0, out_dir=tmp_path)).strips
     assert [s.m for s in built] == [1, 2, 3]
-    j = 0
     for s in built:
         assert len(s.zeros) == s.gram_count
-        for z in s.zeros:
-            j += 1
-            assert z.j == j
-            assert s.bottom <= z.t < s.top
+        assert all(s.bottom <= t < s.top for t in s.zeros)
         assert s.bottom < s.primary_height < s.top
+    # zeros.csv numbers the zeros 1..N in height order, each with its strip
+    lines = (tmp_path / "zeros.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(j) for j, _, _ in rows] == list(range(1, len(rows) + 1))
+    assert [(t, int(m)) for _, t, m in rows] == [
+        (fmt(t), s.m) for s in built for t in s.zeros
+    ]
     # strip 2 holds the 2nd and 3rd zeros
-    assert [round(z.t, 5) for z in built[1].zeros] == [
+    assert [round(t, 5) for t in built[1].zeros] == [
         round(FIRST_ZEROS[1], 5),
         round(FIRST_ZEROS[2], 5),
     ]
@@ -260,7 +263,7 @@ def test_zeros_per_width_tracks_gap_model(tmp_path):
 
 
 def test_strip_validation_rejects_count_mismatch():
-    zeros = (ZeroRecord(j=1, t=12.0, strip_m=1),)
+    zeros = (12.0,)
     bad = Strip(
         m=1,
         bottom=10.0,
@@ -275,7 +278,7 @@ def test_strip_validation_rejects_count_mismatch():
 
 
 def test_strip_validation_rejects_bad_primary_index():
-    zeros = (ZeroRecord(j=1, t=12.0, strip_m=1),)
+    zeros = (12.0,)
     bad = Strip(
         m=1,
         bottom=10.0,
