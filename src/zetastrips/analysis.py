@@ -41,18 +41,18 @@ class ArchPrediction:
 
     p: int
     q: int
-    m_center: float
-    t_center: float
 
     def __post_init__(self) -> None:
         if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
             raise DomainError(f"(p, q) = ({self.p}, {self.q}) must be coprime positives")
-        if abs(self.t_center - self.m_center * SLOPE_MODEL) > 1e-9 * max(
-            1.0, self.t_center
-        ):
-            raise DomainError(
-                f"arch ({self.p}, {self.q}): t/m ratio violates 2 pi / ln 2"
-            )
+
+    @property
+    def m_center(self) -> float:
+        return 2.0 ** (self.p / self.q) * _LN2
+
+    @property
+    def t_center(self) -> float:
+        return 2.0 ** (1.0 + self.p / self.q) * math.pi
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -113,14 +113,10 @@ def arch_centers(
         for p in range(1, p_max + 1):
             if math.gcd(p, q) != 1:
                 continue
-            m_center = 2.0 ** (p / q) * _LN2
-            if m_center < 1.0 or (m_limit is not None and m_center > m_limit):
+            pred = ArchPrediction(p, q)
+            if pred.m_center < 1.0 or (m_limit is not None and pred.m_center > m_limit):
                 continue
-            out.append(
-                ArchPrediction(
-                    p=p, q=q, m_center=m_center, t_center=2.0 ** (1.0 + p / q) * math.pi
-                )
-            )
+            out.append(pred)
     out.sort(key=lambda a: a.m_center)
     return out
 

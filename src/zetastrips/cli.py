@@ -102,7 +102,7 @@ def cmd_compute(config: RunConfig, args: argparse.Namespace) -> int:
     result = pipeline.compute(config)
     source = "cache" if result.from_cache else "fresh run"
     print(
-        f"computed {len(result.strips)} strips up to t = {result.boundaries[-1]:.6f} "
+        f"computed {len(result.strips)} strips up to t = {result.strips[-1].top:.6f} "
         f"({source}, {time.time() - t0:.1f} s)"
     )
     print(f"artifacts in {config.out_dir}: gram.csv strips.csv zeros.csv")

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
-from dataclasses import dataclass
 
 from .errors import ConvergenceFailure, DomainError
 from .zeta import rs_theta, rs_theta_deriv
@@ -22,17 +20,6 @@ from .zeta import rs_theta, rs_theta_deriv
 _TWO_PI = 2.0 * math.pi
 _MAX_NEWTON = 60
 _BOUNDARY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class GapRatioRecord:
-    """One row of the convergence series: 1 - gap/model, both variants."""
-
-    n: int
-    height: float
-    gap: float
-    ratio_plain: float
-    ratio_geometric: float
 
 
 def gap_model(t: float) -> float:
@@ -58,25 +45,23 @@ def _solve_theta(target: float, seed: float) -> float:
 class GramTable:
     """Sequentially built, memoized table of Gram points g_n, n >= -1.
 
-    Appends happen under a lock; the stored prefix is immutable afterwards,
-    so concurrent reads are safe.
+    Not locked: nothing in the package starts a thread, and each pool
+    worker is a process with its own table.
     """
 
     def __init__(self) -> None:
         self._heights: list[float] = []
-        self._lock = threading.Lock()
 
     def _extend_to(self, n: int) -> None:
-        with self._lock:
-            if not self._heights:
-                self._heights.append(_solve_theta(-math.pi, 9.7))
-            while len(self._heights) - 2 < n:
-                idx = len(self._heights) - 1  # index of the next point
-                prev = self._heights[-1]
-                g = _solve_theta(idx * math.pi, prev + gap_model(prev))
-                if g <= prev:
-                    raise ConvergenceFailure(f"non-increasing Gram point at n = {idx}")
-                self._heights.append(g)
+        if not self._heights:
+            self._heights.append(_solve_theta(-math.pi, 9.7))
+        while len(self._heights) - 2 < n:
+            idx = len(self._heights) - 1  # index of the next point
+            prev = self._heights[-1]
+            g = _solve_theta(idx * math.pi, prev + gap_model(prev))
+            if g <= prev:
+                raise ConvergenceFailure(f"non-increasing Gram point at n = {idx}")
+            self._heights.append(g)
 
     def point(self, n: int) -> float:
         """Height of the Gram point g_n."""
@@ -126,21 +111,19 @@ def default_table() -> GramTable:
     return _DEFAULT_TABLE
 
 
-def gap_ratio_series(n_max: int) -> list[GapRatioRecord]:
-    """Convergence series 1 - (g_n - g_{n-1}) / F(.) for n in [0, n_max],
-    with both the plain F(g_{n-1}) and geometric-mean F(sqrt(g_n g_{n-1}))
-    variants."""
+def gap_ratio_series(n_max: int) -> list[tuple[int, float, float, float, float]]:
+    """Rows (n, g_n, gap, plain, geometric) of the convergence series
+    1 - (g_n - g_{n-1}) / F(.), n in [0, n_max], with the plain F(g_{n-1})
+    and geometric-mean F(sqrt(g_n g_{n-1})) variants."""
     if n_max < 1:
         raise DomainError(f"gap_ratio_series requires n_max >= 1, got {n_max}")
-    records = []
+    rows = []
     prev = _DEFAULT_TABLE.point(-1)
     for n in range(0, n_max + 1):
         g = _DEFAULT_TABLE.point(n)
         gap = g - prev
         plain = 1.0 - gap / gap_model(prev)
         geo = 1.0 - gap / gap_model(math.sqrt(g * prev))
-        records.append(
-            GapRatioRecord(n=n, height=g, gap=gap, ratio_plain=plain, ratio_geometric=geo)
-        )
+        rows.append((n, g, gap, plain, geo))
         prev = g
-    return records
+    return rows

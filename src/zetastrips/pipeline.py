@@ -91,17 +91,14 @@ class RunConfig:
     def cache_path(self) -> Path:
         return self.cache_dir if self.cache_dir is not None else self.out_dir / "cache"
 
-    def numeric_dict(self) -> dict:
+    def cache(self) -> Cache:
         from . import __version__  # the package sets it after importing us
 
-        return {
+        return Cache(self.cache_path, fingerprint({
             "version": __version__,
             "sources_sha256": _numerics_digest(),
             "t_max": self.t_max,
-        }
-
-    def cache(self) -> Cache:
-        return Cache(self.cache_path, fingerprint(self.numeric_dict()))
+        }))
 
 
 @dataclass
@@ -161,10 +158,7 @@ def _csv(header: str, rows) -> str:
 def _gram_csv(t_max: float) -> str:
     table = default_table()
     rows = [(-1, table.point(-1), None, None, None)]
-    rows += [
-        (r.n, r.height, r.gap, r.ratio_plain, r.ratio_geometric)
-        for r in gap_ratio_series(table.extend_to_height(t_max))
-    ]
+    rows += gap_ratio_series(table.extend_to_height(t_max))
     return _csv(GRAM_HEADER, rows)
 
 
@@ -273,9 +267,7 @@ class AnalysisResult:
     bottoms: analysis.LinearFit
     tops: analysis.LinearFit
     density_log: analysis.LinearFit
-    density_linear: analysis.LinearFit
     primary: analysis.PrimaryStats
-    bottom_dev: list[tuple[int, float]]
     density_dev: list[tuple[int, float]]
     arches: list[analysis.ArchPrediction]
     branch_report: list[tuple[int, float | None]]
@@ -341,9 +333,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
         bottoms=bottoms,
         tops=tops,
         density_log=density_log,
-        density_linear=density_linear,
         primary=primary,
-        bottom_dev=bottom_dev,
         density_dev=density_dev,
         arches=arches,
         branch_report=branch_report,

@@ -109,10 +109,11 @@ def test_arch_centers_m_limit():
 
 
 def test_arch_prediction_validates_ratio():
+    # (p, q) must be coprime positives; the centres derive from them
     with pytest.raises(DomainError):
-        ArchPrediction(p=4, q=1, m_center=11.0, t_center=32.0 * math.pi)
+        ArchPrediction(4, 2)
     with pytest.raises(DomainError):
-        ArchPrediction(p=4, q=2, m_center=4.0 * LN2, t_center=8.0 * math.pi)
+        ArchPrediction(0, 1)
 
 
 def test_density_fit_recovers_model_exactly():

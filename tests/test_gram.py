@@ -72,34 +72,36 @@ def test_gap_model_values():
 
 def test_gap_ratio_series_frozen_head():
     series = gap_ratio_series(12)
-    assert [r.n for r in series] == list(range(0, 13))
+    assert [n for n, *_ in series] == list(range(0, 13))
     # n = 0 values, frozen from the oracle table: the plain variant is 0.439,
     # only the geometric-mean variant lands below 0.1
-    assert abs(series[0].ratio_plain - 0.439196) < 1e-4
-    assert abs(series[0].ratio_geometric - 0.040199) < 1e-4
-    assert 0.0 < series[0].ratio_geometric < 0.1
-    assert abs(series[10].ratio_plain - 0.013056) < 1e-4
+    _, _, _, plain_0, geometric_0 = series[0]
+    assert abs(plain_0 - 0.439196) < 1e-4
+    assert abs(geometric_0 - 0.040199) < 1e-4
+    assert 0.0 < geometric_0 < 0.1
+    _, _, _, plain_10, _ = series[10]
+    assert abs(plain_10 - 0.013056) < 1e-4
 
 
 def test_geometric_variant_beats_plain():
     series = gap_ratio_series(60)
-    for rec in series:
-        if rec.n >= 10:
-            assert abs(rec.ratio_geometric) < abs(rec.ratio_plain)
+    for n, _, _, plain, geometric in series:
+        if n >= 10:
+            assert abs(geometric) < abs(plain)
 
 
 def test_plain_ratio_small_for_n_at_least_10():
     series = gap_ratio_series(400)
-    for rec in series:
-        if rec.n >= 10:
-            assert abs(rec.ratio_plain) < 0.05
-        assert rec.gap > 0.0
+    for n, _, gap, plain, _ in series:
+        if n >= 10:
+            assert abs(plain) < 0.05
+        assert gap > 0.0
 
 
 def test_loglog_slope_negative():
     series = gap_ratio_series(1200)
-    xs = np.array([math.log(r.n) for r in series if r.n >= 1])
-    ys = np.array([math.log(abs(r.ratio_plain)) for r in series if r.n >= 1])
+    xs = np.array([math.log(n) for n, *_ in series if n >= 1])
+    ys = np.array([math.log(abs(plain)) for n, _, _, plain, _ in series if n >= 1])
     slope = float(np.polyfit(xs, ys, 1)[0])
     assert slope < 0.0
 

@@ -11,7 +11,7 @@ import pytest
 from zetastrips import contour, pipeline
 from zetastrips.cache import fmt
 from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
-from zetastrips.gram import gram_point
+from zetastrips.gram import gap_model, gram_point
 from zetastrips.pipeline import RunConfig, compute
 from zetastrips.zeta import ComplexPoint
 
@@ -95,6 +95,21 @@ def test_gram_csv_ends_at_the_last_gram_point_below_t_max(tmp_path):
     last = (tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines()[-1]
     n = int(last.split(",")[0])
     assert gram_point(n) <= 120.0 < gram_point(n + 1)
+
+
+def test_gram_csv_columns_recompute_from_the_gram_points(tmp_path):
+    compute(RunConfig(t_max=100.0, out_dir=tmp_path))
+    header, first, *rows = (tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines()
+    assert header == pipeline.GRAM_HEADER
+    assert first == f"-1,{fmt(gram_point(-1))},,,"
+    assert [int(row.split(",")[0]) for row in rows] == list(range(len(rows)))
+    assert gram_point(len(rows) - 1) <= 100.0 < gram_point(len(rows))
+    for n, row in enumerate(rows):
+        g, prev = gram_point(n), gram_point(n - 1)
+        gap = g - prev
+        plain = 1.0 - gap / gap_model(prev)
+        geometric = 1.0 - gap / gap_model(math.sqrt(g * prev))
+        assert row == ",".join([str(n), fmt(g), fmt(gap), fmt(plain), fmt(geometric)])
 
 
 def test_boundary_batch_that_falls_short_of_t_max_raises(monkeypatch, tmp_path):
