@@ -15,7 +15,7 @@ import bisect
 import math
 
 from .errors import ConvergenceFailure, DomainError
-from .zeta import rs_theta, rs_theta_deriv
+from .zeta import T_ABS_MAX, THETA_T_MIN, rs_theta, rs_theta_deriv
 
 _TWO_PI = 2.0 * math.pi
 _MAX_NEWTON = 60
@@ -58,6 +58,10 @@ class GramTable:
         while len(self._heights) - 2 < n:
             idx = len(self._heights) - 1  # index of the next point
             prev = self._heights[-1]
+            if prev > T_ABS_MAX:  # the table ends at the first point above the window
+                raise DomainError(
+                    f"g_{n} lies beyond g_{idx - 1}, the first Gram point above {T_ABS_MAX}"
+                )
             g = _solve_theta(idx * math.pi, prev + gap_model(prev))
             if g <= prev:
                 raise ConvergenceFailure(f"non-increasing Gram point at n = {idx}")
@@ -72,7 +76,9 @@ class GramTable:
 
     def extend_to_height(self, t: float) -> int:
         """Grow the table until g_n > t; returns the largest n with
-        g_n <= t."""
+        g_n <= t.  DomainError for t above the evaluation window."""
+        if not t <= T_ABS_MAX:
+            raise DomainError(f"height {t} above the evaluation window t <= {T_ABS_MAX}")
         while not self._heights or self._heights[-1] <= t:
             self._extend_to(len(self._heights) - 1)
         return bisect.bisect_right(self._heights, t) - 2
@@ -90,7 +96,7 @@ class GramTable:
 
     def index_near(self, t: float) -> int | None:
         """Gram index whose height is within _BOUNDARY_TOL of t, or None."""
-        if t < 7.0:
+        if t < THETA_T_MIN:
             return None
         n = round(rs_theta(t) / math.pi)
         if n < -1:
@@ -103,7 +109,8 @@ _DEFAULT_TABLE = GramTable()
 
 
 def gram_point(n: int) -> float:
-    """Height of g_n from the shared table; rs_theta(g_n) = n pi to 1e-9."""
+    """Height of g_n, -1 <= n <= 11324, from the shared table; rs_theta(g_n) =
+    n pi to 1e-9.  g_11324 is the first Gram point above the window."""
     return _DEFAULT_TABLE.point(n)
 
 

@@ -5,10 +5,10 @@ and artifact emission.
 independent jobs, keyed by strip index, map the public checked functions
 over the strip range: ``contour.strip_boundary`` for the boundary traces,
 ``contour.primary_zero_of_strip`` for the primary traces, and
-``strips.find_zeros`` for the per-strip zero scans.  ``strips.build_strips``
-then assembles and validates the strips.  Every batch returns its results
-in job order, so the emitted artifacts are byte-identical for any worker
-count.
+``strips.find_zeros`` for the per-strip zero scans.  ``_census`` then
+builds each ``Strip``, which checks itself, before anything is stored.
+Every batch returns its results in job order, so the emitted artifacts
+are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .cache import KINDS, Cache, fingerprint, fmt, write_atomic, write_json_atom
 from .contour import primary_zero_of_strip, strip_boundary
 from .errors import CacheInvalid, CacheMissing, DomainError, NotSpecial
 from .gram import default_table, gap_ratio_series, gram_point
-from .strips import Strip, build_strips, find_zeros
+from .strips import Strip, find_zeros
 from .zeta import T_ABS_MAX
 
 SLOPE = analysis.SLOPE_MODEL
@@ -179,9 +179,9 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
 
 
 def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
-    """Rebuild Strip records from the cached CSVs.  Widths are recomputed
-    from the parsed endpoints; the emitted width column is only checked to
-    the 12-significant-digit emission grid."""
+    """Rebuild Strip records from the cached CSVs; each is checked as it is
+    built.  Widths are recomputed from the parsed endpoints; the emitted
+    width column must agree with them to 1e-7 relative (CacheInvalid)."""
     zero_rows: dict[int, list[float]] = {}
     for line in zeros_text.strip().splitlines()[1:]:
         _, t_s, m_s = line.split(",")
@@ -189,20 +189,18 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     strips = []
     for line in strips_text.strip().splitlines()[1:]:
         parts = line.split(",")
-        m = int(parts[0])
-        strip = Strip(
+        m, bottom, top = int(parts[0]), float(parts[1]), float(parts[2])
+        if abs(top - bottom - float(parts[3])) > 1e-7 * max(1.0, abs(top - bottom)):
+            raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
+        strips.append(Strip(
             m=m,
-            bottom=float(parts[1]),
-            top=float(parts[2]),
+            bottom=bottom,
+            top=top,
             gram_count=int(parts[4]),
             zeros=tuple(zero_rows.get(m, ())),
             primary_index=int(parts[6]),
             primary_height=float(parts[7]),
-        )
-        if abs(strip.width - float(parts[3])) > 1e-7 * max(1.0, abs(strip.width)):
-            raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
-        strip.validate()
-        strips.append(strip)
+        ))
     return strips
 
 
@@ -223,11 +221,24 @@ def _census(config: RunConfig) -> tuple[list[Strip], dict[str, str]]:
 
     table = default_table()
     zero_jobs = [
-        (m, boundaries[m - 1], boundaries[m], table.count_in(boundaries[m - 1], boundaries[m]))
-        for m in range(1, m_count + 1)
+        (m, bottom, top, table.count_in(bottom, top))
+        for m, (bottom, top) in enumerate(zip(boundaries, boundaries[1:]), start=1)
     ]
     zero_lists = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
-    strips = build_strips(boundaries, primaries, zero_lists)
+    strips = []
+    for (m, bottom, top, count), primary_height, heights in zip(
+        zero_jobs, primaries, zero_lists, strict=True
+    ):
+        diffs = [abs(t - primary_height) for t in heights]
+        strips.append(Strip(
+            m=m,
+            bottom=bottom,
+            top=top,
+            gram_count=count,
+            zeros=tuple(heights),
+            primary_index=diffs.index(min(diffs)) + 1 if diffs else 0,  # the nearest zero
+            primary_height=primary_height,
+        ))
     heights = ((t, s.m) for s in strips for t in s.zeros)
     return strips, {
         "gram": _gram_csv(config.t_max),

@@ -7,10 +7,9 @@ exactly and per strip; any violation raises CountMismatch rather than
 being repaired.
 
 This module traces nothing.  ``find_zeros`` scans one interval of the
-critical line, and ``build_strips`` only assembles: it takes boundary
-crossings and primary zeros already checked by ``contour`` and the zero
-lists the scans returned.  ``Strip.validate`` checks each strip's zero
-count and primary zero, built afresh or read back from the cache.
+critical line.  A ``Strip`` checks its zero count and primary zero when
+it is built, afresh by the census or read back from the cache, so an
+invalid strip never exists.
 
 The scan calls the Euler-Maclaurin ``hardy_z`` only where its value
 decides a bit of an emitted zero.  Grid signs come from the
@@ -24,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import CountMismatch, DomainError, EscapedStrip
-from .gram import gap_model, default_table
-from .zeta import RS_T_MIN, T_ABS_MAX, hardy_z, riemann_siegel_z
+from .gram import gap_model
+from .zeta import RS_T_MIN, T_ABS_MAX, THETA_T_MIN, hardy_z, riemann_siegel_z
 
 # zeros are the floats of a fixed bisection to 1e-9; Illinois locates the
 # sign change to 1e-10 first, and only bisection midpoints within the guard
@@ -65,13 +64,13 @@ class Strip:
     @property
     def primary_stat(self) -> float:
         """Relative position (primary_index - 1/2) / n_zeros of the primary
-        zero among the strip's zeros, in (0, 1) once validated."""
+        zero among the strip's zeros, in (0, 1)."""
         return (self.primary_index - 0.5) / len(self.zeros)
 
-    def validate(self) -> None:
-        """The one check of fresh and cached strips: bottom < top (DomainError),
-        a positive zero count equal to the Gram count (CountMismatch), and the
-        primary zero inside the strip within 1e-5 of its zero (EscapedStrip)."""
+    def __post_init__(self) -> None:
+        """Every strip, fresh or cached, is checked as it is built: bottom < top
+        (DomainError), a positive zero count equal to the Gram count (CountMismatch),
+        and the primary zero inside the strip within 1e-5 of its zero (EscapedStrip)."""
         if not self.bottom < self.top:
             raise DomainError(f"strip {self.m}: bottom >= top")
         if len(self.zeros) != self.gram_count:
@@ -173,7 +172,7 @@ def find_zeros(
     count) and the scan disagrees, the grid is halved up to four times
     before CountMismatch is raised; a missed zero is never interpolated.
     """
-    if not 7.0 <= t_lo < t_hi <= T_ABS_MAX:
+    if not THETA_T_MIN <= t_lo < t_hi <= T_ABS_MAX:
         raise DomainError(f"find_zeros range [{t_lo}, {t_hi}] invalid")
 
     spacing = gap_model(t_hi) / 8.0
@@ -200,46 +199,3 @@ def find_zeros(
         f"({t_lo}, {t_hi}): found {len(zeros)} zeros, expected {expected_count} "
         f"after {_MAX_REFINE} grid refinements"
     )
-
-
-def build_strips(
-    boundaries: Sequence[float],
-    primaries: Sequence[float],
-    zero_lists: Sequence[Sequence[float]],
-) -> list[Strip]:
-    """Assemble and validate strips 1..len(primaries).
-
-    ``boundaries`` holds the len(primaries) + 1 increasing crossing heights
-    of the checked boundary contours, ``primaries`` the primary-zero height of
-    each strip and ``zero_lists`` the zero heights its scan found.  Each
-    strip's zero count must equal its Gram count (CountMismatch), and its
-    primary zero must lie inside it and coincide with one of its zeros
-    (EscapedStrip).
-    """
-    m_count = len(primaries)
-    if m_count < 1:
-        raise DomainError("no strips to build")
-    if len(boundaries) != m_count + 1 or len(zero_lists) != m_count:
-        raise DomainError(
-            f"{m_count} strips need {m_count + 1} boundaries and {m_count} zero "
-            f"lists, got {len(boundaries)} and {len(zero_lists)}"
-        )
-    table = default_table()
-    strips: list[Strip] = []
-    for m in range(1, m_count + 1):
-        bottom, top = boundaries[m - 1], boundaries[m]
-        primary_height, heights = primaries[m - 1], zero_lists[m - 1]
-        diffs = [abs(t - primary_height) for t in heights]
-        strip = Strip(
-            m=m,
-            bottom=bottom,
-            top=top,
-            gram_count=table.count_in(bottom, top),
-            zeros=tuple(heights),
-            primary_index=diffs.index(min(diffs)) + 1 if diffs else 0,  # the nearest zero
-            primary_height=primary_height,
-        )
-        strip.validate()
-        strips.append(strip)
-    return strips
-

@@ -104,16 +104,20 @@ _LOG_N = np.log(
 ).astype(np.complex128)
 
 
-def _check_window(sigma: float, t: float) -> None:
-    if not (SIGMA_MIN <= sigma <= SIGMA_MAX) or abs(t) > T_ABS_MAX:
+def _checked(s: complex) -> complex:
+    """s, once it lies inside the window and 1e-6 or more from the pole."""
+    if not (SIGMA_MIN <= s.real <= SIGMA_MAX) or abs(s.imag) > T_ABS_MAX:
         raise WindowExceeded(
-            f"s = ({sigma}, {t}) outside sigma in [{SIGMA_MIN}, {SIGMA_MAX}], "
+            f"s = ({s.real}, {s.imag}) outside sigma in [{SIGMA_MIN}, {SIGMA_MAX}], "
             f"|t| <= {T_ABS_MAX}"
         )
+    if abs(s - 1.0) < 1e-6:
+        raise PoleProximity(f"s = {s} within 1e-6 of the pole at 1")
+    return s
 
 
 def _zeta_em(s: complex, want_derivative: bool) -> tuple[complex, complex | None, float]:
-    """Core Euler-Maclaurin evaluation; callers have validated the window."""
+    """Core Euler-Maclaurin evaluation; callers have checked the window."""
     n_cut = _cutoff(s.imag, EM_TERMS_FACTOR)
 
     ln = _LOG_N[: n_cut - 1]
@@ -169,20 +173,14 @@ def zeta(s: ComplexPoint | complex, *, derivative: bool = False) -> ZetaValue:
     Raises PoleProximity within 1e-6 of s = 1, WindowExceeded outside the
     window, and PrecisionLoss when the tail bound cannot meet the target.
     """
-    sc = s.s if isinstance(s, ComplexPoint) else complex(s)
-    _check_window(sc.real, sc.imag)
-    if abs(sc - 1.0) < 1e-6:
-        raise PoleProximity(f"s = {sc} within 1e-6 of the pole at 1")
+    sc = _checked(s.s if isinstance(s, ComplexPoint) else complex(s))
     value, deriv, bound = _zeta_em(sc, derivative)
     return ZetaValue(value=value, derivative=deriv, est_error=bound)
 
 
 def zeta_with_derivative(s: complex) -> tuple[complex, complex]:
     """(zeta(s), zeta'(s)) as plain complex numbers; the tracing hot path."""
-    _check_window(s.real, s.imag)
-    if abs(s - 1.0) < 1e-6:
-        raise PoleProximity(f"s = {s} within 1e-6 of the pole at 1")
-    value, deriv, _ = _zeta_em(s, True)
+    value, deriv, _ = _zeta_em(_checked(s), True)
     assert deriv is not None
     return value, deriv
 

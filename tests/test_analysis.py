@@ -125,9 +125,9 @@ def test_density_fit_recovers_model_exactly():
         density = math.log(SLOPE_MODEL * m / TWO_PI) / TWO_PI
         n_zeros = 3
         bottom = SLOPE_MODEL * m
-        zeros = tuple(bottom + (i + 0.5) * SLOPE_MODEL / n_zeros for i in range(n_zeros))
         # scale width so zeros/width equals the model density exactly
         w = n_zeros / density
+        zeros = tuple(bottom + (i + 0.5) * w / n_zeros for i in range(n_zeros))
         strips.append(
             Strip(
                 m=m,

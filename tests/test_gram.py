@@ -60,6 +60,21 @@ def test_negative_index_rejected():
         gram_point(-2)
 
 
+def test_table_ends_at_the_first_point_above_the_window():
+    # g_11324 is the first Gram point above t = 1.1e4; nothing past it is built
+    table = GramTable()
+    assert table.point(11323) <= T_ABS_MAX < table.point(11324) == gram_point(11324)
+    for beyond in (
+        lambda: gram_point(11325),
+        lambda: gram_point(10**9),
+        lambda: table.extend_to_height(math.inf),
+        lambda: table.count_in(0.0, 2e4),
+    ):
+        with pytest.raises(DomainError):
+            beyond()
+    assert table.extend_to_height(T_ABS_MAX) == 11323
+
+
 def test_gap_model_values():
     assert abs(gap_model(TWO_PI * math.e) - TWO_PI) < 1e-12
     assert abs(gap_model(4.0 * math.pi) - 9.06472028) < 1e-7

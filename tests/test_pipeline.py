@@ -10,7 +10,7 @@ import pytest
 
 from zetastrips import contour, pipeline
 from zetastrips.cache import fmt
-from zetastrips.errors import DomainError, EscapedStrip, NotSpecial
+from zetastrips.errors import CountMismatch, DomainError, EscapedStrip, NotSpecial
 from zetastrips.gram import gap_model, gram_point
 from zetastrips.pipeline import RunConfig, compute
 from zetastrips.zeta import ComplexPoint
@@ -88,6 +88,21 @@ def test_cached_strips_pass_the_fresh_strip_checks(tmp_path):
     cache.store("strips", "\n".join([header, ",".join(cells), *rest]) + "\n")
     with pytest.raises(EscapedStrip):
         compute(config)
+
+
+def test_failed_assembly_stores_nothing(monkeypatch, tmp_path):
+    # strip 3 is scanned one zero short: its Strip raises before any cache
+    # entry or artifact is written
+    real_job = pipeline._zeros_job
+
+    def short_job(args):
+        heights = real_job(args)
+        return heights[1:] if args[0] == 3 else heights
+
+    monkeypatch.setattr(pipeline, "_zeros_job", short_job)
+    with pytest.raises(CountMismatch):
+        compute(RunConfig(t_max=100.0, out_dir=tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gram_csv_ends_at_the_last_gram_point_below_t_max(tmp_path):

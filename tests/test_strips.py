@@ -13,11 +13,7 @@ from zetastrips.contour import special_gram_point
 from zetastrips.errors import CountMismatch, DomainError, EscapedStrip
 from zetastrips.gram import default_table, gap_model
 from zetastrips.pipeline import RunConfig, compute
-from zetastrips.strips import (
-    Strip,
-    build_strips,
-    find_zeros,
-)
+from zetastrips.strips import Strip, find_zeros
 from zetastrips.zeta import RS_T_MIN, hardy_z, riemann_siegel_z
 
 
@@ -263,55 +259,53 @@ def test_zeros_per_width_tracks_gap_model(tmp_path):
 
 
 def test_strip_validation_rejects_count_mismatch():
-    zeros = (12.0,)
-    bad = Strip(
-        m=1,
-        bottom=10.0,
-        top=19.0,
-        gram_count=2,
-        zeros=zeros,
-        primary_index=1,
-        primary_height=12.0,
-    )
     with pytest.raises(CountMismatch):
-        bad.validate()
+        Strip(
+            m=1,
+            bottom=10.0,
+            top=19.0,
+            gram_count=2,
+            zeros=(12.0,),
+            primary_index=1,
+            primary_height=12.0,
+        )
 
 
 def test_strip_validation_rejects_bad_primary_index():
-    zeros = (12.0,)
-    bad = Strip(
-        m=1,
-        bottom=10.0,
-        top=19.0,
-        gram_count=1,
-        zeros=zeros,
-        primary_index=2,
-        primary_height=12.0,
-    )
     with pytest.raises(EscapedStrip):
-        bad.validate()
+        Strip(
+            m=1,
+            bottom=10.0,
+            top=19.0,
+            gram_count=1,
+            zeros=(12.0,),
+            primary_index=2,
+            primary_height=12.0,
+        )
 
 
 def test_assemble_strip_rejects_foreign_primary():
     with pytest.raises(EscapedStrip):
-        build_strips(
-            boundaries=[10.0, 19.0],  # holds the Gram point g_0 = 17.8456
-            primaries=[21.0],  # outside the strip
-            zero_lists=[[14.134725]],
+        Strip(
+            m=1,
+            bottom=10.0,
+            top=19.0,
+            gram_count=default_table().count_in(10.0, 19.0),  # g_0 = 17.8456
+            zeros=(14.134725,),
+            primary_index=1,  # the zero nearest the primary
+            primary_height=21.0,  # outside the strip
         )
 
 
-def test_build_strips_requires_positive_m():
-    with pytest.raises(DomainError):
-        build_strips([special_gram_point(1)], [], [])
-
-
-def test_build_strips_checks_count_before_primary():
+def test_strip_checks_count_before_primary():
     # two Gram points (g_-1 = 9.667, g_0 = 17.846) but one scanned zero
     with pytest.raises(CountMismatch):
-        build_strips([9.0, 19.0], [14.134725], [[14.134725]])
-
-
-def test_build_strips_rejects_mismatched_lengths():
-    with pytest.raises(DomainError):
-        build_strips([10.0, 19.0, 25.0], [14.134725], [[14.134725]])
+        Strip(
+            m=1,
+            bottom=9.0,
+            top=19.0,
+            gram_count=default_table().count_in(9.0, 19.0),
+            zeros=(14.134725,),
+            primary_index=1,
+            primary_height=14.134725,
+        )
