@@ -33,12 +33,17 @@ Otherwise the trace carries on unchanged.  No boundary contour below
 t = 1e4 comes within the capture distance of a zero.
 
 Step sizes: a primary contour (odd k) contributes only its terminal zero,
-so it traces at the step ceiling 0.1.  A boundary contour (even k) keeps
-the default step STEP = 0.02: its crossing is a 1-D Newton seeded from the
-chord between the accepted points either side of sigma = 1/2, stopped at
-|update| < 8 eps t, so a coarser path moves the crossing by a few ulps;
-at step 0.1 the 12th digit of 12 of the 1102 strip widths below 1e4
-changes.
+which a 2-D Newton pins to 16 eps, so it traces at the step ceiling 0.4
+(at 0.8 the primary zeros of strips 516 and 885 move).  A boundary
+contour (even k) starts at the default step STEP = 0.02: its crossing is
+a 1-D Newton seeded from the chord between the accepted points either
+side of sigma = 1/2, stopped at |update| < 8 eps t, so a coarser path
+moves the crossing by a few ulps; at step 0.1 the 12th digit of 12 of
+the 1102 strip widths below 1e4 changes.  Past its crossing a boundary's
+path only has to reach SIGMA_MIN without a zero, so a trace at STEP
+widens its step to the ceiling there; the crossing and min |zeta| over
+sigma >= 1/2 come from the leg before it, which is traced as before.
+Parity retries keep their finer step from start to end.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ MAX_STEPS = 10**6
 
 _LN2 = math.log(2.0)
 _MIN_STEP = 1e-6
-_MAX_STEP = 0.1
+_MAX_STEP = 0.4
 _CAPTURE_DIST = 0.05
 _EPS = sys.float_info.epsilon
 
@@ -139,9 +144,10 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
     the critical strip, until it ends at a zero or reaches SIGMA_MIN.
 
     ``step`` is the step the controller starts at and grows back to, at
-    most _MAX_STEP.  Raises StepCollapse / MaxSteps on the corresponding
-    failures; these would falsify the strip structure and are never
-    downgraded.
+    most _MAX_STEP.  A trace at STEP, a boundary's first try, raises both
+    to _MAX_STEP once it has crossed sigma = 1/2.  Raises StepCollapse /
+    MaxSteps on the corresponding failures; these would falsify the strip
+    structure and are never downgraded.
     """
     if not 0.0 < step <= _MAX_STEP:
         raise DomainError(f"step {step} outside (0, {_MAX_STEP}]")
@@ -239,6 +245,10 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
         if crossing_t is None and (prev_s.real - 0.5) * (s.real - 0.5) <= 0.0:
             frac = (0.5 - prev_s.real) / (s.real - prev_s.real)
             crossing_t = _line_root(0.5, prev_s.imag + frac * (s.imag - prev_s.imag))
+            # a boundary's first try: past the crossing its path decides
+            # no emitted bit, so it widens to the ceiling
+            if step == STEP:
+                step = h = _MAX_STEP
 
         rows.append((s.real, s.imag, z.real, z.imag))
         if s.real <= SIGMA_MIN:
@@ -264,11 +274,13 @@ def _trace_from_launch(k: int) -> ContourPath:
 
     Even k must cross the critical line and reach SIGMA_MIN; odd k must
     terminate at a zero.  Odd k contribute only that zero, so they trace
-    at the step ceiling; even k keep STEP.  A contradiction at
-    the starting step means the trace hopped branches inside a close-pair
-    squeeze; the retry tightens the step the same way the zero scan
-    refines its grid.  A contradiction that survives the finest step is
-    surfaced by the callers.
+    at the step ceiling _MAX_STEP; even k start at STEP and go coarse
+    past their crossing.  A contradiction at the starting step means the
+    trace hopped branches inside a close-pair squeeze; the retry tightens
+    the step to a quarter and then a sixteenth (0.1 and 0.025 for odd k),
+    the same way the zero scan refines its grid, and holds it to the end.
+    A contradiction that survives the finest step is surfaced by the
+    callers.
     """
     start = launch_point(k)
     expect_zero = bool(k % 2)

@@ -62,13 +62,18 @@ def test_trace_boundary_contour_k2():
     # residual invariant at every recorded point
     mags = np.hypot(samples[:, 2], samples[:, 3])
     assert np.all(np.abs(samples[:, 3]) < 1e-8 * np.maximum(1.0, mags))
-    # consecutive points closer than twice the step bound
+    # consecutive points closer than twice the step bound: STEP up to the
+    # first sample past the crossing, the ceiling on the tail after it
+    past = int(np.argmax(samples[:, 0] < 0.5))
     gaps = np.hypot(np.diff(samples[:, 0]), np.diff(samples[:, 1]))
-    assert np.max(gaps) < 2.0 * contour.STEP
+    assert np.max(gaps[:past]) < 2.0 * contour.STEP
+    assert np.max(gaps[past:]) < 2.0 * contour._MAX_STEP
+    # and the tail does go coarse: its path decides no emitted bit
+    assert np.max(gaps[past:]) > 2.0 * contour.STEP
     # Re zeta stays positive along the whole branch
     assert np.min(samples[:, 2]) > 0.0
-    # terminates within one step past sigma_min
-    assert contour.SIGMA_MIN - contour.STEP <= samples[-1, 0]
+    # terminates within one tail step past sigma_min
+    assert contour.SIGMA_MIN - contour._MAX_STEP <= samples[-1, 0]
     assert samples[-1, 0] <= contour.SIGMA_MIN
 
 
@@ -162,8 +167,9 @@ def test_primary_zero_capture_is_exact_and_cheap(monkeypatch, m):
 
     monkeypatch.setattr(contour, "zeta_with_derivative", counted)
     zero = primary_zero_of_strip(m, check_containment=False)
-    # Newton capture ends the trace; the step-by-step approach took ~980
-    assert calls < 300
+    # Newton capture ends the trace at the 0.4 ceiling in 81-100 calls;
+    # at 0.1 it took 133-175, and the step-by-step approach ~980
+    assert calls < 120
     assert bottom < zero.t < top
     scanned = [r.t for r in find_zeros(bottom, top)]
     assert min(abs(t - zero.t) for t in scanned) < 1e-9
@@ -177,6 +183,15 @@ def test_boundaries_never_enter_the_capture(monkeypatch):
     monkeypatch.setattr(contour, "_newton_zero", refuse)
     for m in range(1, 6):
         strip_boundary(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 1000])
+def test_boundary_tail_decides_no_bit(monkeypatch, m):
+    # the coarse tail starts after the crossing and min |zeta| is read at
+    # sigma >= 1/2 only, so both equal those of a trace held at STEP
+    crossing, min_abs = strip_boundary(m)
+    monkeypatch.setattr(contour, "_MAX_STEP", contour.STEP)
+    assert strip_boundary.__wrapped__(m) == (crossing, min_abs)
 
 
 def test_strip_boundary_memo_ignores_the_call_form():

@@ -309,3 +309,18 @@ def test_strip_checks_count_before_primary():
             primary_index=1,
             primary_height=14.134725,
         )
+
+
+def test_strip_reports_count_mismatch_over_a_foreign_primary():
+    # the zero list is short and the primary lies outside the strip: the
+    # count check runs first, so the census reports the broken identity
+    with pytest.raises(CountMismatch):
+        Strip(
+            m=1,
+            bottom=9.0,
+            top=19.0,
+            gram_count=default_table().count_in(9.0, 19.0),
+            zeros=(14.134725,),
+            primary_index=1,
+            primary_height=21.0,
+        )
