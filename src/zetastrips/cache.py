@@ -1,15 +1,19 @@
 """CSV/JSON persistence with checksummed, atomically written entries.
 
 Each cache entry is a CSV payload plus a sidecar meta JSON carrying the
-schema version, the entry kind, a sha256 of the payload bytes, and a
-fingerprint of the numerical configuration that produced it.  A reader
-never sees a torn entry: payload and meta are written to temp files and
-renamed, payload first.  ``write_atomic`` is also the write of every output
-artifact, and it leaves a file that already holds its bytes untouched.
+entry kind, a sha256 of the payload bytes, and the cache key: a sha256 of
+every module of the package and of the exact t_max.  Any edit to the code
+that wrote an entry, its numerics and its CSV and meta layouts included,
+changes the key, so the entry is never served to other code or for
+another t_max.  A reader never sees a torn entry: payload and meta are
+written to temp files and renamed, payload first.  ``write_atomic`` is
+also the write of every output artifact, and it leaves a file that
+already holds its bytes untouched.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -17,7 +21,6 @@ from pathlib import Path
 
 from .errors import CacheInvalid, CacheMissing
 
-SCHEMA_VERSION = 1
 KINDS = ("gram", "boundaries", "zeros", "strips")
 
 
@@ -57,15 +60,24 @@ def write_json_atomic(path: Path, payload: dict) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
-def fingerprint(config_dict: dict) -> str:
-    canon = json.dumps(round12(config_dict), sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+@functools.cache
+def _package_digest() -> str:
+    """sha256 over every module of the package, each as its name, a NUL
+    byte and its bytes, in sorted order; read once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 class Cache:
-    def __init__(self, directory: Path, config_fingerprint: str) -> None:
+    def __init__(self, directory: Path, t_max: float) -> None:
         self.dir = Path(directory)
-        self.fingerprint = config_fingerprint
+        # the exact float, not its 12-digit fmt: a t_max one ulp below a
+        # strip top holds one strip fewer
+        key = f"{_package_digest()}\0{float(t_max)!r}"
+        self.key = hashlib.sha256(key.encode("utf-8")).hexdigest()
 
     def payload_path(self, kind: str) -> Path:
         return self.dir / f"{kind}.csv"
@@ -79,12 +91,7 @@ class Cache:
         self.dir.mkdir(parents=True, exist_ok=True)
         data = csv_text.encode("utf-8")
         write_atomic(self.payload_path(kind), data)
-        meta = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": kind,
-            "checksum": hashlib.sha256(data).hexdigest(),
-            "fingerprint": self.fingerprint,
-        }
+        meta = {"kind": kind, "checksum": hashlib.sha256(data).hexdigest(), "key": self.key}
         write_json_atomic(self.meta_path(kind), meta)
 
     def load(self, kind: str) -> str:
@@ -99,15 +106,10 @@ class Cache:
             raise CacheInvalid(f"cache meta for {kind!r} unreadable: {exc}") from exc
         if not isinstance(meta, dict):
             raise CacheInvalid(f"cache meta for {kind!r} is not a JSON object")
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            raise CacheInvalid(
-                f"cache entry {kind!r} has schema {meta.get('schema_version')}, "
-                f"expected {SCHEMA_VERSION}"
-            )
         if meta.get("kind") != kind:
             raise CacheInvalid(f"cache entry {kind!r} mislabeled as {meta.get('kind')}")
-        if meta.get("fingerprint") != self.fingerprint:
-            raise CacheInvalid(f"cache entry {kind!r} built from a different config")
+        if meta.get("key") != self.key:
+            raise CacheInvalid(f"cache entry {kind!r} written by other code or for another t_max")
         data = payload.read_bytes()
         if meta.get("checksum") != hashlib.sha256(data).hexdigest():
             raise CacheInvalid(f"cache entry {kind!r} failed its checksum")

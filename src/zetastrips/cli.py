@@ -355,7 +355,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
                 problems.append(f"{kind}: {exc}")
         if problems:
             return False, "; ".join(problems)
-        return True, "all present entries pass checksum"
+        return True, "all present entries pass every check: kind, key and checksum"
 
     run("zeta_at_two", zeta_at_two)
     run("conjugate_symmetry", conjugate_symmetry)

@@ -99,8 +99,6 @@ class GramTable:
         if t < THETA_T_MIN:
             return None
         n = round(rs_theta(t) / math.pi)
-        if n < -1:
-            return None
         g = self.point(n)
         return n if abs(g - t) <= _BOUNDARY_TOL else None
 

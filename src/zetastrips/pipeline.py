@@ -13,18 +13,17 @@ are byte-identical for any worker count.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 from . import analysis
-from .cache import KINDS, Cache, fingerprint, fmt, write_atomic, write_json_atomic
+from .cache import KINDS, Cache, fmt, write_atomic, write_json_atomic
 from .contour import primary_zero_of_strip, strip_boundary
 from .errors import CacheInvalid, CacheMissing, DomainError, NotSpecial
 from .gram import default_table, gap_ratio_series, gram_point
@@ -39,21 +38,6 @@ ZEROS_HEADER = "j,t,strip_m"
 STRIPS_HEADER = (
     "m,bottom,top,width,gram_count,n_zeros,primary_index,primary_height,primary_stat"
 )
-
-# modules whose code decides the cached numbers
-_NUMERIC_SOURCES = ("zeta.py", "gram.py", "contour.py", "strips.py")
-
-
-@cache
-def _numerics_digest() -> str:
-    """sha256 over the _NUMERIC_SOURCES, read once per process, so that a
-    cache written by other numerics is never served."""
-    h = hashlib.sha256()
-    for name in _NUMERIC_SOURCES:
-        h.update(name.encode("utf-8") + b"\0")
-        h.update(Path(__file__).with_name(name).read_bytes())
-    return h.hexdigest()
-
 
 def _boundary_estimate(t_max: float) -> int:
     """Number of boundary contours the boundary batch traces: enough to
@@ -92,13 +76,7 @@ class RunConfig:
         return self.cache_dir if self.cache_dir is not None else self.out_dir / "cache"
 
     def cache(self) -> Cache:
-        from . import __version__  # the package sets it after importing us
-
-        return Cache(self.cache_path, fingerprint({
-            "version": __version__,
-            "sources_sha256": _numerics_digest(),
-            "t_max": self.t_max,
-        }))
+        return Cache(self.cache_path, self.t_max)
 
 
 @dataclass
@@ -109,8 +87,8 @@ class ComputeResult:
 
 
 def _zeros_job(args: tuple[int, float, float, int]) -> list[float]:
-    m, lo, hi, expected = args
-    return [r.t for r in find_zeros(lo, hi, expected, strip_m=m)]
+    _, lo, hi, expected = args
+    return [r.t for r in find_zeros(lo, hi, expected)]
 
 
 def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:

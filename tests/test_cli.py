@@ -4,7 +4,10 @@ behavior, config file handling, and the package's exported names."""
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -313,6 +316,44 @@ def test_cache_meta_that_is_not_an_object_is_invalid(tmp_path, capsys):
     assert main(args + ["compute"]) == 0
     assert "(fresh run," in capsys.readouterr().out  # the entry was not trusted
     assert meta.read_bytes() == original  # rebuilt to the same bytes
+
+
+def test_swapped_cache_entry_is_invalid(tmp_path, capsys):
+    # one key serves every kind, so only the meta's kind tells a zeros entry
+    # copied over the strips entry from the real one
+    args = ["--t-max", "30", "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(args + ["compute"]) == 0
+    cache = RunConfig(t_max=30.0, out_dir=tmp_path / "o").cache()
+    original = cache.payload_path("strips").read_bytes()
+    shutil.copyfile(cache.payload_path("zeros"), cache.payload_path("strips"))
+    shutil.copyfile(cache.meta_path("zeros"), cache.meta_path("strips"))
+    with pytest.raises(CacheInvalid, match="mislabeled"):
+        cache.load("strips")
+    capsys.readouterr()
+    assert main(args + ["compute"]) == 0
+    assert "(fresh run," in capsys.readouterr().out
+    assert cache.payload_path("strips").read_bytes() == original
+    assert (tmp_path / "o" / "strips.csv").read_bytes() == original
+
+
+def test_edited_package_serves_no_cache(tmp_path):
+    # a comment added to any module of the package changes the cache key
+    src = Path(zetastrips.__file__).parent
+    edited = tmp_path / "edited"
+    shutil.copytree(src, edited / "zetastrips", ignore=shutil.ignore_patterns("__pycache__"))
+    with (edited / "zetastrips" / "pipeline.py").open("a", encoding="utf-8") as f:
+        f.write("# edited\n")
+    out = tmp_path / "o"
+
+    def compute_with(path: Path) -> str:
+        env = dict(os.environ, PYTHONPATH=str(path))
+        cmd = [sys.executable, "-m", "zetastrips.cli", "--t-max", "25", "--out", str(out),
+               "--quiet", "compute"]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout
+
+    assert "(fresh run, " in compute_with(src.parent)
+    assert "(cache, " in compute_with(src.parent)
+    assert "(fresh run, " in compute_with(edited)
 
 
 def test_every_exported_name_resolves():

@@ -19,7 +19,7 @@ from zetastrips.gram import (
     gap_ratio_series,
     gram_point,
 )
-from zetastrips.zeta import T_ABS_MAX, rs_theta, rs_theta_deriv
+from zetastrips.zeta import T_ABS_MAX, THETA_T_MIN, rs_theta, rs_theta_deriv
 
 # frozen from the bisection oracle on rs_theta during development
 G_MINUS_1 = 9.666908077468545
@@ -149,6 +149,8 @@ def test_index_near():
     assert table.index_near(g) == 7
     assert table.index_near(g + 1e-7) == 7
     assert table.index_near(g + 0.3) is None
+    # theta / pi rounds to -1 at THETA_T_MIN, far from g_-1
+    assert table.index_near(THETA_T_MIN) is None
 
 
 def test_series_requires_positive_n_max():

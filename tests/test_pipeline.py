@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zetastrips import contour, pipeline
+from zetastrips import cache, contour, pipeline
 from zetastrips.cache import fmt
 from zetastrips.errors import CountMismatch, DomainError, EscapedStrip, NotSpecial
 from zetastrips.gram import gap_model, gram_point
@@ -62,9 +62,22 @@ def test_cache_from_other_numerics_is_recomputed(monkeypatch, tmp_path):
     config = RunConfig(t_max=25.0, out_dir=tmp_path)
     compute(config)
     assert compute(config).from_cache
-    # same RunConfig, different numerics sources
-    monkeypatch.setattr(pipeline, "_numerics_digest", lambda: "0" * 64)
+    # same RunConfig, different package code
+    monkeypatch.setattr(cache, "_package_digest", lambda: "0" * 64)
     assert not compute(config).from_cache
+
+
+def test_cache_for_another_t_max_is_recomputed(tmp_path):
+    # t_max one ulp below the top of strip 10 holds 9 strips, though both
+    # heights print alike on the 12-digit grid
+    top = contour.strip_boundary(11)[0]
+    below = math.nextafter(top, 0.0)
+    assert fmt(below) == fmt(top)
+    assert len(compute(RunConfig(t_max=top, out_dir=tmp_path)).strips) == 10
+    result = compute(RunConfig(t_max=below, out_dir=tmp_path))
+    assert not result.from_cache
+    assert len(result.strips) == 9
+    assert result.strips[-1].top <= below
 
 
 def test_run_config_takes_str_directories(monkeypatch, tmp_path):
