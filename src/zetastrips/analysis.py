@@ -55,8 +55,10 @@ class ArchPrediction:
         return 2.0 ** (1.0 + self.p / self.q) * math.pi
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> LinearFit:
+def _ols(xs: Sequence[float], ys: Sequence[float]) -> LinearFit:
     """Ordinary least squares with homoskedastic standard errors."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
     n = x.size
     if n < 3:
         raise DomainError(f"need >= 3 points for a fit, got {n}")
@@ -79,17 +81,13 @@ def _ols(x: np.ndarray, y: np.ndarray) -> LinearFit:
 
 def fit_bottoms(strips: Sequence[Strip]) -> LinearFit:
     """OLS of strip-bottom height against strip number."""
-    x = np.array([s.m for s in strips], dtype=float)
-    y = np.array([s.bottom for s in strips], dtype=float)
-    return _ols(x, y)
+    return _ols([s.m for s in strips], [s.bottom for s in strips])
 
 
 def fit_tops(strips: Sequence[Strip]) -> LinearFit:
     """Same regression on the strip tops; slope is unchanged, the
     intercept shifts by one mean width."""
-    x = np.array([s.m for s in strips], dtype=float)
-    y = np.array([s.top for s in strips], dtype=float)
-    return _ols(x, y)
+    return _ols([s.m for s in strips], [s.top for s in strips])
 
 
 def bottom_deviation_series(strips: Sequence[Strip]) -> list[tuple[int, float]]:
@@ -132,9 +130,7 @@ def fit_density(strips: Sequence[Strip]) -> tuple[LinearFit, list[tuple[int, flo
 
 def fit_density_linear(strips: Sequence[Strip]) -> LinearFit:
     """Comparison fit of zeros-per-width against m itself."""
-    x = np.array([s.m for s in strips], dtype=float)
-    y = np.array([len(s.zeros) / s.width for s in strips], dtype=float)
-    return _ols(x, y)
+    return _ols([s.m for s in strips], [len(s.zeros) / s.width for s in strips])
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,14 @@ t = 1e4 comes within the capture distance of a zero.
 Step sizes: a primary contour (odd k) contributes only its terminal zero,
 which a 2-D Newton pins to 16 eps, so it traces at the step ceiling 0.4
 (at 0.8 the primary zeros of strips 516 and 885 move).  A boundary
-contour (even k) starts at the default step STEP = 0.02: its crossing is
-a 1-D Newton seeded from the chord between the accepted points either
-side of sigma = 1/2, stopped at |update| < 8 eps t, so a coarser path
-moves the crossing by a few ulps; at step 0.1 the 12th digit of 12 of
-the 1102 strip widths below 1e4 changes.  Past its crossing a boundary's
-path only has to reach SIGMA_MIN without a zero, so a trace at STEP
-widens its step to the ceiling there; the crossing and min |zeta| over
-sigma >= 1/2 come from the leg before it, which is traced as before.
-Parity retries keep their finer step from start to end.
+contour (even k) traces at the default step STEP = 0.02: its crossing,
+which ``strip_boundary`` solves by a 1-D Newton seeded from the chord
+between the samples either side of sigma = 1/2, stopped at
+|update| < 8 eps t, moves by a few ulps on a coarser path; at step 0.1
+the 12th digit of 12 of the 1102 strip widths below 1e4 changes.  Every
+trace, first try or parity retry, widens to the ceiling once it reaches
+sigma <= 1/2: from there a boundary only has to reach SIGMA_MIN without
+a zero, and min |zeta| is read over sigma >= 1/2.
 """
 
 from __future__ import annotations
@@ -89,13 +88,11 @@ class ContourPath:
 
     ``samples`` has one row per accepted point: (sigma, t, Re zeta,
     Im zeta).  ``zero`` is the terminal zero, or None when the curve
-    reached SIGMA_MIN.  ``crossing_t`` is the height at which the curve
-    crosses sigma = 1/2, when it does.
+    reached SIGMA_MIN.
     """
 
     samples: np.ndarray
     zero: ComplexPoint | None
-    crossing_t: float | None
 
 
 def _line_root(sigma: float, t: float) -> float:
@@ -144,10 +141,10 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
     the critical strip, until it ends at a zero or reaches SIGMA_MIN.
 
     ``step`` is the step the controller starts at and grows back to, at
-    most _MAX_STEP.  A trace at STEP, a boundary's first try, raises both
-    to _MAX_STEP once it has crossed sigma = 1/2.  Raises StepCollapse /
-    MaxSteps on the corresponding failures; these would falsify the strip
-    structure and are never downgraded.
+    most _MAX_STEP, until the curve reaches sigma <= 1/2; from there both
+    are _MAX_STEP.  Raises StepCollapse / MaxSteps on the corresponding
+    failures; these would falsify the strip structure and are never
+    downgraded.
     """
     if not 0.0 < step <= _MAX_STEP:
         raise DomainError(f"step {step} outside (0, {_MAX_STEP}]")
@@ -157,7 +154,6 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
         raise DomainError(f"trace start {start} is not on Im zeta = 0")
 
     rows = [(s.real, s.imag, z.real, z.imag)]
-    crossing_t: float | None = None
     zero: ComplexPoint | None = None
     prev_tangent: complex | None = None
     h = step
@@ -241,14 +237,9 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
             zero = ComplexPoint(loc.real, loc.imag)
             break
 
-        # critical-line crossing: Newton seeded from the chord
-        if crossing_t is None and (prev_s.real - 0.5) * (s.real - 0.5) <= 0.0:
-            frac = (0.5 - prev_s.real) / (s.real - prev_s.real)
-            crossing_t = _line_root(0.5, prev_s.imag + frac * (s.imag - prev_s.imag))
-            # a boundary's first try: past the crossing its path decides
-            # no emitted bit, so it widens to the ceiling
-            if step == STEP:
-                step = h = _MAX_STEP
+        # left of the critical line the path decides no emitted bit
+        if step < _MAX_STEP and s.real <= 0.5:
+            step = h = _MAX_STEP
 
         rows.append((s.real, s.imag, z.real, z.imag))
         if s.real <= SIGMA_MIN:
@@ -265,7 +256,7 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
     else:
         raise MaxSteps(f"trace from {start} exceeded {MAX_STEPS} steps")
 
-    return ContourPath(np.array(rows, dtype=np.float64), zero, crossing_t)
+    return ContourPath(np.array(rows, dtype=np.float64), zero)
 
 
 def _trace_from_launch(k: int) -> ContourPath:
@@ -274,13 +265,13 @@ def _trace_from_launch(k: int) -> ContourPath:
 
     Even k must cross the critical line and reach SIGMA_MIN; odd k must
     terminate at a zero.  Odd k contribute only that zero, so they trace
-    at the step ceiling _MAX_STEP; even k start at STEP and go coarse
-    past their crossing.  A contradiction at the starting step means the
-    trace hopped branches inside a close-pair squeeze; the retry tightens
-    the step to a quarter and then a sixteenth (0.1 and 0.025 for odd k),
-    the same way the zero scan refines its grid, and holds it to the end.
-    A contradiction that survives the finest step is surfaced by the
-    callers.
+    at the step ceiling _MAX_STEP; even k start at STEP.  A contradiction
+    at the starting step means the trace hopped branches inside a
+    close-pair squeeze; the retry tightens the step to a quarter and then
+    a sixteenth (0.1 and 0.025 for odd k), the same way the zero scan
+    refines its grid.  Like every trace, a retry widens to the ceiling
+    left of sigma = 1/2.  A contradiction that survives the finest step
+    is surfaced by the callers.
     """
     start = launch_point(k)
     expect_zero = bool(k % 2)
@@ -302,7 +293,9 @@ def strip_boundary(m: int, /) -> tuple[float, float]:
     Asserts that the contour reaches SIGMA_MIN without meeting a zero,
     stays clear of zeros between launch and crossing, and crosses the
     critical line at a Gram point (Re zeta > 0 there by construction of
-    the launch branch); any failure raises NotSpecial.
+    the launch branch); any failure raises NotSpecial.  The crossing is a
+    1-D Newton seeded from the chord into the path's first sample at
+    sigma <= 1/2, which a path from SIGMA_START to SIGMA_MIN always has.
     """
     if m < 1:
         raise DomainError(f"strip boundary index m = {m} < 1")
@@ -312,15 +305,16 @@ def strip_boundary(m: int, /) -> tuple[float, float]:
             f"boundary contour k = {2 * m} terminated at a zero "
             f"{path.zero}; strip structure falsified"
         )
-    if path.crossing_t is None:
-        raise NotSpecial(f"boundary contour k = {2 * m} never crossed sigma = 1/2")
-    right = path.samples[path.samples[:, 0] >= 0.5]
+    samples = path.samples
+    right = samples[samples[:, 0] >= 0.5]
     min_abs = float(np.min(np.hypot(right[:, 2], right[:, 3])))
     if min_abs <= ZERO_RADIUS:
         raise NotSpecial(
             f"boundary contour k = {2 * m} passed within {min_abs:.2e} of a zero"
         )
-    crossing = path.crossing_t
+    i = int(np.argmax(samples[:, 0] <= 0.5))
+    (s0, t0), (s1, t1) = samples[i - 1 : i + 1, :2].tolist()
+    crossing = _line_root(0.5, t0 + (0.5 - s0) / (s1 - s0) * (t1 - t0))
     residual = rs_theta(crossing) / math.pi
     if abs(residual - round(residual)) > 1e-6:
         raise NotSpecial(

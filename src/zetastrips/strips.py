@@ -42,7 +42,6 @@ _MAX_REFINE = 4
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    j: int
     t: float
     strip_m: int
 
@@ -190,10 +189,7 @@ def find_zeros(
                 zeros.append(_bisect_zero(hardy_z, prev_t, t, prev_z, cur_z))
             prev_t, prev_z = t, cur_z
         if expected_count is None or len(zeros) == expected_count:
-            return [
-                ZeroRecord(j=i + 1, t=height, strip_m=strip_m)
-                for i, height in enumerate(zeros)
-            ]
+            return [ZeroRecord(t=height, strip_m=strip_m) for height in zeros]
         spacing *= 0.5
     raise CountMismatch(
         f"({t_lo}, {t_hi}): found {len(zeros)} zeros, expected {expected_count} "

@@ -52,21 +52,21 @@ def test_launch_point_rejects_low_index():
         launch_point(1)
 
 
-def test_trace_boundary_contour_k2():
-    path = trace(launch_point(2))
+@pytest.mark.parametrize("step", [contour.STEP, contour.STEP / 4])
+def test_trace_boundary_contour_k2(step):
+    path = trace(launch_point(2), step)
     assert path.zero is None
-    assert path.crossing_t is not None
-    assert abs(path.crossing_t - 9.6669080561) < 1e-6
 
     samples = path.samples
     # residual invariant at every recorded point
     mags = np.hypot(samples[:, 2], samples[:, 3])
     assert np.all(np.abs(samples[:, 3]) < 1e-8 * np.maximum(1.0, mags))
-    # consecutive points closer than twice the step bound: STEP up to the
-    # first sample past the crossing, the ceiling on the tail after it
-    past = int(np.argmax(samples[:, 0] < 0.5))
+    # consecutive points closer than twice the step bound: the trace's step
+    # up to the first sample at sigma <= 1/2, the ceiling on the tail after
+    # it, for a first try and a parity retry alike
+    past = int(np.argmax(samples[:, 0] <= 0.5))
     gaps = np.hypot(np.diff(samples[:, 0]), np.diff(samples[:, 1]))
-    assert np.max(gaps[:past]) < 2.0 * contour.STEP
+    assert np.max(gaps[:past]) < 2.0 * step
     assert np.max(gaps[past:]) < 2.0 * contour._MAX_STEP
     # and the tail does go coarse: its path decides no emitted bit
     assert np.max(gaps[past:]) > 2.0 * contour.STEP
@@ -87,6 +87,24 @@ def test_trace_primary_contour_k3_terminates_at_first_zero():
     assert abs(zero.t - 14.134725) < 1e-5
     # zeta is real on the contour and keeps the launch sign up to the zero
     assert np.min(path.samples[:, 2]) > 0.0
+
+
+def test_trace_solves_no_crossing(monkeypatch):
+    # the 0.4 first try of primary k = 75 runs past the critical line to
+    # SIGMA_MIN; only strip_boundary turns a crossing into a height
+    start = launch_point(75)
+    calls: list[float] = []
+    real = contour._line_root
+
+    def recording(sigma, t):
+        calls.append(sigma)
+        return real(sigma, t)
+
+    monkeypatch.setattr(contour, "_line_root", recording)
+    path = trace(start, contour._MAX_STEP)
+    assert path.zero is None
+    assert path.samples[-1, 0] <= contour.SIGMA_MIN
+    assert calls == []
 
 
 def test_trace_rejects_off_contour_start():
@@ -187,8 +205,9 @@ def test_boundaries_never_enter_the_capture(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 1000])
 def test_boundary_tail_decides_no_bit(monkeypatch, m):
-    # the coarse tail starts after the crossing and min |zeta| is read at
-    # sigma >= 1/2 only, so both equal those of a trace held at STEP
+    # the coarse tail starts at the first sample at sigma <= 1/2 and min
+    # |zeta| is read at sigma >= 1/2 only, so both equal those of a trace
+    # held at STEP
     crossing, min_abs = strip_boundary(m)
     monkeypatch.setattr(contour, "_MAX_STEP", contour.STEP)
     assert strip_boundary.__wrapped__(m) == (crossing, min_abs)
