@@ -64,7 +64,8 @@ from .errors import (
     SeedDrift,
     StepCollapse,
 )
-from .zeta import ComplexPoint, rs_theta, zeta_with_derivative
+from .gram import default_table
+from .zeta import ComplexPoint, zeta_with_derivative
 
 # the one way the census traces: launch line, left stop, default step,
 # corrector tolerance on |Im zeta|, terminal-zero radius, step budget
@@ -285,17 +286,20 @@ def _trace_from_launch(k: int) -> ContourPath:
 
 
 @lru_cache(maxsize=4096)
-def strip_boundary(m: int, /) -> tuple[float, float]:
-    """(crossing height, min |zeta| from launch to crossing) of the m-th
-    strip-boundary contour, memoized because neighbouring strips share a
-    boundary; ``m`` is positional-only, so every call shares one entry.
+def strip_boundary(m: int, /) -> tuple[float, int, float]:
+    """(crossing height, Gram index n, min |zeta| from launch to crossing)
+    of the m-th strip-boundary contour, memoized because neighbouring
+    strips share a boundary; ``m`` is positional-only, so every call
+    shares one entry.
 
     Asserts that the contour reaches SIGMA_MIN without meeting a zero,
     stays clear of zeros between launch and crossing, and crosses the
-    critical line at a Gram point (Re zeta > 0 there by construction of
-    the launch branch); any failure raises NotSpecial.  The crossing is a
-    1-D Newton seeded from the chord into the path's first sample at
+    critical line at a Gram point g_n (Re zeta > 0 there by construction
+    of the launch branch); any failure raises NotSpecial.  The crossing is
+    a 1-D Newton seeded from the chord into the path's first sample at
     sigma <= 1/2, which a path from SIGMA_START to SIGMA_MIN always has.
+    This is the package's one check that a crossing is a Gram point:
+    ``GramTable.index_near`` within gram._BOUNDARY_TOL = 5e-7 in t.
     """
     if m < 1:
         raise DomainError(f"strip boundary index m = {m} < 1")
@@ -315,13 +319,10 @@ def strip_boundary(m: int, /) -> tuple[float, float]:
     i = int(np.argmax(samples[:, 0] <= 0.5))
     (s0, t0), (s1, t1) = samples[i - 1 : i + 1, :2].tolist()
     crossing = _line_root(0.5, t0 + (0.5 - s0) / (s1 - s0) * (t1 - t0))
-    residual = rs_theta(crossing) / math.pi
-    if abs(residual - round(residual)) > 1e-6:
-        raise NotSpecial(
-            f"boundary crossing {crossing} is not a Gram point "
-            f"(theta/pi residual {residual - round(residual):.2e})"
-        )
-    return crossing, min_abs
+    n = default_table().index_near(crossing)
+    if n is None:
+        raise NotSpecial(f"boundary {m} crosses at {crossing}, which is no Gram point")
+    return crossing, n, min_abs
 
 
 def special_gram_point(m: int) -> float:

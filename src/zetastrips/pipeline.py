@@ -3,12 +3,14 @@ and artifact emission.
 
 ``compute`` runs one path from contour to strip.  Three batches of
 independent jobs, keyed by strip index, map the public checked functions
-over the strip range: ``contour.strip_boundary`` for the boundary traces,
-``contour.primary_zero_of_strip`` for the primary traces, and
-``strips.find_zeros`` for the per-strip zero scans.  ``_census`` then
-builds each ``Strip``, which checks itself, before anything is stored.
-Every batch returns its results in job order, so the emitted artifacts
-are byte-identical for any worker count.
+over the strip range: ``contour.strip_boundary`` for the boundary traces
+and their Gram indices n_m, ``contour.primary_zero_of_strip`` for the
+primary traces, and ``strips.find_zeros`` for the per-strip zero scans,
+strip m expecting n_{m+1} - n_m zeros.  ``_census`` then builds each
+``Strip``, which checks itself, before anything is stored; ``compute``
+returns the strips of the stored texts, fresh or cached alike.  Every
+batch returns its results in job order, so the emitted artifacts are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Sequence
 
 from . import analysis
 from .cache import KINDS, Cache, fmt, write_atomic, write_json_atomic
@@ -102,12 +103,13 @@ def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:
     return results
 
 
-def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
-    """Crossing heights and min-|zeta| diagnostics for boundaries
-    m = 1..m_count+1, where m_count strips fit under t_max.  One batch: its
-    last crossing must pass t_max, which holds while every crossing stays
-    above m * SLOPE - 2.5.  The crossings must strictly increase; the
-    primary and zero stages rely on that and do not check it again."""
+def _boundary_batch(config: RunConfig) -> list[tuple[float, int, float]]:
+    """``strip_boundary``'s (crossing, Gram index, min |zeta|) for
+    boundaries m = 1..m_count+1, where m_count strips fit under t_max.  One
+    batch: its last crossing must pass t_max, which holds while every
+    crossing stays above m * SLOPE - 2.5.  The Gram indices must strictly
+    increase, and with them the crossings; the primary and zero stages
+    rely on that and do not check it again."""
     last = _boundary_estimate(config.t_max)
     traced = _run_jobs(
         range(1, last + 1), strip_boundary, config.threads, "boundaries", config.progress
@@ -117,11 +119,10 @@ def _boundary_batch(config: RunConfig) -> tuple[list[float], list[float]]:
             f"boundary {last} crosses at {traced[-1][0]}, not above t_max "
             f"{config.t_max}: more than 2.5 below {last} * SLOPE"
         )
-    count = sum(1 for crossing, _ in traced if crossing <= config.t_max) - 1
-    ordered = [crossing for crossing, _ in traced[: count + 1]]
-    if any(later <= earlier for earlier, later in zip(ordered, ordered[1:])):
-        raise NotSpecial("boundary crossings are not strictly increasing")
-    return ordered, [min_abs for _, min_abs in traced[: count + 1]]
+    edges = traced[: sum(1 for crossing, _, _ in traced if crossing <= config.t_max)]
+    if any(later[1] <= earlier[1] for earlier, later in zip(edges, edges[1:])):
+        raise NotSpecial("boundary Gram indices are not strictly increasing")
+    return edges
 
 
 def _csv(header: str, rows) -> str:
@@ -138,17 +139,6 @@ def _gram_csv(t_max: float) -> str:
     rows = [(-1, table.point(-1), None, None, None)]
     rows += gap_ratio_series(table.extend_to_height(t_max))
     return _csv(GRAM_HEADER, rows)
-
-
-def _boundaries_csv(boundaries: Sequence[float], min_abs: Sequence[float]) -> str:
-    table = default_table()
-    rows = []
-    for i, (crossing, mabs) in enumerate(zip(boundaries, min_abs), start=1):
-        idx = table.index_near(crossing)
-        if idx is None:
-            raise NotSpecial(f"boundary {i} at {crossing} matches no Gram point")
-        rows.append((i, 2 * i, crossing, idx, mabs))
-    return _csv(BOUNDARY_HEADER, rows)
 
 
 def _emit(out_dir: Path, name: str, text: str) -> None:
@@ -182,12 +172,12 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     return strips
 
 
-def _census(config: RunConfig) -> tuple[list[Strip], dict[str, str]]:
-    """The strips traced, scanned and assembled afresh, and their cache texts."""
-    boundaries, min_abs = _boundary_batch(config)
-    m_count = len(boundaries) - 1
+def _census(config: RunConfig) -> dict[str, str]:
+    """The cache texts of the strips traced, scanned and assembled afresh."""
+    edges = _boundary_batch(config)
+    m_count = len(edges) - 1
     if config.progress:
-        print(f"  {m_count} strips, top {boundaries[-1]:.3f}", file=sys.stderr)
+        print(f"  {m_count} strips, top {edges[-1][0]:.3f}", file=sys.stderr)
 
     primary = partial(primary_zero_of_strip, check_containment=False)
     primaries = [
@@ -197,10 +187,9 @@ def _census(config: RunConfig) -> tuple[list[Strip], dict[str, str]]:
         )
     ]
 
-    table = default_table()
     zero_jobs = [
-        (m, bottom, top, table.count_in(bottom, top))
-        for m, (bottom, top) in enumerate(zip(boundaries, boundaries[1:]), start=1)
+        (m, bottom, top, n_top - n_bottom)
+        for m, ((bottom, n_bottom, _), (top, n_top, _)) in enumerate(zip(edges, edges[1:]), 1)
     ]
     zero_lists = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
     strips = []
@@ -218,9 +207,9 @@ def _census(config: RunConfig) -> tuple[list[Strip], dict[str, str]]:
             primary_height=primary_height,
         ))
     heights = ((t, s.m) for s in strips for t in s.zeros)
-    return strips, {
+    return {
         "gram": _gram_csv(config.t_max),
-        "boundaries": _boundaries_csv(boundaries, min_abs),
+        "boundaries": _csv(BOUNDARY_HEADER, ((m, 2 * m, *e) for m, e in enumerate(edges, 1))),
         "zeros": _csv(ZEROS_HEADER, ((j, t, m) for j, (t, m) in enumerate(heights, 1))),
         "strips": _csv(STRIPS_HEADER, (
             (s.m, s.bottom, s.top, s.width, s.gram_count, len(s.zeros), s.primary_index,
@@ -233,20 +222,21 @@ def _census(config: RunConfig) -> tuple[list[Strip], dict[str, str]]:
 def compute(config: RunConfig) -> ComputeResult:
     """Populate the cache (Gram table, boundaries, zeros, strips) and emit
     gram.csv / strips.csv / zeros.csv.  A warm cache, every entry of which
-    loads, short-circuits all computation."""
+    loads, short-circuits all computation.  The strips returned are those
+    of the emitted texts, on the 12-digit grid, fresh or cached alike."""
     cache = config.cache()
     try:
         texts = {kind: cache.load(kind) for kind in KINDS}
     except CacheMissing:  # or its subclass CacheInvalid
-        strips, texts = _census(config)
+        texts = _census(config)
         for kind in KINDS:
             cache.store(kind, texts[kind])
         from_cache = False
     else:
-        strips = parse_strips(texts["strips"], texts["zeros"])
         from_cache = True
     for name in ("gram", "strips", "zeros"):
         _emit(config.out_dir, f"{name}.csv", texts[name])
+    strips = parse_strips(texts["strips"], texts["zeros"])
     boundaries = [s.bottom for s in strips] + [strips[-1].top]
     return ComputeResult(strips=strips, boundaries=boundaries, from_cache=from_cache)
 

@@ -17,8 +17,8 @@ from zetastrips.contour import (
     strip_boundary,
     trace,
 )
-from zetastrips.errors import DomainError
-from zetastrips.gram import default_table
+from zetastrips.errors import DomainError, NotSpecial
+from zetastrips.gram import default_table, gram_point
 from zetastrips.strips import find_zeros
 from zetastrips.zeta import ComplexPoint, hardy_z, zeta, zeta_with_derivative
 
@@ -145,8 +145,9 @@ def test_special_gram_point_first_two():
     # deviation from the 2 m pi / ln 2 model stays inside (-2, 2)
     assert -2.0 < s2 - 2.0 * 2.0 * math.pi / LN2 < 2.0
     assert s1 < s2
-    assert default_table().index_near(s1) == -1
-    assert default_table().index_near(s2) == 0
+    # the first two strip edges are the Gram points g_-1 and g_0
+    assert strip_boundary(1)[1] == -1
+    assert strip_boundary(2)[1] == 0
 
 
 def test_special_gram_points_are_ordered_for_small_m():
@@ -208,9 +209,25 @@ def test_boundary_tail_decides_no_bit(monkeypatch, m):
     # the coarse tail starts at the first sample at sigma <= 1/2 and min
     # |zeta| is read at sigma >= 1/2 only, so both equal those of a trace
     # held at STEP
-    crossing, min_abs = strip_boundary(m)
+    crossing, n, min_abs = strip_boundary(m)
     monkeypatch.setattr(contour, "_MAX_STEP", contour.STEP)
-    assert strip_boundary.__wrapped__(m) == (crossing, min_abs)
+    assert strip_boundary.__wrapped__(m) == (crossing, n, min_abs)
+
+
+def test_crossing_off_its_gram_point_is_not_special(monkeypatch):
+    # 6e-7 in t near 1e4 is a theta/pi residual of 7e-7, under 1e-6, but
+    # the crossing must lie within 5e-7 of g_n
+    m = 1100
+    crossing, n, _ = strip_boundary(m)
+    assert abs(crossing - gram_point(n)) < 1e-8
+    real_root = contour._line_root
+
+    def moved(sigma, t):
+        return real_root(sigma, t) + (6e-7 if sigma == 0.5 else 0.0)
+
+    monkeypatch.setattr(contour, "_line_root", moved)
+    with pytest.raises(NotSpecial, match="no Gram point"):
+        strip_boundary.__wrapped__(m)
 
 
 def test_strip_boundary_memo_ignores_the_call_form():

@@ -17,11 +17,20 @@ from zetastrips.zeta import ComplexPoint
 
 
 def test_compute_checks_boundary_gram_residual(monkeypatch, tmp_path):
-    # a theta shifted by pi/2 puts every crossing half-way between Gram points
-    real_theta = contour.rs_theta
-    monkeypatch.setattr(contour, "rs_theta", lambda t: real_theta(t) + 0.5 * math.pi)
+    # a crossing moved 1e-3 up the critical line is no Gram point, and the
+    # boundary stage fails before any primary is traced
+    real_root = contour._line_root
+
+    def moved(sigma, t):
+        return real_root(sigma, t) + (1e-3 if sigma == 0.5 else 0.0)
+
+    def refuse(m, **_):
+        raise AssertionError(f"primary {m} traced after a bad crossing")
+
+    monkeypatch.setattr(contour, "_line_root", moved)
+    monkeypatch.setattr(pipeline, "primary_zero_of_strip", refuse)
     contour.strip_boundary.cache_clear()  # memoized boundaries skip the check
-    with pytest.raises(NotSpecial):
+    with pytest.raises(NotSpecial, match="no Gram point"):
         compute(RunConfig(t_max=100.0, out_dir=tmp_path))
 
 
@@ -149,7 +158,7 @@ def test_boundary_batch_that_falls_short_of_t_max_raises(monkeypatch, tmp_path):
 
     def short(m):
         traced.append(m)
-        return m * pipeline.SLOPE - 2.8, 1.0
+        return m * pipeline.SLOPE - 2.8, m - 2, 1.0
 
     monkeypatch.setattr(pipeline, "strip_boundary", short)
     with pytest.raises(NotSpecial, match="boundary 12 "):
@@ -158,18 +167,14 @@ def test_boundary_batch_that_falls_short_of_t_max_raises(monkeypatch, tmp_path):
 
 
 def test_warm_strips_match_fresh_ones_on_the_emission_grid(tmp_path):
-    # the cache stores 12 significant digits, so floats agree on that grid
+    # a fresh run returns the strips of the texts it stores, so both runs
+    # return the same floats, each on the 12-digit grid
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     fresh = compute(config)
     warm = compute(config)
     assert (fresh.from_cache, warm.from_cache) == (False, True)
-
-    def grid(strips):
-        return [
-            (s.m, fmt(s.bottom), fmt(s.top), s.gram_count, [fmt(t) for t in s.zeros],
-             s.primary_index, fmt(s.primary_height))
-            for s in strips
-        ]
-
     assert len(fresh.strips) == 10
-    assert grid(warm.strips) == grid(fresh.strips)
+    assert warm.strips == fresh.strips
+    for s in fresh.strips:
+        for v in (s.bottom, s.top, s.primary_height, *s.zeros):
+            assert v == float(fmt(v))
