@@ -10,15 +10,15 @@ strip m expecting n_{m+1} - n_m zeros.  ``_census`` then builds each
 ``Strip``, which checks itself, before anything is stored; ``compute``
 returns the strips of the stored texts, fresh or cached alike.  Every
 batch returns its results in job order, so the emitted artifacts are
-byte-identical for any worker count.
+byte-identical for any worker count.  One worker maps the jobs in this
+process and loads no process pool; only more than one imports
+``concurrent.futures``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -93,13 +93,23 @@ def _zeros_job(args: tuple[int, float, float, int]) -> list[float]:
 
 
 def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:
-    """worker(job) for every job, in job order, on ``threads`` processes."""
+    """worker(job) for every job, in job order, on ``threads`` processes.
+    One thread maps the jobs in this process and loads no process pool."""
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return _collect(pool.map(worker, jobs, chunksize=4), len(jobs), label, progress)
+    return _collect(map(worker, jobs), len(jobs), label, progress)
+
+
+def _collect(outs, total: int, label: str, progress: bool) -> list:
+    """The list of outs, with a progress line every 50 results."""
     results = []
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for out in pool.map(worker, jobs, chunksize=4) if pool else map(worker, jobs):
-            results.append(out)
-            if progress and len(results) % 50 == 0:
-                print(f"  {label}: {len(results)}/{len(jobs)}", file=sys.stderr)
+    for out in outs:
+        results.append(out)
+        if progress and len(results) % 50 == 0:
+            print(f"  {label}: {len(results)}/{total}", file=sys.stderr)
     return results
 
 

@@ -4,10 +4,14 @@ cannot finish inside the evaluation window are rejected up front."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import zetastrips
 from zetastrips import cache, contour, pipeline
 from zetastrips.cache import fmt
 from zetastrips.errors import CountMismatch, DomainError, EscapedStrip, NotSpecial
@@ -178,3 +182,19 @@ def test_warm_strips_match_fresh_ones_on_the_emission_grid(tmp_path):
     for s in fresh.strips:
         for v in (s.bottom, s.top, s.primary_height, *s.zeros):
             assert v == float(fmt(v))
+
+
+def test_one_worker_loads_no_process_pool(tmp_path):
+    # a fresh interpreter: other tests in this session start pools
+    script = (
+        "import sys\n"
+        "from zetastrips.pipeline import RunConfig, compute\n"
+        f"config = RunConfig(t_max=30, threads=1, out_dir={str(tmp_path)!r})\n"
+        "assert not compute(config).from_cache\n"
+        "pools = ('multiprocessing', 'concurrent')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in pools))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zetastrips.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
