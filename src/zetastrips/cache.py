@@ -88,7 +88,6 @@ class Cache:
     def store(self, kind: str, csv_text: str) -> None:
         if kind not in KINDS:
             raise CacheInvalid(f"unknown cache kind {kind!r}")
-        self.dir.mkdir(parents=True, exist_ok=True)
         data = csv_text.encode("utf-8")
         write_atomic(self.payload_path(kind), data)
         meta = {"kind": kind, "checksum": hashlib.sha256(data).hexdigest(), "key": self.key}

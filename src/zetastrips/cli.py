@@ -21,7 +21,7 @@ import numpy as np
 
 from . import pipeline
 from .cache import KINDS
-from .contour import primary_zero_of_strip, special_gram_point
+from .contour import ZERO_RADIUS, primary_zero_of_strip, special_gram_point
 from .errors import CacheInvalid, CacheMissing, DomainError, ZetaStripsError
 from .gram import gram_point
 from .pipeline import RunConfig
@@ -168,19 +168,15 @@ def _gram_chart(out: Path) -> Chart:
     ns, plain, geometric = _load_csv_columns(
         out, "gram.csv", "n", "gap_ratio", "gap_ratio_geo"
     )
-    series = []
-    for label, ratios in (("plain", plain), ("geometric mean", geometric)):
-        pairs = [
-            (n, abs(r))
-            for n, r in zip(ns, ratios)
-            if n >= 1 and not math.isnan(r) and r != 0.0
-        ]
-        series.append((label, [p[0] for p in pairs], [p[1] for p in pairs]))
+    # the log axes drop n <= 0 and the zero and empty (nan) ratios
     return Chart(
         title="Gram gap convergence to the spacing model",
         xlabel="Gram point number n",
         ylabel="|1 - gap / model|",
-        series=series,
+        series=[
+            (label, ns, [abs(r) for r in ratios])
+            for label, ratios in (("plain", plain), ("geometric mean", geometric))
+        ],
         xlog=True,
         ylog=True,
     )
@@ -357,6 +353,15 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
             return False, "; ".join(problems)
         return True, "all present entries pass every check: kind, key and checksum"
 
+    def boundary_margin():
+        cache = config.cache()
+        if not cache.payload_path("boundaries").exists():
+            return True, "no cached boundaries (skipped)"
+        margin, m = pipeline.boundary_margin(cache.load("boundaries"))
+        return margin > ZERO_RADIUS, (
+            f"smallest min_abs_zeta = {margin:.3e} at m = {m} (ZERO_RADIUS {ZERO_RADIUS:g})"
+        )
+
     run("zeta_at_two", zeta_at_two)
     run("conjugate_symmetry", conjugate_symmetry)
     run("derivative_vs_finite_difference", derivative_check)
@@ -364,6 +369,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
     run("first_zero_bisection", first_zero)
     run("strip_one_identity", strip_one_identity)
     run("cache_integrity", cache_integrity)
+    run("boundary_margin", boundary_margin)
     return checks
 
 

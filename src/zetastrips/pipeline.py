@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 from . import analysis
@@ -104,12 +106,19 @@ def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:
 
 
 def _collect(outs, total: int, label: str, progress: bool) -> list:
-    """The list of outs, with a progress line every 50 results."""
+    """The list of outs, with a progress line every 50 results that gives
+    the rate and the time left at that rate."""
     results = []
+    start = time.monotonic()
     for out in outs:
         results.append(out)
-        if progress and len(results) % 50 == 0:
-            print(f"  {label}: {len(results)}/{total}", file=sys.stderr)
+        done = len(results)
+        if progress and done % 50 == 0:
+            rate = done / max(time.monotonic() - start, 1e-9)
+            print(
+                f"  {label}: {done}/{total} ({rate:.1f}/s, ETA {(total - done) / rate:.0f} s)",
+                file=sys.stderr,
+            )
     return results
 
 
@@ -151,8 +160,18 @@ def _gram_csv(t_max: float) -> str:
     return _csv(GRAM_HEADER, rows)
 
 
+def _make_dirs(*dirs: Path) -> list[Path]:
+    """Make each of dirs and its missing parents; the directories made,
+    deepest first."""
+    made: list[Path] = []
+    for directory in dirs:
+        missing = list(takewhile(lambda p: not p.exists(), (directory, *directory.parents)))
+        directory.mkdir(parents=True, exist_ok=True)
+        made[:0] = missing
+    return made
+
+
 def _emit(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / name, text.encode("utf-8"))
 
 
@@ -180,6 +199,12 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
             primary_height=float(parts[7]),
         ))
     return strips
+
+
+def boundary_margin(boundaries_text: str) -> tuple[float, int]:
+    """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv."""
+    rows = (line.split(",") for line in boundaries_text.strip().splitlines()[1:])
+    return min((float(row[4]), int(row[0])) for row in rows)
 
 
 def _census(config: RunConfig) -> dict[str, str]:
@@ -233,12 +258,20 @@ def compute(config: RunConfig) -> ComputeResult:
     """Populate the cache (Gram table, boundaries, zeros, strips) and emit
     gram.csv / strips.csv / zeros.csv.  A warm cache, every entry of which
     loads, short-circuits all computation.  The strips returned are those
-    of the emitted texts, on the 12-digit grid, fresh or cached alike."""
+    of the emitted texts, on the 12-digit grid, fresh or cached alike.
+    Both directories are made first, so that one that cannot be fails
+    before any work; a census that fails removes the ones it made."""
     cache = config.cache()
+    made = _make_dirs(config.out_dir, cache.dir)
     try:
         texts = {kind: cache.load(kind) for kind in KINDS}
     except CacheMissing:  # or its subclass CacheInvalid
-        texts = _census(config)
+        try:
+            texts = _census(config)
+        except BaseException:
+            for directory in made:
+                directory.rmdir()
+            raise
         for kind in KINDS:
             cache.store(kind, texts[kind])
         from_cache = False
@@ -260,6 +293,7 @@ class AnalysisResult:
     density_dev: list[tuple[int, float]]
     arches: list[analysis.ArchPrediction]
     branch_report: list[tuple[int, float | None]]
+    boundary_margin: tuple[float, int]
 
     def summary_lines(self) -> list[str]:
         out = [
@@ -272,6 +306,7 @@ class AnalysisResult:
             f"primary_variance={self.primary.variance:.4f}",
             "quartile_variances="
             + ",".join(f"{v:.4f}" for v in self.primary.quartile_variances),
+            f"boundary_margin={self.boundary_margin[0]:.3e} (m={self.boundary_margin[1]})",
         ]
         q1 = [gap for q, gap in self.branch_report if q == 1 and gap]
         q2 = [gap for q, gap in self.branch_report if q == 2 and gap]
@@ -287,10 +322,11 @@ class AnalysisResult:
 
 
 def analyze(config: RunConfig) -> AnalysisResult:
-    """Regressions and deviation series over the cached strips; writes
-    fits.json, deviations.csv, arches.csv."""
+    """Regressions and deviation series over the cached strips, and the
+    cached boundaries' margin; writes fits.json, deviations.csv, arches.csv."""
     cache = config.cache()
     strips = parse_strips(cache.load("strips"), cache.load("zeros"))
+    margin = boundary_margin(cache.load("boundaries"))
     bottoms = analysis.fit_bottoms(strips)
     tops = analysis.fit_tops(strips)
     density_log, density_dev = analysis.fit_density(strips)
@@ -326,4 +362,5 @@ def analyze(config: RunConfig) -> AnalysisResult:
         density_dev=density_dev,
         arches=arches,
         branch_report=branch_report,
+        boundary_margin=margin,
     )

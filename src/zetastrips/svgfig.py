@@ -62,15 +62,20 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axis_fraction(lo: float, hi: float, log: bool):
-    """v -> its fraction of the axis [lo, hi], in log10 on a log axis; the
-    limits' logs and the span are taken once per axis."""
+def _axis(values: Sequence[float], log: bool, pad: float, factor: float):
+    """(lo, hi, ticks, fraction) of an axis over values: their range widened
+    by factor on a log axis, padded by pad of its length on a linear one;
+    fraction(v) is v's share of [lo, hi], in log10 on a log axis."""
+    lo, hi = min(values), max(values)
     if log:
+        lo, hi = lo / factor, hi * factor
         log_lo = math.log10(lo)
         span = math.log10(hi) - log_lo
-        return lambda v: (math.log10(v) - log_lo) / span
+        return lo, hi, _log_ticks(lo, hi), lambda v: (math.log10(v) - log_lo) / span
+    margin = pad * (hi - lo or 1.0)
+    lo, hi = lo - margin, hi + margin
     span = hi - lo
-    return lambda v: (v - lo) / span
+    return lo, hi, _nice_ticks(lo, hi), lambda v: (v - lo) / span
 
 
 def _fmt_tick(v: float) -> str:
@@ -103,31 +108,16 @@ class Chart:
     def render(self, path: Path) -> None:
         points = [(label, self._plottable(xs, ys)) for label, xs, ys in self.series]
         xs_all = [x for _, pts in points for x, _ in pts]
-        ys_all = [y for _, pts in points for _, y in pts]
         if not xs_all:
             raise ValueError(f"chart '{self.title}' has no plottable points")
-
-        x_lo, x_hi = min(xs_all), max(xs_all)
-        y_lo, y_hi = min(ys_all), max(ys_all)
+        ys_all = [y for _, pts in points for _, y in pts]
         if self.line is not None:
-            y_lo = min(y_lo, *self.line[1])
-            y_hi = max(y_hi, *self.line[1])
-        if not self.xlog:
-            pad = 0.02 * (x_hi - x_lo or 1.0)
-            x_lo, x_hi = x_lo - pad, x_hi + pad
-        if not self.ylog:
-            pad = 0.06 * (y_hi - y_lo or 1.0)
-            y_lo, y_hi = y_lo - pad, y_hi + pad
-        else:
-            y_lo, y_hi = y_lo / 1.5, y_hi * 1.5
-        if self.xlog:
-            x_lo, x_hi = x_lo / 1.1, x_hi * 1.1
+            ys_all += self.line[1]
+        x_lo, x_hi, x_ticks, fx = _axis(xs_all, self.xlog, pad=0.02, factor=1.1)
+        _, _, y_ticks, fy = _axis(ys_all, self.ylog, pad=0.06, factor=1.5)
 
         plot_w = WIDTH - MARGIN_L - MARGIN_R
         plot_h = HEIGHT - MARGIN_T - MARGIN_B
-
-        fx = _axis_fraction(x_lo, x_hi, self.xlog)
-        fy = _axis_fraction(y_lo, y_hi, self.ylog)
 
         def px(x: float) -> float:
             return MARGIN_L + fx(x) * plot_w
@@ -147,8 +137,6 @@ class Chart:
             f"{_escape(self.title)}</text>"
         )
 
-        x_ticks = _log_ticks(x_lo, x_hi) if self.xlog else _nice_ticks(x_lo, x_hi)
-        y_ticks = _log_ticks(y_lo, y_hi) if self.ylog else _nice_ticks(y_lo, y_hi)
         for v in y_ticks:
             y = py(v)
             out.append(

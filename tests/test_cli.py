@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import zetastrips
-from zetastrips import errors, pipeline
+from zetastrips import cli, contour, errors, pipeline
 from zetastrips.cache import KINDS, Cache
 from zetastrips.cli import EXIT_VERIFY, main
 from zetastrips.errors import CacheInvalid
@@ -112,6 +112,20 @@ def test_missing_cache_exits_3(tmp_path):
         main(["--out", str(tmp_path / "none"), "--quiet", "plot", "--figure", "2"])
         == 3
     )
+    assert not (tmp_path / "none").exists()
+
+
+def test_out_that_cannot_be_made_fails_before_the_census(tmp_path, monkeypatch, capsys):
+    blocked = tmp_path / "blocked"
+    blocked.touch()
+
+    def explode(*args, **kwargs):
+        raise AssertionError("a contour was traced before the directories were made")
+
+    monkeypatch.setattr(contour, "_trace_from_launch", explode)
+    rc = main(["--t-max", "300", "--out", str(blocked), "--quiet", "compute"])
+    assert rc == 1
+    assert "I/O error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -220,6 +234,30 @@ def test_verify_passes_fresh(tmp_path, capsys):
     assert rc == 0
     assert captured.count("PASS") >= 6
     assert "FAIL" not in captured
+    assert "PASS boundary_margin: no cached boundaries (skipped)" in captured
+
+
+def test_verify_and_analyze_print_the_boundary_margin(small_run, monkeypatch, capsys):
+    lines = (small_run / "cache" / "boundaries.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    margin, m = min((float(row[4]), int(row[0])) for row in rows)
+    loaded = []
+    load = Cache.load
+    monkeypatch.setattr(Cache, "load", lambda self, kind: loaded.append(kind) or load(self, kind))
+    args = ["--t-max", "100", "--out", str(small_run), "--quiet"]
+    assert main(args + ["analyze"]) == 0
+    assert f"boundary_margin={margin:.3e} (m={m})" in capsys.readouterr().out
+    assert "boundaries" in loaded
+
+    assert main(args + ["verify"]) == 0
+    assert (
+        f"PASS boundary_margin: smallest min_abs_zeta = {margin:.3e} at m = {m}"
+        in capsys.readouterr().out
+    )
+    # the check passes only above ZERO_RADIUS
+    monkeypatch.setattr(cli, "ZERO_RADIUS", margin)
+    assert main(args + ["verify"]) == EXIT_VERIFY
+    assert "FAIL boundary_margin" in capsys.readouterr().out
 
 
 def test_verify_reports_corrupted_cache(small_run, capsys):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -198,3 +199,13 @@ def test_one_worker_loads_no_process_pool(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_progress_lines_give_rate_and_eta(monkeypatch, capsys):
+    clock = iter([0.0, 5.0, 10.0])
+    monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    assert pipeline._collect(iter(range(120)), 120, "boundaries", True) == list(range(120))
+    assert capsys.readouterr().err.splitlines() == [
+        "  boundaries: 50/120 (10.0/s, ETA 7 s)",
+        "  boundaries: 100/120 (10.0/s, ETA 2 s)",
+    ]
