@@ -14,9 +14,10 @@ Cauchy-Riemann; the predictor steps along the unit tangent perpendicular
 to it and the corrector is a Newton projection back onto the level set.
 
 Step control (after Allgower & Georg, Numerical Continuation Methods,
-1990): the step halves when the corrector struggles or when
-|zeta| < 10 * ZERO_RADIUS, and is additionally clamped to an eighth of the
-Newton distance |zeta| / |zeta'| so the trace cannot step over an
+1990): ``_correct`` is the one place where a step settles or fails.  The
+step halves at two sites only: where ``_correct`` fails, and after a point
+with |zeta| < 10 * ZERO_RADIUS.  It is additionally clamped to an eighth
+of the Newton distance |zeta| / |zeta'| so the trace cannot step over an
 on-contour zero (where Re zeta flips sign); a sign-flip backstop catches
 the remaining pathological case.  A terminal zero is declared when
 |zeta| < ZERO_RADIUS and a full two-dimensional Newton on zeta
@@ -63,6 +64,7 @@ from .errors import (
     NotSpecial,
     SeedDrift,
     StepCollapse,
+    WindowExceeded,
 )
 from .gram import default_table
 from .zeta import ComplexPoint, zeta_with_derivative
@@ -124,16 +126,36 @@ def launch_point(k: int) -> ComplexPoint:
 
 
 def _newton_zero(s: complex) -> complex | None:
-    """Two-dimensional Newton on zeta(s) = 0; None when it does not settle.
-    Converged means the update has shrunk to a few ulps of |s|."""
+    """Two-dimensional Newton on zeta(s) = 0; None when it does not settle,
+    an iterate that leaves the evaluation window included.  Converged means
+    the update has shrunk to a few ulps of |s|."""
     for _ in range(60):
-        z, dz = zeta_with_derivative(s)
+        try:
+            z, dz = zeta_with_derivative(s)
+        except WindowExceeded:
+            return None
         if dz == 0:
             return None
         delta = z / dz
         s = s - delta
         if abs(delta) < 16.0 * _EPS * max(1.0, abs(s)):
             return s
+    return None
+
+
+def _correct(p: complex) -> tuple[complex, complex, complex] | None:
+    """(p, zeta(p), zeta'(p)) once at most four gradient-Newton steps on
+    Im zeta bring |Im zeta| within NEWTON_TOL * max(1, |zeta|); None when
+    they do not, a vanishing gradient included."""
+    for _ in range(4):
+        z, dz = zeta_with_derivative(p)
+        if abs(z.imag) < NEWTON_TOL * max(1.0, abs(z)):
+            return p, z, dz
+        g2 = dz.imag * dz.imag + dz.real * dz.real
+        if g2 == 0.0:
+            return None
+        delta = z.imag / g2
+        p = complex(p.real - delta * dz.imag, p.imag - delta * dz.real)
     return None
 
 
@@ -156,22 +178,16 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
 
     rows = [(s.real, s.imag, z.real, z.imag)]
     zero: ComplexPoint | None = None
-    prev_tangent: complex | None = None
+    prev_tangent = complex(-1.0, 0.0)  # leftward
     h = step
     easy = 0
     capture_dist = _CAPTURE_DIST
 
     for _ in range(MAX_STEPS):
-        grad = complex(dz.imag, dz.real)  # grad of Im zeta in (sigma, t)
-        if abs(grad) == 0.0:
+        if dz == 0:
             raise StepCollapse(f"vanishing gradient at {s} (zeta'(s) = 0?)")
         tangent = complex(dz.real, -dz.imag) / abs(dz)
-        if prev_tangent is None:
-            if tangent.real > 0:
-                tangent = -tangent
-        elif (
-            tangent.real * prev_tangent.real + tangent.imag * prev_tangent.imag
-        ) < 0.0:
+        if tangent.real * prev_tangent.real + tangent.imag * prev_tangent.imag < 0.0:
             tangent = -tangent
 
         newton_dist = abs(z) / abs(dz)
@@ -196,23 +212,7 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
             h = max(newton_dist / 8.0, _MIN_STEP)
 
         # predictor + corrector, halving until the corrector settles
-        while True:
-            p = s + h * tangent
-            zp = dzp = None
-            accepted = False
-            for _ in range(4):
-                zp, dzp = zeta_with_derivative(p)
-                if abs(zp.imag) < NEWTON_TOL * max(1.0, abs(zp)):
-                    accepted = True
-                    break
-                g = complex(dzp.imag, dzp.real)
-                g2 = g.real * g.real + g.imag * g.imag
-                if g2 == 0.0:
-                    break
-                delta = zp.imag / g2
-                p = complex(p.real - delta * g.real, p.imag - delta * g.imag)
-            if accepted:
-                break
+        while (hit := _correct(s + h * tangent)) is None:
             h *= 0.5
             easy = 0
             if h < _MIN_STEP:
@@ -220,11 +220,8 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
                     f"step collapsed below {_MIN_STEP} near {s}; possible "
                     "multiple zero or contour intersection"
                 )
-
-        assert zp is not None and dzp is not None
-        prev_s, prev_z = s, z
-        s, z, dz = p, zp, dzp
-        prev_tangent = tangent
+        prev_s, prev_z, prev_tangent = s, z, tangent
+        s, z, dz = hit
 
         # terminal zero: an on-contour zero passed between accepted points
         # (Re zeta flips sign; Newton from the midpoint), or |zeta| is

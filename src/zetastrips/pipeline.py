@@ -95,12 +95,14 @@ def _zeros_job(args: tuple[int, float, float, int]) -> list[float]:
 
 
 def _run_jobs(jobs, worker, threads: int, label: str, progress: bool) -> list:
-    """worker(job) for every job, in job order, on ``threads`` processes.
-    One thread maps the jobs in this process and loads no process pool."""
-    if threads > 1:
+    """worker(job) for every job, in job order, on at most ``threads``
+    processes and never more than there are jobs.  One worker maps the jobs
+    in this process and loads no process pool."""
+    workers = min(threads, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return _collect(pool.map(worker, jobs, chunksize=4), len(jobs), label, progress)
     return _collect(map(worker, jobs), len(jobs), label, progress)
 

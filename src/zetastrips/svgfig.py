@@ -125,49 +125,42 @@ class Chart:
         def py(y: float) -> float:
             return HEIGHT - MARGIN_B - fy(y) * plot_h
 
-        out: list[str] = []
-        out.append(
+        out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
-        )
-        out.append('<rect width="100%" height="100%" fill="#ffffff"/>')
-        out.append(
-            f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-            f'font-size="18" font-family="sans-serif">'
-            f"{_escape(self.title)}</text>"
-        )
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            '<rect width="100%" height="100%" fill="#ffffff"/>',
+        ]
+
+        # the writers print x and y as given: an int, or text the caller formatted
+        def text(x, y, size: int, body: str, anchor: str = "", transform: str = "") -> None:
+            out.append(
+                f'<text x="{x}" y="{y}"'
+                + (f' text-anchor="{anchor}"' if anchor else "")
+                + f' font-size="{size}" font-family="sans-serif"'
+                + (f' transform="{transform}"' if transform else "")
+                + f">{_escape(body)}</text>"
+            )
+
+        def line(x1, y1, x2, y2, stroke: str = "#e0e0e0", dash: str = "") -> None:
+            out.append(
+                f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" '
+                'stroke-width="1"' + (f' stroke-dasharray="{dash}"' if dash else "") + "/>"
+            )
+
+        text(f"{WIDTH / 2:.1f}", 28, 18, self.title, "middle")
 
         for v in y_ticks:
             y = py(v)
-            out.append(
-                f'<line x1="{MARGIN_L}" y1="{y:.2f}" x2="{WIDTH - MARGIN_R}" '
-                f'y2="{y:.2f}" stroke="#e0e0e0" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                f'font-size="12" font-family="sans-serif">{_fmt_tick(v)}</text>'
-            )
+            line(MARGIN_L, f"{y:.2f}", WIDTH - MARGIN_R, f"{y:.2f}")
+            text(MARGIN_L - 8, f"{y + 4:.2f}", 12, _fmt_tick(v), "end")
         for v in x_ticks:
-            x = px(v)
-            out.append(
-                f'<line x1="{x:.2f}" y1="{MARGIN_T}" x2="{x:.2f}" '
-                f'y2="{HEIGHT - MARGIN_B}" stroke="#e0e0e0" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{x:.2f}" y="{HEIGHT - MARGIN_B + 20}" '
-                f'text-anchor="middle" font-size="12" '
-                f'font-family="sans-serif">{_fmt_tick(v)}</text>'
-            )
-
+            x = f"{px(v):.2f}"
+            line(x, MARGIN_T, x, HEIGHT - MARGIN_B)
+            text(x, HEIGHT - MARGIN_B + 20, 12, _fmt_tick(v), "middle")
         for v in self.vmarkers:
-            if not (x_lo <= v <= x_hi) or (self.xlog and v <= 0):
-                continue
-            x = px(v)
-            out.append(
-                f'<line x1="{x:.2f}" y1="{MARGIN_T}" x2="{x:.2f}" '
-                f'y2="{HEIGHT - MARGIN_B}" stroke="{MARKER_COLOR}" '
-                f'stroke-width="1" stroke-dasharray="5,4"/>'
-            )
+            if x_lo <= v <= x_hi and not (self.xlog and v <= 0):
+                x = f"{px(v):.2f}"
+                line(x, MARGIN_T, x, HEIGHT - MARGIN_B, MARKER_COLOR, "5,4")
 
         out.append(
             f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" '
@@ -184,33 +177,21 @@ class Chart:
         colors = [POINT_COLOR, POINT2_COLOR]
         for idx, (label, pts) in enumerate(points):
             color = colors[idx % len(colors)]
-            for x, y in pts:
-                out.append(
-                    f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.2" '
-                    f'fill="{color}" fill-opacity="0.75"/>'
-                )
+            out += [
+                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.2" '
+                f'fill="{color}" fill-opacity="0.75"/>'
+                for x, y in pts
+            ]
             if label:
                 ly = MARGIN_T + 16 + idx * 18
                 out.append(
                     f'<circle cx="{WIDTH - MARGIN_R - 150}" cy="{ly - 4}" r="3" '
                     f'fill="{color}"/>'
                 )
-                out.append(
-                    f'<text x="{WIDTH - MARGIN_R - 140}" y="{ly}" '
-                    f'font-size="12" font-family="sans-serif">'
-                    f"{_escape(label)}</text>"
-                )
+                text(WIDTH - MARGIN_R - 140, ly, 12, label)
 
-        out.append(
-            f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}" '
-            f'y="{HEIGHT - 18}" text-anchor="middle" font-size="14" '
-            f'font-family="sans-serif">{_escape(self.xlabel)}</text>'
-        )
-        mid_y = (MARGIN_T + HEIGHT - MARGIN_B) / 2
-        out.append(
-            f'<text x="22" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
-            f'font-family="sans-serif" transform="rotate(-90 22 {mid_y:.1f})">'
-            f"{_escape(self.ylabel)}</text>"
-        )
+        text(f"{(MARGIN_L + WIDTH - MARGIN_R) / 2:.1f}", HEIGHT - 18, 14, self.xlabel, "middle")
+        mid_y = f"{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.1f}"
+        text(22, mid_y, 14, self.ylabel, "middle", f"rotate(-90 22 {mid_y})")
         out.append("</svg>")
         write_atomic(path, ("\n".join(out) + "\n").encode("utf-8"))

@@ -17,7 +17,8 @@ from zetastrips.contour import (
     strip_boundary,
     trace,
 )
-from zetastrips.errors import DomainError, NotSpecial
+from zetastrips import zeta as zeta_module
+from zetastrips.errors import DomainError, NotSpecial, StepCollapse
 from zetastrips.gram import default_table, gram_point
 from zetastrips.strips import find_zeros
 from zetastrips.zeta import ComplexPoint, hardy_z, zeta, zeta_with_derivative
@@ -116,6 +117,49 @@ def test_trace_rejects_off_contour_start():
 def test_trace_rejects_step_outside_the_ceiling(step):
     with pytest.raises(DomainError):
         trace(launch_point(2), step=step)
+
+
+def test_corrector_that_never_settles_collapses_the_step(monkeypatch):
+    # Im zeta is 1 everywhere off the start, and a gradient step does not
+    # change it: every predictor fails, and the step halves below _MIN_STEP
+    start = ComplexPoint(5.0, 10.0)
+
+    def unsettled(s):
+        return complex(1.0, 0.0 if s == complex(5.0, 10.0) else 1.0), complex(1.0, 0.0)
+
+    monkeypatch.setattr(contour, "zeta_with_derivative", unsettled)
+    with pytest.raises(StepCollapse, match="step collapsed below"):
+        trace(start)
+
+
+def test_vanishing_gradient_at_an_accepted_point_collapses(monkeypatch):
+    # the first step settles at once, on a point where zeta' = 0
+    start = ComplexPoint(5.0, 10.0)
+
+    def flat(s):
+        return complex(1.0, 0.0), complex(1.0 if s == complex(5.0, 10.0) else 0.0, 0.0)
+
+    monkeypatch.setattr(contour, "zeta_with_derivative", flat)
+    with pytest.raises(StepCollapse, match="vanishing gradient"):
+        trace(start)
+
+
+def test_newton_that_leaves_the_window_fails_without_escaping(monkeypatch):
+    # zeta = 1/(s - c): Im = 0 on t = Im c, and Re flips at the pole c,
+    # where every Newton step doubles the distance to c until the iterate
+    # leaves the evaluation window; the capture tries carry on, and the
+    # terminal-zero Newton at the flip fails as a StepCollapse
+    c = complex(2.3, 10.0)
+
+    def pole(s):
+        zeta_module._checked(s)
+        w = 1.0 / (s - c)
+        return w, -w * w
+
+    monkeypatch.setattr(contour, "zeta_with_derivative", pole)
+    assert contour._newton_zero(c + 0.01) is None
+    with pytest.raises(StepCollapse, match="terminal zero near"):
+        trace(ComplexPoint(5.0, 10.0))
 
 
 def test_tangent_orthogonality_and_cauchy_riemann():

@@ -201,6 +201,33 @@ def test_one_worker_loads_no_process_pool(tmp_path):
     assert run.stdout.strip() == "[]"
 
 
+def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
+    # under fork, a pool launches all max_workers processes at its first
+    # submit; record the request instead of starting any process
+    import concurrent.futures
+
+    started: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, jobs, chunksize=1):
+            return map(worker, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert pipeline._run_jobs(range(3), abs, 64, "boundaries", False) == [0, 1, 2]
+    assert pipeline._run_jobs([-5], abs, 64, "primaries", False) == [5]
+    assert pipeline._run_jobs(range(20), abs, 2, "zeros", False) == list(range(20))
+    assert started == [3, 2]
+
+
 def test_progress_lines_give_rate_and_eta(monkeypatch, capsys):
     clock = iter([0.0, 5.0, 10.0])
     monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: next(clock)))
