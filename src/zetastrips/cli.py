@@ -127,7 +127,7 @@ def _read_input(out: Path, name: str, parse):
         return parse((out / name).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CacheMissing(f"{name} missing from {out}; run compute/analyze first") from None
-    except (ValueError, KeyError, IndexError, TypeError) as exc:  # UnicodeDecodeError too
+    except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError too
         raise CacheInvalid(
             f"{name} in {out} is malformed ({type(exc).__name__}: {exc}); "
             "run compute/analyze again"
@@ -138,15 +138,10 @@ def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]
     """The named columns of a figure's CSV input, an empty field as nan; a
     file with no data rows is malformed."""
     def parse(text: str) -> list[list[float]]:
-        lines = text.strip().splitlines()
-        header = lines[0].split(",")
-        rows = [line.split(",") for line in lines[1:]]
-        if not rows:
+        columns = pipeline.read_columns(text, *names)
+        if not columns[0]:
             raise ValueError("no data rows")
-        return [
-            [float(row[i]) if row[i] else math.nan for row in rows]
-            for i in map(header.index, names)
-        ]
+        return [[float(cell) if cell else math.nan for cell in column] for column in columns]
 
     return _read_input(out, filename, parse)
 
@@ -289,8 +284,6 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         for _ in range(25):
             sigma = rng.uniform(-2.0, 8.0)
             t = rng.uniform(7.0, 5000.0)
-            if abs(complex(sigma, t) - 1.0) < 0.5:
-                continue
             a = zeta(ComplexPoint(sigma, t)).value
             b = zeta(ComplexPoint(sigma, -t)).value
             worst = max(worst, abs(b - a.conjugate()))
@@ -326,15 +319,9 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         bottom = special_gram_point(1)
         top = special_gram_point(2)
         zr = find_zeros(bottom, top, 1)
-        primary = primary_zero_of_strip(1)
-        ok = (
-            abs(bottom - 9.6669080561) < 1e-6
-            and len(zr) == 1
-            and bottom < primary.t < top
-        )
-        return ok, (
-            f"bottom = {bottom:.10f}, zeros = {len(zr)}, primary t = {primary.t:.6f}"
-        )
+        primary = primary_zero_of_strip(1)  # EscapedStrip outside (bottom, top)
+        ok = abs(bottom - 9.6669080561) < 1e-6 and len(zr) == 1
+        return ok, f"bottom = {bottom:.10f}, zeros = {len(zr)}, primary t = {primary.t:.6f}"
 
     def cache_integrity():
         cache = config.cache()

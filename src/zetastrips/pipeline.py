@@ -7,9 +7,9 @@ over the strip range: ``contour.strip_boundary`` for the boundary traces
 and their Gram indices n_m, ``contour.primary_zero_of_strip`` for the
 primary traces, and ``strips.find_zeros`` for the per-strip zero scans,
 strip m expecting n_{m+1} - n_m zeros.  ``_census`` then builds each
-``Strip``, which checks itself, before anything is stored; ``compute``
-returns the strips of the stored texts, fresh or cached alike.  Every
-batch returns its results in job order, so the emitted artifacts are
+``Strip``, which checks itself; ``compute`` parses the texts, fresh or
+cached, into checked strips before it stores or emits any.  Every batch
+returns its results in job order, so the emitted artifacts are
 byte-identical for any worker count.  One worker maps the jobs in this
 process and loads no process pool; only more than one imports
 ``concurrent.futures``.
@@ -155,6 +155,19 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"
 
 
+def read_columns(text: str, *names: str) -> list[list[str]]:
+    """The cells of each named column of a ``_csv`` text, in row order, for
+    the caller to cast; ValueError for a missing name or a ragged row."""
+    header, *lines = text.strip().splitlines()
+    columns = header.split(",")
+    if missing := [name for name in names if name not in columns]:
+        raise ValueError(f"header {header!r} lacks {', '.join(missing)}")
+    rows = [line.split(",") for line in lines]
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"a row without the {len(columns)} cells of header {header!r}")
+    return [[row[i] for row in rows] for i in map(columns.index, names)]
+
+
 def _gram_csv(t_max: float) -> str:
     table = default_table()
     rows = [(-1, table.point(-1), None, None, None)]
@@ -182,31 +195,32 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     built.  Widths are recomputed from the parsed endpoints; the emitted
     width column must agree with them to 1e-7 relative (CacheInvalid)."""
     zero_rows: dict[int, list[float]] = {}
-    for line in zeros_text.strip().splitlines()[1:]:
-        _, t_s, m_s = line.split(",")
-        zero_rows.setdefault(int(m_s), []).append(float(t_s))
+    for t, m in zip(*read_columns(zeros_text, "t", "strip_m")):
+        zero_rows.setdefault(int(m), []).append(float(t))
     strips = []
-    for line in strips_text.strip().splitlines()[1:]:
-        parts = line.split(",")
-        m, bottom, top = int(parts[0]), float(parts[1]), float(parts[2])
-        if abs(top - bottom - float(parts[3])) > 1e-7 * max(1.0, abs(top - bottom)):
+    columns = read_columns(
+        strips_text, "m", "bottom", "top", "width", "gram_count", "primary_index", "primary_height"
+    )
+    for m_s, bottom_s, top_s, width, gram_count, primary_index, primary_height in zip(*columns):
+        m, bottom, top = int(m_s), float(bottom_s), float(top_s)
+        if abs(top - bottom - float(width)) > 1e-7 * max(1.0, abs(top - bottom)):
             raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
         strips.append(Strip(
             m=m,
             bottom=bottom,
             top=top,
-            gram_count=int(parts[4]),
+            gram_count=int(gram_count),
             zeros=tuple(zero_rows.get(m, ())),
-            primary_index=int(parts[6]),
-            primary_height=float(parts[7]),
+            primary_index=int(primary_index),
+            primary_height=float(primary_height),
         ))
     return strips
 
 
 def boundary_margin(boundaries_text: str) -> tuple[float, int]:
     """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv."""
-    rows = (line.split(",") for line in boundaries_text.strip().splitlines()[1:])
-    return min((float(row[4]), int(row[0])) for row in rows)
+    ms, margins = read_columns(boundaries_text, "m", "min_abs_zeta")
+    return min(zip(map(float, margins), map(int, ms)))
 
 
 def _census(config: RunConfig) -> dict[str, str]:
@@ -259,29 +273,28 @@ def _census(config: RunConfig) -> dict[str, str]:
 def compute(config: RunConfig) -> ComputeResult:
     """Populate the cache (Gram table, boundaries, zeros, strips) and emit
     gram.csv / strips.csv / zeros.csv.  A warm cache, every entry of which
-    loads, short-circuits all computation.  The strips returned are those
-    of the emitted texts, on the 12-digit grid, fresh or cached alike.
-    Both directories are made first, so that one that cannot be fails
-    before any work; a census that fails removes the ones it made."""
+    loads, short-circuits all computation.  The texts, fresh or cached, are
+    parsed into checked strips, on the 12-digit grid, before any is stored
+    or emitted, and those strips are returned.  Both directories are made
+    first, so that one that cannot be fails before any work; a run that
+    fails before it writes removes the ones it made."""
     cache = config.cache()
     made = _make_dirs(config.out_dir, cache.dir)
     try:
-        texts = {kind: cache.load(kind) for kind in KINDS}
-    except CacheMissing:  # or its subclass CacheInvalid
         try:
-            texts = _census(config)
-        except BaseException:
-            for directory in made:
-                directory.rmdir()
-            raise
+            texts, from_cache = {kind: cache.load(kind) for kind in KINDS}, True
+        except CacheMissing:  # or its subclass CacheInvalid
+            texts, from_cache = _census(config), False
+        strips = parse_strips(texts["strips"], texts["zeros"])
+    except BaseException:
+        for directory in made:
+            directory.rmdir()
+        raise
+    if not from_cache:
         for kind in KINDS:
             cache.store(kind, texts[kind])
-        from_cache = False
-    else:
-        from_cache = True
     for name in ("gram", "strips", "zeros"):
         _emit(config.out_dir, f"{name}.csv", texts[name])
-    strips = parse_strips(texts["strips"], texts["zeros"])
     boundaries = [s.bottom for s in strips] + [strips[-1].top]
     return ComputeResult(strips=strips, boundaries=boundaries, from_cache=from_cache)
 

@@ -3,6 +3,7 @@ behavior, config file handling, and the package's exported names."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import shutil
@@ -55,9 +56,8 @@ def test_analyze_artifacts_and_summary(small_run, capsys):
     fits = json.loads((small_run / "fits.json").read_text())
     assert set(fits) >= {"bottoms", "tops", "density_log", "density_linear"}
     # every emitted arch obeys the exact height/strip-number ratio
-    for line in (small_run / "arches.csv").read_text().strip().splitlines()[1:]:
-        p, q, m_c, t_c = line.split(",")
-        assert abs(float(t_c) / float(m_c) - 9.06472028) < 1e-7
+    for row in csv.DictReader((small_run / "arches.csv").read_text().splitlines()):
+        assert abs(float(row["t_center"]) / float(row["m_center"]) - 9.06472028) < 1e-7
 
 
 def test_warm_cache_skips_computation(small_run, monkeypatch):
@@ -134,6 +134,7 @@ def test_out_that_cannot_be_made_fails_before_the_census(tmp_path, monkeypatch, 
         (8, "strips.csv", b"\xff"),  # not UTF-8
         (2, "strips.csv", b"m,bottom\n1,abc\n"),  # a cell that is not a number
         (10, "strips.csv", b"m,n_zeros\n1,1\n"),  # no width column
+        (2, "strips.csv", b"m,bottom\n1,9.5,2\n"),  # a row with a cell the header lacks
         (2, "fits.json", b"{"),  # not JSON
         (2, "strips.csv", b"m,bottom\n"),  # a header but no data rows
         (1, "gram.csv", b"n,g,gap,gap_ratio,gap_ratio_geo\n"),
@@ -238,9 +239,8 @@ def test_verify_passes_fresh(tmp_path, capsys):
 
 
 def test_verify_and_analyze_print_the_boundary_margin(small_run, monkeypatch, capsys):
-    lines = (small_run / "cache" / "boundaries.csv").read_text().splitlines()
-    rows = [line.split(",") for line in lines[1:]]
-    margin, m = min((float(row[4]), int(row[0])) for row in rows)
+    rows = csv.DictReader((small_run / "cache" / "boundaries.csv").read_text().splitlines())
+    margin, m = min((float(row["min_abs_zeta"]), int(row["m"])) for row in rows)
     loaded = []
     load = Cache.load
     monkeypatch.setattr(Cache, "load", lambda self, kind: loaded.append(kind) or load(self, kind))

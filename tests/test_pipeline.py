@@ -3,6 +3,7 @@ cannot finish inside the evaluation window are rejected up front."""
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import subprocess
@@ -15,7 +16,8 @@ import pytest
 import zetastrips
 from zetastrips import cache, contour, pipeline
 from zetastrips.cache import fmt
-from zetastrips.errors import CountMismatch, DomainError, EscapedStrip, NotSpecial
+from zetastrips.cli import main
+from zetastrips.errors import CacheInvalid, CountMismatch, DomainError, EscapedStrip, NotSpecial
 from zetastrips.gram import gap_model, gram_point
 from zetastrips.pipeline import RunConfig, compute
 from zetastrips.zeta import ComplexPoint
@@ -103,18 +105,68 @@ def test_run_config_takes_str_directories(monkeypatch, tmp_path):
     assert (tmp_path / "x" / "strips.csv").exists()
 
 
+def _resign_strip_one(config: RunConfig, column: str, value) -> None:
+    """Store the cached strips entry, meta and checksum valid, with strip
+    1's ``column`` cell set to value(cells of strip 1 by column name)."""
+    cache = config.cache()
+    header, first, *rest = cache.load("strips").splitlines()
+    cells = dict(zip(header.split(","), first.split(","), strict=True))
+    cells[column] = fmt(value(cells))
+    cache.store("strips", "\n".join([header, ",".join(cells.values()), *rest]) + "\n")
+
+
+def _primary_above_top(cells: dict[str, str]) -> float:
+    return float(cells["top"]) + 1.0
+
+
 def test_cached_strips_pass_the_fresh_strip_checks(tmp_path):
     # a strips entry whose meta and checksum are valid, but whose strip 1
     # has its primary zero 1 above its top
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     compute(config)
-    cache = config.cache()
-    header, first, *rest = cache.load("strips").splitlines()
-    cells = first.split(",")
-    cells[7] = fmt(float(cells[2]) + 1.0)  # primary_height = top + 1
-    cache.store("strips", "\n".join([header, ",".join(cells), *rest]) + "\n")
+    _resign_strip_one(config, "primary_height", _primary_above_top)
     with pytest.raises(EscapedStrip):
         compute(config)
+
+
+def test_cached_strips_that_fail_their_checks_overwrite_no_artifact(tmp_path):
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    compute(config)
+    emitted = {name: (tmp_path / name).read_bytes() for name in ("strips.csv", "zeros.csv")}
+    _resign_strip_one(config, "primary_height", _primary_above_top)
+    assert main(["--t-max", "100", "--out", str(tmp_path), "--quiet", "compute"]) == 2
+    assert {name: (tmp_path / name).read_bytes() for name in emitted} == emitted
+
+
+def test_cached_width_off_its_bounds_is_invalid(tmp_path, capsys):
+    # the width cell 1e-3 off top - bottom, in a validly signed entry
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    compute(config)
+    emitted = (tmp_path / "strips.csv").read_bytes()
+    _resign_strip_one(config, "width", lambda cells: float(cells["width"]) + 1e-3)
+    with pytest.raises(CacheInvalid, match="strip 1: width column"):
+        compute(config)
+    assert main(["--t-max", "100", "--out", str(tmp_path), "--quiet", "compute"]) == 3
+    assert "strip 1: width column" in capsys.readouterr().err
+    assert (tmp_path / "strips.csv").read_bytes() == emitted
+
+
+def _reversed_columns(text: str) -> str:
+    return "".join(",".join(line.split(",")[::-1]) + "\n" for line in text.splitlines())
+
+
+def test_cached_tables_are_read_by_column_name(tmp_path):
+    # the same tables with their columns in reverse order, header and cells
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    strips = compute(config).strips
+    cache = config.cache()
+    texts = {kind: cache.load(kind) for kind in ("boundaries", "strips", "zeros")}
+    reordered = {kind: _reversed_columns(text) for kind, text in texts.items()}
+    assert reordered["boundaries"].startswith("min_abs_zeta,gram_index,crossing_t,k,m\n")
+    assert pipeline.boundary_margin(reordered["boundaries"]) == pipeline.boundary_margin(
+        texts["boundaries"]
+    )
+    assert pipeline.parse_strips(reordered["strips"], reordered["zeros"]) == strips
 
 
 def test_failed_assembly_stores_nothing(monkeypatch, tmp_path):
@@ -134,17 +186,18 @@ def test_failed_assembly_stores_nothing(monkeypatch, tmp_path):
 
 def test_gram_csv_ends_at_the_last_gram_point_below_t_max(tmp_path):
     compute(RunConfig(t_max=120.0, out_dir=tmp_path))
-    last = (tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines()[-1]
-    n = int(last.split(",")[0])
+    rows = csv.DictReader((tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines())
+    n = int(list(rows)[-1]["n"])
     assert gram_point(n) <= 120.0 < gram_point(n + 1)
 
 
 def test_gram_csv_columns_recompute_from_the_gram_points(tmp_path):
     compute(RunConfig(t_max=100.0, out_dir=tmp_path))
-    header, first, *rows = (tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines()
+    lines = (tmp_path / "gram.csv").read_text(encoding="utf-8").splitlines()
+    header, first, *rows = lines
     assert header == pipeline.GRAM_HEADER
     assert first == f"-1,{fmt(gram_point(-1))},,,"
-    assert [int(row.split(",")[0]) for row in rows] == list(range(len(rows)))
+    assert [int(row["n"]) for row in csv.DictReader(lines)] == list(range(-1, len(rows)))
     assert gram_point(len(rows) - 1) <= 100.0 < gram_point(len(rows))
     for n, row in enumerate(rows):
         g, prev = gram_point(n), gram_point(n - 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import pytest
@@ -241,10 +242,9 @@ def test_build_three_strips_identity_and_indices(tmp_path):
         assert all(s.bottom <= t < s.top for t in s.zeros)
         assert s.bottom < s.primary_height < s.top
     # zeros.csv numbers the zeros 1..N in height order, each with its strip
-    lines = (tmp_path / "zeros.csv").read_text(encoding="utf-8").splitlines()
-    rows = [line.split(",") for line in lines[1:]]
-    assert [int(j) for j, _, _ in rows] == list(range(1, len(rows) + 1))
-    assert [(t, int(m)) for _, t, m in rows] == [
+    rows = list(csv.DictReader((tmp_path / "zeros.csv").read_text(encoding="utf-8").splitlines()))
+    assert [int(row["j"]) for row in rows] == list(range(1, len(rows) + 1))
+    assert [(row["t"], int(row["strip_m"])) for row in rows] == [
         (fmt(t), s.m) for s in built for t in s.zeros
     ]
     # strip 2 holds the 2nd and 3rd zeros
