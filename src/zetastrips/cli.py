@@ -146,13 +146,16 @@ def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]
     return _read_input(out, filename, parse)
 
 
-def _load_fit(out: Path, key: str) -> tuple[float, float]:
-    """(intercept, slope) of the fit ``key`` in fits.json."""
+def _fit_line(out: Path, key: str, ms: list[float], log: bool) -> tuple[list, list]:
+    """fits.json's fit ``key`` over ms[0]..ms[-1]: intercept + slope * m at both
+    ends on a linear axis, intercept + slope * ln m at 64 geometric steps on a log one."""
     def parse(text: str) -> tuple[float, float]:
         fit = json.loads(text)[key]
         return float(fit["intercept"]), float(fit["slope"])
 
-    return _read_input(out, "fits.json", parse)
+    intercept, slope = _read_input(out, "fits.json", parse)
+    xs = list(np.geomspace(ms[0], ms[-1], 64)) if log else [ms[0], ms[-1]]
+    return xs, [intercept + slope * (math.log(x) if log else x) for x in xs]
 
 
 # the strip ranges of the deviation figures 3-7 and 11-15
@@ -177,33 +180,15 @@ def _gram_chart(out: Path) -> Chart:
     )
 
 
-def _bottoms_chart(out: Path) -> Chart:
-    ms, bottoms = _load_csv_columns(out, "strips.csv", "m", "bottom")
-    intercept, slope = _load_fit(out, "bottoms")
-    line_x = [ms[0], ms[-1]]
-    line_y = [intercept + slope * x for x in line_x]
-    return Chart(
-        title="Strip bottom height vs strip number",
-        xlabel="strip number m",
-        ylabel="bottom height t",
-        series=[("", ms, bottoms)],
-        line=(line_x, line_y),
-    )
-
-
 def _density_chart(out: Path) -> Chart:
     ms, n_zeros, widths = _load_csv_columns(out, "strips.csv", "m", "n_zeros", "width")
-    intercept, slope = _load_fit(out, "density_log")
-    dens = [n / w for n, w in zip(n_zeros, widths)]
-    line_x = list(np.geomspace(ms[0], ms[-1], 64))
-    line_y = [intercept + slope * math.log(x) for x in line_x]
     return Chart(
         title="Zero density per strip vs strip number",
         xlabel="strip number m (log)",
         ylabel="zeros / width",
-        series=[("", ms, dens)],
+        series=[("", ms, [n / w for n, w in zip(n_zeros, widths)])],
         xlog=True,
-        line=(line_x, line_y),
+        line=_fit_line(out, "density_log", ms, log=True),
     )
 
 
@@ -229,16 +214,20 @@ def _deviation_chart(out: Path, figure: int, span: tuple, column: str, title: st
     )
 
 
-def _strips_chart(out: Path, column: str, **labels) -> Chart:
-    """strips.csv's ``column`` against m, on a Chart of the given labels."""
+def _strips_chart(out: Path, column: str, fit: str | None = None, **labels) -> Chart:
+    """strips.csv's ``column`` against m, on a Chart of the given labels,
+    and fits.json's fit ``fit``, if named, drawn over it."""
     ms, values = _load_csv_columns(out, "strips.csv", "m", column)
-    return Chart(series=[("", ms, values)], **labels)
+    line = _fit_line(out, fit, ms, labels.get("xlog", False)) if fit else None
+    return Chart(series=[("", ms, values)], line=line, **labels)
 
 
 # figure number -> builder of its chart from the output directory
 FIGURES = {
     1: _gram_chart,
-    2: _bottoms_chart,
+    2: partial(_strips_chart, column="bottom", fit="bottoms",
+               title="Strip bottom height vs strip number", xlabel="strip number m",
+               ylabel="bottom height t"),
     **{3 + i: partial(_deviation_chart, figure=3 + i, span=span, column="bottom_dev",
                       title="Bottom-height") for i, span in enumerate(STRIP_RANGES)},
     8: partial(_strips_chart, column="n_zeros", title="Zeros per strip vs strip number",
@@ -327,18 +316,23 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         cache = config.cache()
         if not cache.dir.exists():
             return True, "no cache present (skipped)"
-        problems = []
+        problems, texts = [], {}
         for kind in KINDS:
             # an entry is absent only when both of its files are
             if not (cache.payload_path(kind).exists() or cache.meta_path(kind).exists()):
                 continue
             try:
-                cache.load(kind)
+                texts[kind] = cache.load(kind)
             except CacheMissing as exc:
                 problems.append(f"{kind}: {exc}")
+        if "strips" in texts and "zeros" in texts:
+            try:
+                pipeline.parse_strips(texts["strips"], texts["zeros"])
+            except ZetaStripsError as exc:  # CacheInvalid or a failed Strip check
+                problems.append(f"strips: {type(exc).__name__}: {exc}")
         if problems:
             return False, "; ".join(problems)
-        return True, "all present entries pass every check: kind, key and checksum"
+        return True, "all present entries pass every check: kind, key, checksum and strips"
 
     def boundary_margin():
         cache = config.cache()

@@ -193,34 +193,52 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
 def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     """Rebuild Strip records from the cached CSVs; each is checked as it is
     built.  Widths are recomputed from the parsed endpoints; the emitted
-    width column must agree with them to 1e-7 relative (CacheInvalid)."""
-    zero_rows: dict[int, list[float]] = {}
-    for t, m in zip(*read_columns(zeros_text, "t", "strip_m")):
-        zero_rows.setdefault(int(m), []).append(float(t))
-    strips = []
-    columns = read_columns(
-        strips_text, "m", "bottom", "top", "width", "gram_count", "primary_index", "primary_height"
-    )
-    for m_s, bottom_s, top_s, width, gram_count, primary_index, primary_height in zip(*columns):
-        m, bottom, top = int(m_s), float(bottom_s), float(top_s)
-        if abs(top - bottom - float(width)) > 1e-7 * max(1.0, abs(top - bottom)):
-            raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
-        strips.append(Strip(
-            m=m,
-            bottom=bottom,
-            top=top,
-            gram_count=int(gram_count),
-            zeros=tuple(zero_rows.get(m, ())),
-            primary_index=int(primary_index),
-            primary_height=float(primary_height),
-        ))
+    width column must agree with them to 1e-7 relative, and the n_zeros and
+    primary_stat columns must equal the built strip's.  A column that
+    disagrees, or a table that does not parse, is CacheInvalid."""
+    try:
+        zero_rows: dict[int, list[float]] = {}
+        for t, m in zip(*read_columns(zeros_text, "t", "strip_m")):
+            zero_rows.setdefault(int(m), []).append(float(t))
+        strips = []
+        columns = read_columns(
+            strips_text, "m", "bottom", "top", "width", "gram_count", "n_zeros",
+            "primary_index", "primary_height", "primary_stat",
+        )
+        for (m_s, bottom_s, top_s, width, gram_count, n_zeros, primary_index, primary_height,
+             primary_stat) in zip(*columns):
+            m, bottom, top = int(m_s), float(bottom_s), float(top_s)
+            if abs(top - bottom - float(width)) > 1e-7 * max(1.0, abs(top - bottom)):
+                raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
+            strip = Strip(
+                m=m,
+                bottom=bottom,
+                top=top,
+                gram_count=int(gram_count),
+                zeros=tuple(zero_rows.get(m, ())),
+                primary_index=int(primary_index),
+                primary_height=float(primary_height),
+            )
+            derived = (str(len(strip.zeros)), fmt(strip.primary_stat))
+            if (n_zeros, primary_stat) != derived:
+                raise CacheInvalid(
+                    f"strip {m}: n_zeros, primary_stat columns {n_zeros}, {primary_stat}, "
+                    f"but its zeros give {', '.join(derived)}"
+                )
+            strips.append(strip)
+    except ValueError as exc:  # a missing column, a ragged row or a cell that does not cast
+        raise CacheInvalid(f"strips or zeros table does not parse: {exc}") from None
     return strips
 
 
 def boundary_margin(boundaries_text: str) -> tuple[float, int]:
-    """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv."""
-    ms, margins = read_columns(boundaries_text, "m", "min_abs_zeta")
-    return min(zip(map(float, margins), map(int, ms)))
+    """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv;
+    CacheInvalid for a table that does not parse."""
+    try:
+        ms, margins = read_columns(boundaries_text, "m", "min_abs_zeta")
+        return min(zip(map(float, margins), map(int, ms)))
+    except ValueError as exc:
+        raise CacheInvalid(f"boundaries table does not parse: {exc}") from None
 
 
 def _census(config: RunConfig) -> dict[str, str]:

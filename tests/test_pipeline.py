@@ -105,14 +105,15 @@ def test_run_config_takes_str_directories(monkeypatch, tmp_path):
     assert (tmp_path / "x" / "strips.csv").exists()
 
 
-def _resign_strip_one(config: RunConfig, column: str, value) -> None:
-    """Store the cached strips entry, meta and checksum valid, with strip
-    1's ``column`` cell set to value(cells of strip 1 by column name)."""
+def _resign_first_row(config: RunConfig, kind: str, column: str, value) -> None:
+    """Store the cached ``kind`` entry, meta and checksum valid, with its
+    first row's ``column`` cell set to value, a str as it stands or else
+    fmt(value(cells of that row by column name))."""
     cache = config.cache()
-    header, first, *rest = cache.load("strips").splitlines()
+    header, first, *rest = cache.load(kind).splitlines()
     cells = dict(zip(header.split(","), first.split(","), strict=True))
-    cells[column] = fmt(value(cells))
-    cache.store("strips", "\n".join([header, ",".join(cells.values()), *rest]) + "\n")
+    cells[column] = value if isinstance(value, str) else fmt(value(cells))
+    cache.store(kind, "\n".join([header, ",".join(cells.values()), *rest]) + "\n")
 
 
 def _primary_above_top(cells: dict[str, str]) -> float:
@@ -124,7 +125,7 @@ def test_cached_strips_pass_the_fresh_strip_checks(tmp_path):
     # has its primary zero 1 above its top
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     compute(config)
-    _resign_strip_one(config, "primary_height", _primary_above_top)
+    _resign_first_row(config, "strips", "primary_height", _primary_above_top)
     with pytest.raises(EscapedStrip):
         compute(config)
 
@@ -133,7 +134,7 @@ def test_cached_strips_that_fail_their_checks_overwrite_no_artifact(tmp_path):
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     compute(config)
     emitted = {name: (tmp_path / name).read_bytes() for name in ("strips.csv", "zeros.csv")}
-    _resign_strip_one(config, "primary_height", _primary_above_top)
+    _resign_first_row(config, "strips", "primary_height", _primary_above_top)
     assert main(["--t-max", "100", "--out", str(tmp_path), "--quiet", "compute"]) == 2
     assert {name: (tmp_path / name).read_bytes() for name in emitted} == emitted
 
@@ -143,12 +144,46 @@ def test_cached_width_off_its_bounds_is_invalid(tmp_path, capsys):
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     compute(config)
     emitted = (tmp_path / "strips.csv").read_bytes()
-    _resign_strip_one(config, "width", lambda cells: float(cells["width"]) + 1e-3)
+    _resign_first_row(config, "strips", "width", lambda cells: float(cells["width"]) + 1e-3)
     with pytest.raises(CacheInvalid, match="strip 1: width column"):
         compute(config)
     assert main(["--t-max", "100", "--out", str(tmp_path), "--quiet", "compute"]) == 3
     assert "strip 1: width column" in capsys.readouterr().err
     assert (tmp_path / "strips.csv").read_bytes() == emitted
+
+
+@pytest.mark.parametrize("column, cell, message", [
+    ("bottom", "abc", "could not convert string to float: 'abc'"),
+    ("n_zeros", "7", "strip 1: n_zeros, primary_stat columns 7, 0.5, but its zeros give 1, 0.5"),
+    ("primary_stat", "0.99", "columns 1, 0.99, but its zeros give 1, 0.5"),
+], ids=["bottom", "n_zeros", "primary_stat"])
+def test_cached_strip_cell_that_does_not_parse_or_match_is_invalid(
+    tmp_path, capsys, column, cell, message
+):
+    # a validly signed entry: compute and analyze exit 3, verify's cache
+    # check fails, and no artifact is overwritten
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    compute(config)
+    emitted = (tmp_path / "strips.csv").read_bytes()
+    _resign_first_row(config, "strips", column, cell)
+    args = ["--t-max", "100", "--out", str(tmp_path), "--quiet"]
+    for command in ("compute", "analyze"):
+        assert main(args + [command]) == 3
+        assert message in capsys.readouterr().err
+    assert main(args + ["verify"]) == 5
+    assert "FAIL cache_integrity: strips: CacheInvalid: " in capsys.readouterr().out
+    assert (tmp_path / "strips.csv").read_bytes() == emitted
+
+
+def test_cached_boundary_cell_that_does_not_parse_is_invalid(tmp_path, capsys):
+    config = RunConfig(t_max=30.0, out_dir=tmp_path)
+    compute(config)
+    _resign_first_row(config, "boundaries", "min_abs_zeta", "xyz")
+    args = ["--t-max", "30", "--out", str(tmp_path), "--quiet"]
+    assert main(args + ["analyze"]) == 3
+    assert "boundaries table does not parse" in capsys.readouterr().err
+    assert main(args + ["verify"]) == 5
+    assert "FAIL boundary_margin: CacheInvalid: " in capsys.readouterr().out
 
 
 def _reversed_columns(text: str) -> str:
