@@ -267,17 +267,6 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         err = abs(val - math.pi**2 / 6.0)
         return err < 1e-10, f"|zeta(2) - pi^2/6| = {err:.2e}"
 
-    def conjugate_symmetry():
-        rng = np.random.default_rng(20240)
-        worst = 0.0
-        for _ in range(25):
-            sigma = rng.uniform(-2.0, 8.0)
-            t = rng.uniform(7.0, 5000.0)
-            a = zeta(ComplexPoint(sigma, t)).value
-            b = zeta(ComplexPoint(sigma, -t)).value
-            worst = max(worst, abs(b - a.conjugate()))
-        return worst < 1e-10, f"max |zeta(conj s) - conj zeta(s)| = {worst:.2e}"
-
     def derivative_check():
         rng = np.random.default_rng(7)
         worst = 0.0
@@ -344,7 +333,6 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         )
 
     run("zeta_at_two", zeta_at_two)
-    run("conjugate_symmetry", conjugate_symmetry)
     run("derivative_vs_finite_difference", derivative_check)
     run("gram_point_minus_one", gram_minus_one)
     run("first_zero_bisection", first_zero)

@@ -194,11 +194,15 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     """Rebuild Strip records from the cached CSVs; each is checked as it is
     built.  Widths are recomputed from the parsed endpoints; the emitted
     width column must agree with them to 1e-7 relative, and the n_zeros and
-    primary_stat columns must equal the built strip's.  A column that
-    disagrees, or a table that does not parse, is CacheInvalid."""
+    primary_stat columns must equal the built strip's; the zeros' j cells
+    must read 1..N in row order, and every zero row must belong to a strip.
+    A column that disagrees, or a table that does not parse, is CacheInvalid."""
     try:
+        js, ts, ms = read_columns(zeros_text, "j", "t", "strip_m")
+        if js != [str(j) for j in range(1, len(js) + 1)]:
+            raise CacheInvalid("zeros table: the j column does not read 1..N in row order")
         zero_rows: dict[int, list[float]] = {}
-        for t, m in zip(*read_columns(zeros_text, "t", "strip_m")):
+        for t, m in zip(ts, ms):
             zero_rows.setdefault(int(m), []).append(float(t))
         strips = []
         columns = read_columns(
@@ -226,6 +230,8 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
                     f"but its zeros give {', '.join(derived)}"
                 )
             strips.append(strip)
+        if (in_strips := sum(len(s.zeros) for s in strips)) != len(js):
+            raise CacheInvalid(f"zeros table: {len(js)} rows, but the strips hold {in_strips}")
     except ValueError as exc:  # a missing column, a ragged row or a cell that does not cast
         raise CacheInvalid(f"strips or zeros table does not parse: {exc}") from None
     return strips

@@ -26,12 +26,13 @@ POINT_COLOR = "#1f77b4"
 POINT2_COLOR = "#d62728"
 LINE_COLOR = "#2ca02c"
 MARKER_COLOR = "#999999"
+_TICK_INTERVALS = 6  # a linear axis's step is the nice number above (hi - lo) / 6
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / _TICK_INTERVALS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -167,14 +167,13 @@ def _zeta_em(s: complex, want_derivative: bool) -> tuple[complex, complex | None
     return value, deriv, bound
 
 
-def zeta(s: ComplexPoint | complex, *, derivative: bool = False) -> ZetaValue:
+def zeta(s: ComplexPoint, *, derivative: bool = False) -> ZetaValue:
     """Evaluate zeta(s) (and optionally zeta'(s)) inside the window.
 
     Raises PoleProximity within 1e-6 of s = 1, WindowExceeded outside the
     window, and PrecisionLoss when the tail bound cannot meet the target.
     """
-    sc = _checked(s.s if isinstance(s, ComplexPoint) else complex(s))
-    value, deriv, bound = _zeta_em(sc, derivative)
+    value, deriv, bound = _zeta_em(_checked(s.s), derivative)
     return ZetaValue(value=value, derivative=deriv, est_error=bound)
 
 

@@ -186,6 +186,32 @@ def test_cached_boundary_cell_that_does_not_parse_is_invalid(tmp_path, capsys):
     assert "FAIL boundary_margin: CacheInvalid: " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text + "99,123.5,99\n", "the j column does not read 1..N"),
+    (lambda text: text + "4,123.5,99\n", "4 rows, but the strips hold 3"),
+    (lambda text: text.replace("\n1,", "\n2,", 1), "the j column does not read 1..N"),
+], ids=["orphan_row", "orphan_row_in_sequence", "j_out_of_sequence"])
+def test_cached_zeros_outside_every_strip_or_out_of_sequence_are_invalid(
+    tmp_path, capsys, edit, message
+):
+    # a validly signed zeros entry at t_max 30, which holds three zeros:
+    # compute and analyze exit 3 without rewriting zeros.csv, and verify fails
+    config = RunConfig(t_max=30.0, out_dir=tmp_path)
+    compute(config)
+    emitted = (tmp_path / "zeros.csv").read_bytes()
+    cache = config.cache()
+    cache.store("zeros", edit(cache.load("zeros")))
+    args = ["--t-max", "30", "--out", str(tmp_path), "--quiet"]
+    for command in ("compute", "analyze"):
+        assert main(args + [command]) == 3
+        assert message in capsys.readouterr().err
+    assert (tmp_path / "zeros.csv").read_bytes() == emitted
+    assert main(args + ["verify"]) == 5
+    assert f"FAIL cache_integrity: strips: CacheInvalid: zeros table: {message}" in (
+        capsys.readouterr().out
+    )
+
+
 def _reversed_columns(text: str) -> str:
     return "".join(",".join(line.split(",")[::-1]) + "\n" for line in text.splitlines())
 
