@@ -95,7 +95,7 @@ class Cache:
 
     def load(self, kind: str) -> str:
         """The payload, read once and returned only if the meta matches and
-        those bytes pass the checksum; else CacheMissing / CacheInvalid."""
+        those bytes pass the checksum and are UTF-8; else CacheMissing / CacheInvalid."""
         payload, meta_path = self.payload_path(kind), self.meta_path(kind)
         if not payload.exists() or not meta_path.exists():
             raise CacheMissing(f"cache entry {kind!r} not found in {self.dir}")
@@ -112,4 +112,7 @@ class Cache:
         data = payload.read_bytes()
         if meta.get("checksum") != hashlib.sha256(data).hexdigest():
             raise CacheInvalid(f"cache entry {kind!r} failed its checksum")
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CacheInvalid(f"cache entry {kind!r} is not UTF-8: {exc}") from exc

@@ -289,12 +289,15 @@ def strip_boundary(m: int, /) -> tuple[float, int, float]:
     strips share a boundary; ``m`` is positional-only, so every call
     shares one entry.
 
-    Asserts that the contour reaches SIGMA_MIN without meeting a zero,
-    stays clear of zeros between launch and crossing, and crosses the
-    critical line at a Gram point g_n (Re zeta > 0 there by construction
-    of the launch branch); any failure raises NotSpecial.  The crossing is
-    a 1-D Newton seeded from the chord into the path's first sample at
-    sigma <= 1/2, which a path from SIGMA_START to SIGMA_MIN always has.
+    Asserts that the contour reaches SIGMA_MIN without meeting a zero and
+    crosses the critical line at a Gram point g_n (Re zeta > 0 there by
+    construction of the launch branch); either failure raises NotSpecial.
+    Clearance from zeros is ``trace``'s terminal-zero rule: a point with
+    |zeta| < ZERO_RADIUS ends the trace at a zero, so every sample it keeps
+    has |zeta| >= ZERO_RADIUS, and min |zeta| is the reported margin, not
+    a second check.  The crossing is a 1-D Newton seeded from the chord
+    into the path's first sample at sigma <= 1/2, which a path from
+    SIGMA_START to SIGMA_MIN always has.
     This is the package's one check that a crossing is a Gram point:
     ``GramTable.index_near`` within gram._BOUNDARY_TOL = 5e-7 in t.
     """
@@ -309,10 +312,6 @@ def strip_boundary(m: int, /) -> tuple[float, int, float]:
     samples = path.samples
     right = samples[samples[:, 0] >= 0.5]
     min_abs = float(np.min(np.hypot(right[:, 2], right[:, 3])))
-    if min_abs <= ZERO_RADIUS:
-        raise NotSpecial(
-            f"boundary contour k = {2 * m} passed within {min_abs:.2e} of a zero"
-        )
     i = int(np.argmax(samples[:, 0] <= 0.5))
     (s0, t0), (s1, t1) = samples[i - 1 : i + 1, :2].tolist()
     crossing = _line_root(0.5, t0 + (0.5 - s0) / (s1 - s0) * (t1 - t0))

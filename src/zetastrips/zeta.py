@@ -130,30 +130,26 @@ def _zeta_em(s: complex, want_derivative: bool) -> tuple[complex, complex | None
     half = 0.5 * n_pow_ms
     value += integral + half
 
+    deriv, dprod = None, 1.0
+    if want_derivative:
+        deriv = complex(-(ln * terms).sum())
+        deriv += -ln_cut * integral - n_pow_ms * n_cut / (s - 1.0) ** 2
+        deriv += -ln_cut * half
+
     # Bernoulli corrections with the rising product and its derivative
     # carried incrementally; no intermediate overflows for |s| <= 1.1e4.
     prod = s
     npow = n_pow_ms / n_cut  # N^(-s-1)
     n_sq = n_cut * n_cut
-    if want_derivative:
-        deriv = complex(-(ln * terms).sum())
-        deriv += -ln_cut * integral - n_pow_ms * n_cut / (s - 1.0) ** 2
-        deriv += -ln_cut * half
-        dprod: complex = 1.0
-        for c_k, a, b in _CORRECTIONS:
-            value += c_k * prod * npow
+    for c_k, a, b in _CORRECTIONS:
+        value += c_k * prod * npow
+        f1 = s + a
+        f2 = s + b
+        if want_derivative:
             deriv += c_k * (dprod - ln_cut * prod) * npow
-            f1 = s + a
-            f2 = s + b
             dprod = dprod * f1 * f2 + prod * (f1 + f2)
-            prod = prod * f1 * f2
-            npow = npow / n_sq
-    else:
-        deriv = None
-        for c_k, a, b in _CORRECTIONS:
-            value += c_k * prod * npow
-            prod = prod * (s + a) * (s + b)
-            npow = npow / n_sq
+        prod = prod * f1 * f2
+        npow = npow / n_sq
 
     # prod is now s(s+1)...(s+2K): |T_{K+1}| * |s+2K+1| / (sigma+2K+1)
     npow_k = n_cut ** (-s.real - 2 * BERNOULLI_ORDER - 1)

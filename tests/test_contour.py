@@ -18,7 +18,13 @@ from zetastrips.contour import (
     trace,
 )
 from zetastrips import zeta as zeta_module
-from zetastrips.errors import DomainError, NotSpecial, StepCollapse
+from zetastrips.errors import (
+    DomainError,
+    EscapedStrip,
+    NoTerminalZero,
+    NotSpecial,
+    StepCollapse,
+)
 from zetastrips.gram import default_table, gram_point
 from zetastrips.strips import find_zeros
 from zetastrips.zeta import ComplexPoint, hardy_z, zeta, zeta_with_derivative
@@ -272,6 +278,55 @@ def test_crossing_off_its_gram_point_is_not_special(monkeypatch):
     monkeypatch.setattr(contour, "_line_root", moved)
     with pytest.raises(NotSpecial, match="no Gram point"):
         strip_boundary.__wrapped__(m)
+
+
+def _canned_trace(monkeypatch, zeros) -> list[float]:
+    """Make ``contour.trace`` return, call by call, a path that ends at
+    each of ``zeros`` in turn (None: one that reached SIGMA_MIN); the list
+    it returns fills with the step of each call."""
+    steps: list[float] = []
+    ends = iter(zeros)
+
+    def canned(start, step=contour.STEP):
+        steps.append(step)
+        return contour.ContourPath(np.empty((0, 4)), next(ends))
+
+    monkeypatch.setattr(contour, "trace", canned)
+    return steps
+
+
+def test_boundary_that_ends_at_a_zero_is_not_special(monkeypatch):
+    # trace ends at any point with |zeta| < ZERO_RADIUS, so this is the
+    # boundary's one zero-clearance check; the parity retries first narrow
+    # the step to a quarter and to a sixteenth
+    steps = _canned_trace(monkeypatch, [ComplexPoint(0.5, 12.0)] * 3)
+    with pytest.raises(NotSpecial, match="terminated at a zero"):
+        strip_boundary.__wrapped__(1)
+    assert steps == [0.02, 0.005, 0.00125]
+
+
+def test_primary_parity_retry_returns_the_zero_of_the_finer_step(monkeypatch):
+    zero = ComplexPoint(0.5, 14.0)
+    steps = _canned_trace(monkeypatch, [None, zero])
+    assert primary_zero_of_strip(1, check_containment=False) == zero
+    assert steps == [0.4, 0.1]
+
+
+def test_primary_that_never_ends_at_a_zero_raises(monkeypatch):
+    steps = _canned_trace(monkeypatch, [None] * 3)
+    with pytest.raises(NoTerminalZero):
+        primary_zero_of_strip(1, check_containment=False)
+    assert steps == [0.4, 0.1, 0.025]
+
+
+@pytest.mark.parametrize("t", [5.0, 10.0, 20.0, 25.0])
+def test_primary_zero_outside_its_strip_escapes(monkeypatch, t):
+    # strip 1 is [10, 20): a zero on the critical line at its bottom, at
+    # its top or beyond either escapes
+    _canned_trace(monkeypatch, [ComplexPoint(0.5, t)])
+    monkeypatch.setattr(contour, "special_gram_point", lambda m: 10.0 * m)
+    with pytest.raises(EscapedStrip, match="outside strip 1"):
+        primary_zero_of_strip(1)
 
 
 def test_strip_boundary_memo_ignores_the_call_form():

@@ -4,6 +4,8 @@ cannot finish inside the evaluation window are rejected up front."""
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -210,6 +212,39 @@ def test_cached_zeros_outside_every_strip_or_out_of_sequence_are_invalid(
     assert f"FAIL cache_integrity: strips: CacheInvalid: zeros table: {message}" in (
         capsys.readouterr().out
     )
+
+
+def _append_non_utf8_line(config: RunConfig, kind: str) -> None:
+    """Append a line holding the byte 0xff to the cached ``kind`` payload
+    and write its meta's checksum for the new bytes."""
+    cache = config.cache()
+    payload = cache.payload_path(kind)
+    payload.write_bytes(payload.read_bytes() + b"\xff\n")
+    meta = json.loads(cache.meta_path(kind).read_text(encoding="utf-8"))
+    meta["checksum"] = hashlib.sha256(payload.read_bytes()).hexdigest()
+    cache.meta_path(kind).write_text(json.dumps(meta), encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", cache.KINDS)
+def test_cached_payload_that_is_not_utf8_is_invalid(tmp_path, capsys, kind):
+    # a validly signed entry whose bytes do not decode: analyze exits 3,
+    # verify fails its cache check, and compute recomputes the census as
+    # for any invalid entry
+    config = RunConfig(t_max=30.0, out_dir=tmp_path)
+    strips = compute(config).strips
+    _append_non_utf8_line(config, kind)
+    message = f"cache entry {kind!r} is not UTF-8: "
+    with pytest.raises(CacheInvalid, match=message):
+        config.cache().load(kind)
+    args = ["--t-max", "30", "--out", str(tmp_path), "--quiet"]
+    if kind != "gram":  # analyze reads no gram entry
+        assert main(args + ["analyze"]) == 3
+        assert message in capsys.readouterr().err
+    assert main(args + ["verify"]) == 5
+    assert f"FAIL cache_integrity: {kind}: {message}" in capsys.readouterr().out
+    result = compute(config)
+    assert (result.from_cache, result.strips) == (False, strips)
+    assert compute(config).from_cache
 
 
 def _reversed_columns(text: str) -> str:
