@@ -134,14 +134,21 @@ def _read_input(out: Path, name: str, parse):
         ) from None
 
 
+def _finite(value) -> float:
+    """float(value); ValueError for a nan or an infinity."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"non-finite value {value!r}")
+    return number
+
+
 def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]]:
     """The named columns of a figure's CSV input, an empty field as nan; a
-    file with no data rows is malformed."""
+    file with no data rows, or with a nan or infinite value, is malformed."""
     def parse(text: str) -> list[list[float]]:
         columns = pipeline.read_columns(text, *names)
         if not columns[0]:
             raise ValueError("no data rows")
-        return [[float(cell) if cell else math.nan for cell in column] for column in columns]
+        return [[_finite(cell) if cell else math.nan for cell in column] for column in columns]
 
     return _read_input(out, filename, parse)
 
@@ -151,7 +158,7 @@ def _fit_line(out: Path, key: str, ms: list[float], log: bool) -> tuple[list, li
     ends on a linear axis, intercept + slope * ln m at 64 geometric steps on a log one."""
     def parse(text: str) -> tuple[float, float]:
         fit = json.loads(text)[key]
-        return float(fit["intercept"]), float(fit["slope"])
+        return _finite(fit["intercept"]), _finite(fit["slope"])
 
     intercept, slope = _read_input(out, "fits.json", parse)
     xs = list(np.geomspace(ms[0], ms[-1], 64)) if log else [ms[0], ms[-1]]
@@ -286,20 +293,15 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         err = abs(g - 9.6669080561)
         return err < 1e-6, f"|g(-1) - 9.6669080561| = {err:.2e}"
 
-    def first_zero():
-        zeros = find_zeros(10.0, 15.0)
-        if len(zeros) != 1:
-            return False, f"expected 1 zero in (10, 15), found {len(zeros)}"
-        err = abs(zeros[0].t - 14.134725)
-        return err < 1e-5, f"|zero - 14.134725| = {err:.2e}"
-
     def strip_one_identity():
         bottom = special_gram_point(1)
-        top = special_gram_point(2)
-        zr = find_zeros(bottom, top, 1)
+        # CountMismatch unless strip 1 holds one zero, the first
+        (first,) = find_zeros(bottom, special_gram_point(2), 1)
         primary = primary_zero_of_strip(1)  # EscapedStrip outside (bottom, top)
-        ok = abs(bottom - 9.6669080561) < 1e-6 and len(zr) == 1
-        return ok, f"bottom = {bottom:.10f}, zeros = {len(zr)}, primary t = {primary.t:.6f}"
+        err = abs(first.t - 14.134725)
+        ok = abs(bottom - 9.6669080561) < 1e-6 and err < 1e-5
+        return ok, (f"bottom = {bottom:.10f}, first zero = {first.t:.6f} "
+                    f"(|zero - 14.134725| = {err:.2e}), primary t = {primary.t:.6f}")
 
     def cache_integrity():
         cache = config.cache()
@@ -335,7 +337,6 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
     run("zeta_at_two", zeta_at_two)
     run("derivative_vs_finite_difference", derivative_check)
     run("gram_point_minus_one", gram_minus_one)
-    run("first_zero_bisection", first_zero)
     run("strip_one_identity", strip_one_identity)
     run("cache_integrity", cache_integrity)
     run("boundary_margin", boundary_margin)

@@ -268,18 +268,21 @@ def _trace_from_launch(k: int) -> ContourPath:
     close-pair squeeze; the retry tightens the step to a quarter and then
     a sixteenth (0.1 and 0.025 for odd k), the same way the zero scan
     refines its grid.  Like every trace, a retry widens to the ceiling
-    left of sigma = 1/2.  A contradiction that survives the finest step
-    is surfaced by the callers.
+    left of sigma = 1/2.  A contradiction at the finest step raises:
+    NotSpecial for even k, NoTerminalZero for odd k.
     """
     start = launch_point(k)
     expect_zero = bool(k % 2)
     step = _MAX_STEP if expect_zero else STEP
-    path = trace(start, step)
-    for shrink in (4.0, 16.0):
-        if (path.zero is not None) == expect_zero:
-            break
+    for shrink in (1.0, 4.0, 16.0):
         path = trace(start, step / shrink)
-    return path
+        if (path.zero is not None) == expect_zero:
+            return path
+    if expect_zero:
+        raise NoTerminalZero(f"primary contour k = {k} reached sigma = {SIGMA_MIN} without a zero")
+    raise NotSpecial(
+        f"boundary contour k = {k} terminated at a zero {path.zero}; strip structure falsified"
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -303,13 +306,7 @@ def strip_boundary(m: int, /) -> tuple[float, int, float]:
     """
     if m < 1:
         raise DomainError(f"strip boundary index m = {m} < 1")
-    path = _trace_from_launch(2 * m)
-    if path.zero is not None:
-        raise NotSpecial(
-            f"boundary contour k = {2 * m} terminated at a zero "
-            f"{path.zero}; strip structure falsified"
-        )
-    samples = path.samples
+    samples = _trace_from_launch(2 * m).samples
     right = samples[samples[:, 0] >= 0.5]
     min_abs = float(np.min(np.hypot(right[:, 2], right[:, 3])))
     i = int(np.argmax(samples[:, 0] <= 0.5))
@@ -336,12 +333,7 @@ def primary_zero_of_strip(m: int, *, check_containment: bool = True) -> ComplexP
     """
     if m < 1:
         raise DomainError(f"strip index m = {m} < 1")
-    path = _trace_from_launch(2 * m + 1)
-    zero = path.zero
-    if zero is None:
-        raise NoTerminalZero(
-            f"primary contour k = {2 * m + 1} reached sigma = {SIGMA_MIN} without a zero"
-        )
+    zero = _trace_from_launch(2 * m + 1).zero
     if abs(zero.sigma - 0.5) > 1e-6:
         raise EscapedStrip(
             f"primary zero of strip {m} at sigma = {zero.sigma} is off the critical line"

@@ -192,10 +192,10 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
 
 def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     """Rebuild Strip records from the cached CSVs; each is checked as it is
-    built.  Widths are recomputed from the parsed endpoints; the emitted
-    width column must agree with them to 1e-7 relative, and the n_zeros and
-    primary_stat columns must equal the built strip's; the zeros' j cells
-    must read 1..N in row order, and every zero row must belong to a strip.
+    built.  Widths are recomputed from the parsed endpoints; the emitted width
+    column must agree with them to 1e-7 relative (a nan never does), and the
+    n_zeros and primary_stat columns must equal the built strip's; the zeros'
+    j cells must read 1..N in row order, and every zero row must belong to a strip.
     A column that disagrees, or a table that does not parse, is CacheInvalid."""
     try:
         js, ts, ms = read_columns(zeros_text, "j", "t", "strip_m")
@@ -212,7 +212,7 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
         for (m_s, bottom_s, top_s, width, gram_count, n_zeros, primary_index, primary_height,
              primary_stat) in zip(*columns):
             m, bottom, top = int(m_s), float(bottom_s), float(top_s)
-            if abs(top - bottom - float(width)) > 1e-7 * max(1.0, abs(top - bottom)):
+            if not abs(top - bottom - float(width)) <= 1e-7 * max(1.0, abs(top - bottom)):
                 raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
             strip = Strip(
                 m=m,
@@ -362,20 +362,22 @@ class AnalysisResult:
 
 def analyze(config: RunConfig) -> AnalysisResult:
     """Regressions and deviation series over the cached strips, and the
-    cached boundaries' margin; writes fits.json, deviations.csv, arches.csv."""
+    cached boundaries' margin; writes fits.json, deviations.csv, arches.csv.
+    A census of fewer than 8 strips fails primary_stats, before any fit."""
     cache = config.cache()
     strips = parse_strips(cache.load("strips"), cache.load("zeros"))
     margin = boundary_margin(cache.load("boundaries"))
+    primary = analysis.primary_stats(strips)
     bottoms = analysis.fit_bottoms(strips)
     tops = analysis.fit_tops(strips)
     density_log, density_dev = analysis.fit_density(strips)
     density_linear = analysis.fit_density_linear(strips)
-    primary = analysis.primary_stats(strips)
     bottom_dev = analysis.bottom_deviation_series(strips)
 
+    # strips m = 1..8 or more give p_max >= ceil(2 log2(8 / ln 2)) = 8, above arch_centers' 4
     m_hi = float(strips[-1].m)
     q_max = 3 if m_hi >= 100 else 2
-    p_max = max(4, math.ceil(q_max * math.log2(m_hi / math.log(2.0))))
+    p_max = math.ceil(q_max * math.log2(m_hi / math.log(2.0)))
     arches = analysis.arch_centers(p_max, q_max, m_limit=m_hi)
     branch_report = analysis.branch_spacing_report(strips)
 

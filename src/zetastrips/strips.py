@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import lt
 from typing import Callable
 
 from .errors import CountMismatch, DomainError, EscapedStrip
@@ -67,11 +68,9 @@ class Strip:
         return (self.primary_index - 0.5) / len(self.zeros)
 
     def __post_init__(self) -> None:
-        """Every strip, fresh or cached, is checked as it is built: bottom < top
-        (DomainError), a positive zero count equal to the Gram count (CountMismatch),
+        """Every strip, fresh or cached, is checked as it is built: a positive zero
+        count equal to the Gram count (CountMismatch), then bottom <= z_1 < ... < z_N < top
         and the primary zero inside the strip within 1e-5 of its zero (EscapedStrip)."""
-        if not self.bottom < self.top:
-            raise DomainError(f"strip {self.m}: bottom >= top")
         if len(self.zeros) != self.gram_count:
             raise CountMismatch(
                 f"strip {self.m}: {len(self.zeros)} zeros vs "
@@ -79,6 +78,9 @@ class Strip:
             )
         if not self.zeros:
             raise CountMismatch(f"strip {self.m} is empty; no such strip is expected")
+        zs = self.zeros
+        if not (self.bottom <= zs[0] and zs[-1] < self.top and all(map(lt, zs, zs[1:]))):
+            raise EscapedStrip(f"strip {self.m}: zeros not ascending in [bottom, top)")
         if not 1 <= self.primary_index <= len(self.zeros):
             raise EscapedStrip(f"strip {self.m}: primary index out of range")
         miss = abs(self.zeros[self.primary_index - 1] - self.primary_height)

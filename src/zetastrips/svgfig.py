@@ -30,8 +30,7 @@ _TICK_INTERVALS = 6  # a linear axis's step is the nice number above (hi - lo) /
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Multiples of a nice step in [lo, hi], for lo < hi."""
     raw = (hi - lo) / _TICK_INTERVALS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

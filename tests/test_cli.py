@@ -150,6 +150,32 @@ def test_malformed_figure_input_exits_3(figure, name, data, small_run, tmp_path,
     assert not (out / f"fig{figure}.svg").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_figure_input_exits_3(value, small_run, tmp_path, capsys):
+    # a strips.csv cell, then a fits.json coefficient, that parses as a float
+    # but is no finite number: exit 3 naming the file, and no SVG
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("cache", "*.svg"))
+    args = ["--t-max", "100", "--out", str(out), "--quiet", "plot", "--figure", "2"]
+    strips = out / "strips.csv"
+    text = strips.read_text()
+    header, first, *rest = text.splitlines()
+    cells = dict(zip(header.split(","), first.split(",")))
+    cells["bottom"] = value
+    strips.write_text("\n".join([header, ",".join(cells.values()), *rest]) + "\n")
+    assert main(args) == 3
+    assert f"strips.csv in {out} is malformed" in capsys.readouterr().err
+    assert not (out / "fig2.svg").exists()
+
+    strips.write_text(text)
+    fits = json.loads((out / "fits.json").read_text())
+    fits["bottoms"]["intercept"] = float(value)
+    (out / "fits.json").write_text(json.dumps(fits))
+    assert main(args) == 3
+    assert f"fits.json in {out} is malformed" in capsys.readouterr().err
+    assert not (out / "fig2.svg").exists()
+
+
 def _file_states(*dirs: Path) -> dict:
     return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for d in dirs for p in d.iterdir()}
 
@@ -233,8 +259,9 @@ def test_verify_passes_fresh(tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "v"), "--quiet", "verify"])
     captured = capsys.readouterr().out
     assert rc == 0
-    assert captured.count("PASS") >= 6
+    assert captured.count("PASS") == 6
     assert "FAIL" not in captured
+    assert "PASS strip_one_identity: bottom = 9.6669080561, first zero = 14.134725 (" in captured
     assert "PASS boundary_margin: no cached boundaries (skipped)" in captured
 
 
@@ -445,12 +472,16 @@ def test_config_file_malformed_value_exits_4(line, tmp_path, capsys):
     assert not out.exists()  # rejected before any work
 
 
-def test_analyze_of_too_few_strips_for_quartiles_exits_2(tmp_path):
-    # t_max = 75 gives 7 strips: one per quartile, no variance to report
-    args = ["--t-max", "75", "--out", str(tmp_path / "o"), "--quiet"]
-    assert main(args + ["compute"]) == 0
-    assert main(args + ["analyze"]) == 2
-    assert not (tmp_path / "o" / "fits.json").exists()
+def test_analyze_of_too_few_strips_for_quartiles_exits_2(tmp_path, capsys):
+    # t_max = 30 gives 2 strips, too few for a fit, and t_max = 75 gives 7:
+    # one per quartile, no variance to report; both fail with one message
+    for t_max, n in (("30", 2), ("75", 7)):
+        out = tmp_path / t_max
+        args = ["--t-max", t_max, "--out", str(out), "--quiet"]
+        assert main(args + ["compute"]) == 0
+        assert main(args + ["analyze"]) == 2
+        assert f"need >= 8 strips (two per quartile), got {n}" in capsys.readouterr().err
+        assert not (out / "fits.json").exists()
 
 
 def test_config_file_not_utf8_exits_4(tmp_path, capsys):

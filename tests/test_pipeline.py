@@ -142,16 +142,39 @@ def test_cached_strips_that_fail_their_checks_overwrite_no_artifact(tmp_path):
 
 
 def test_cached_width_off_its_bounds_is_invalid(tmp_path, capsys):
-    # the width cell 1e-3 off top - bottom, in a validly signed entry
+    # the width cell 1e-3 off top - bottom, then nan, in a validly signed entry
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     compute(config)
     emitted = (tmp_path / "strips.csv").read_bytes()
-    _resign_first_row(config, "strips", "width", lambda cells: float(cells["width"]) + 1e-3)
-    with pytest.raises(CacheInvalid, match="strip 1: width column"):
-        compute(config)
-    assert main(["--t-max", "100", "--out", str(tmp_path), "--quiet", "compute"]) == 3
-    assert "strip 1: width column" in capsys.readouterr().err
-    assert (tmp_path / "strips.csv").read_bytes() == emitted
+    for width in (lambda cells: float(cells["width"]) + 1e-3, "nan"):
+        _resign_first_row(config, "strips", "width", width)
+        with pytest.raises(CacheInvalid, match="strip 1: width column"):
+            compute(config)
+        assert main(["--t-max", "100", "--out", str(tmp_path), "--quiet", "compute"]) == 3
+        assert "strip 1: width column" in capsys.readouterr().err
+        assert (tmp_path / "strips.csv").read_bytes() == emitted
+
+
+@pytest.mark.parametrize("height", ["500.5", "nan"])
+def test_cached_zero_outside_its_own_strip_escapes(tmp_path, capsys, height):
+    # a validly signed zeros entry at t_max 30 whose row 3, strip 2's
+    # non-primary zero, lies above the strip's top or is no number: compute
+    # exits 2 without rewriting zeros.csv, and verify fails
+    config = RunConfig(t_max=30.0, out_dir=tmp_path)
+    compute(config)
+    emitted = (tmp_path / "zeros.csv").read_bytes()
+    cache = config.cache()
+    lines = cache.load("zeros").splitlines()
+    j, _, m = lines[3].split(",")
+    assert (j, m) == ("3", "2")
+    lines[3] = ",".join([j, height, m])
+    cache.store("zeros", "\n".join(lines) + "\n")
+    args = ["--t-max", "30", "--out", str(tmp_path), "--quiet"]
+    assert main(args + ["compute"]) == 2
+    assert "EscapedStrip: strip 2: zeros not ascending" in capsys.readouterr().err
+    assert (tmp_path / "zeros.csv").read_bytes() == emitted
+    assert main(args + ["verify"]) == 5
+    assert "FAIL cache_integrity: strips: EscapedStrip: strip 2: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("column, cell, message", [
