@@ -141,14 +141,22 @@ def _finite(value) -> float:
     return number
 
 
+# gram.csv's row -1 has no gap: the one place where a cell is empty
+_GAP_COLUMNS = ("gap", "gap_ratio", "gap_ratio_geo")
+
+
 def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]]:
-    """The named columns of a figure's CSV input, an empty field as nan; a
-    file with no data rows, or with a nan or infinite value, is malformed."""
+    """The named columns of a figure's CSV input, an empty cell of a gap
+    column as nan; a file with no data rows, or with a nan, infinite or
+    other empty value, is malformed."""
     def parse(text: str) -> list[list[float]]:
         columns = pipeline.read_columns(text, *names)
         if not columns[0]:
             raise ValueError("no data rows")
-        return [[_finite(cell) if cell else math.nan for cell in column] for column in columns]
+        return [
+            [math.nan if not cell and name in _GAP_COLUMNS else _finite(cell) for cell in column]
+            for name, column in zip(names, columns)
+        ]
 
     return _read_input(out, filename, parse)
 
@@ -252,9 +260,18 @@ FIGURES = {
 
 
 def cmd_plot(config: RunConfig, args: argparse.Namespace) -> int:
-    chart = FIGURES[args.figure](config.out_dir)  # it read out, so out exists
+    """Render one figure.  Inputs that parse but cannot be drawn (a zero width, an
+    axis that overflows, a log fit line over m <= 0, which numpy raises under errstate)
+    are CacheInvalid; render writes only at its end, so they leave no SVG."""
     target = config.out_dir / f"fig{args.figure}.svg"
-    chart.render(target)
+    try:
+        with np.errstate(all="raise"):
+            FIGURES[args.figure](config.out_dir).render(target)  # it read out, so out exists
+    except (ArithmeticError, ValueError) as exc:
+        raise CacheInvalid(
+            f"figure {args.figure} cannot be drawn from the inputs in {config.out_dir} "
+            f"({type(exc).__name__}: {exc}); run compute/analyze again"
+        ) from None
     print(f"wrote {target}")
     return 0
 

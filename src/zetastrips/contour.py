@@ -111,35 +111,32 @@ def _line_root(sigma: float, t: float) -> float:
 
 
 def launch_point(k: int) -> ComplexPoint:
-    """Newton-corrected root of Im zeta(SIGMA_START + it) = 0 seeded at
-    t = k pi / ln 2; Re zeta > 0 there."""
+    """Newton-corrected root of Im zeta(SIGMA_START + it) = 0 seeded at t = k pi / ln 2;
+    Re zeta > 0 there, as Re zeta >= 2 - zeta(5) > 0.96 all along that line."""
     if k < 2:
         raise DomainError(f"launch index k = {k} < 2")
     seed = k * math.pi / _LN2
     t = _line_root(SIGMA_START, seed)
     if abs(t - seed) > 0.5 * math.pi / _LN2:
         raise SeedDrift(f"launch for k = {k} drifted from {seed} to {t}")
-    z, _ = zeta_with_derivative(complex(SIGMA_START, t))
-    if z.real <= 0.0:
-        raise SeedDrift(f"launch for k = {k} landed on Re zeta <= 0 branch")
     return ComplexPoint(SIGMA_START, t)
 
 
-def _newton_zero(s: complex) -> complex | None:
-    """Two-dimensional Newton on zeta(s) = 0; None when it does not settle,
-    an iterate that leaves the evaluation window included.  Converged means
-    the update has shrunk to a few ulps of |s|."""
+def _newton_zero(s: complex, z: complex, dz: complex) -> complex | None:
+    """2-D Newton on zeta = 0 from s, z = zeta(s) and dz = zeta'(s); None when
+    60 updates, or an iterate that leaves the evaluation window, do not settle
+    it.  Converged means the update has shrunk to a few ulps of |s|."""
     for _ in range(60):
-        try:
-            z, dz = zeta_with_derivative(s)
-        except WindowExceeded:
-            return None
         if dz == 0:
             return None
         delta = z / dz
         s = s - delta
         if abs(delta) < 16.0 * _EPS * max(1.0, abs(s)):
             return s
+        try:
+            z, dz = zeta_with_derivative(s)
+        except WindowExceeded:
+            return None
     return None
 
 
@@ -195,7 +192,7 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
         # parallel to the tangent; a converged 2-D Newton that lands close
         # ahead along it is the terminal zero of this contour
         if newton_dist < capture_dist:
-            loc = _newton_zero(s)
+            loc = _newton_zero(s, z, dz)
             if loc is not None:
                 ahead = loc - s
                 if abs(ahead) <= 2.0 * newton_dist and (
@@ -228,10 +225,11 @@ def trace(start: ComplexPoint, step: float = STEP) -> ContourPath:
         # within ZERO_RADIUS (Newton from s)
         flipped = prev_z.real * z.real < 0.0
         if flipped or abs(z) < ZERO_RADIUS:
-            seed = 0.5 * (prev_s + s) if flipped else s
-            loc = _newton_zero(seed)
-            if loc is None:
-                raise StepCollapse(f"terminal zero near {seed} but Newton failed")
+            if flipped:
+                s = 0.5 * (prev_s + s)
+                z, dz = zeta_with_derivative(s)
+            if (loc := _newton_zero(s, z, dz)) is None:
+                raise StepCollapse(f"terminal zero near {s} but Newton failed")
             zero = ComplexPoint(loc.real, loc.imag)
             break
 

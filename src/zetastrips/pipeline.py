@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import takewhile
+from operator import lt
 from pathlib import Path
 
 from . import analysis
@@ -36,7 +37,7 @@ from .zeta import T_ABS_MAX
 SLOPE = analysis.SLOPE_MODEL
 
 GRAM_HEADER = "n,g,gap,gap_ratio,gap_ratio_geo"
-BOUNDARY_HEADER = "m,k,crossing_t,gram_index,min_abs_zeta"
+BOUNDARY_HEADER = "m,min_abs_zeta"
 ZEROS_HEADER = "j,t,strip_m"
 STRIPS_HEADER = (
     "m,bottom,top,width,gram_count,n_zeros,primary_index,primary_height,primary_stat"
@@ -192,10 +193,11 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
 
 def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     """Rebuild Strip records from the cached CSVs; each is checked as it is
-    built.  Widths are recomputed from the parsed endpoints; the emitted width
-    column must agree with them to 1e-7 relative (a nan never does), and the
-    n_zeros and primary_stat columns must equal the built strip's; the zeros'
-    j cells must read 1..N in row order, and every zero row must belong to a strip.
+    built.  Widths are recomputed from the parsed endpoints; the span must be
+    finite and the emitted width column agree with it to 1e-7 relative (a nan
+    never does), and the n_zeros and primary_stat columns must equal the built
+    strip's; the zeros' j cells must read 1..N in row order, and every zero row
+    must belong to a strip.
     A column that disagrees, or a table that does not parse, is CacheInvalid."""
     try:
         js, ts, ms = read_columns(zeros_text, "j", "t", "strip_m")
@@ -212,7 +214,8 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
         for (m_s, bottom_s, top_s, width, gram_count, n_zeros, primary_index, primary_height,
              primary_stat) in zip(*columns):
             m, bottom, top = int(m_s), float(bottom_s), float(top_s)
-            if not abs(top - bottom - float(width)) <= 1e-7 * max(1.0, abs(top - bottom)):
+            span = top - bottom
+            if not (math.isfinite(span) and abs(span - float(width)) <= 1e-7 * max(1, abs(span))):
                 raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
             strip = Strip(
                 m=m,
@@ -235,6 +238,20 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     except ValueError as exc:  # a missing column, a ragged row or a cell that does not cast
         raise CacheInvalid(f"strips or zeros table does not parse: {exc}") from None
     return strips
+
+
+def _check_gram(gram_text: str) -> None:
+    """CacheInvalid unless the gram table's n column reads -1, 0, 1, ... in
+    row order and its g column is finite and strictly ascending."""
+    try:
+        ns, gs = read_columns(gram_text, "n", "g")
+        g = [float(cell) for cell in gs]
+    except ValueError as exc:
+        raise CacheInvalid(f"gram table does not parse: {exc}") from None
+    if not ns or ns != [str(n) for n in range(-1, len(ns) - 1)]:
+        raise CacheInvalid("gram table: the n column does not read -1, 0, 1, ... in row order")
+    if not (all(map(math.isfinite, g)) and all(map(lt, g, g[1:]))):
+        raise CacheInvalid("gram table: the g column is not finite and strictly ascending")
 
 
 def boundary_margin(boundaries_text: str) -> tuple[float, int]:
@@ -284,7 +301,7 @@ def _census(config: RunConfig) -> dict[str, str]:
     heights = ((t, s.m) for s in strips for t in s.zeros)
     return {
         "gram": _gram_csv(config.t_max),
-        "boundaries": _csv(BOUNDARY_HEADER, ((m, 2 * m, *e) for m, e in enumerate(edges, 1))),
+        "boundaries": _csv(BOUNDARY_HEADER, ((m, e[2]) for m, e in enumerate(edges, 1))),
         "zeros": _csv(ZEROS_HEADER, ((j, t, m) for j, (t, m) in enumerate(heights, 1))),
         "strips": _csv(STRIPS_HEADER, (
             (s.m, s.bottom, s.top, s.width, s.gram_count, len(s.zeros), s.primary_index,
@@ -298,10 +315,11 @@ def compute(config: RunConfig) -> ComputeResult:
     """Populate the cache (Gram table, boundaries, zeros, strips) and emit
     gram.csv / strips.csv / zeros.csv.  A warm cache, every entry of which
     loads, short-circuits all computation.  The texts, fresh or cached, are
-    parsed into checked strips, on the 12-digit grid, before any is stored
-    or emitted, and those strips are returned.  Both directories are made
-    first, so that one that cannot be fails before any work; a run that
-    fails before it writes removes the ones it made."""
+    parsed into checked strips, on the 12-digit grid, and the gram table's
+    n and g columns are checked, before any is stored or emitted; the
+    strips are returned.  Both directories are made first, so that one
+    that cannot be fails before any work; a run that fails before it
+    writes removes the ones it made."""
     cache = config.cache()
     made = _make_dirs(config.out_dir, cache.dir)
     try:
@@ -310,6 +328,7 @@ def compute(config: RunConfig) -> ComputeResult:
         except CacheMissing:  # or its subclass CacheInvalid
             texts, from_cache = _census(config), False
         strips = parse_strips(texts["strips"], texts["zeros"])
+        _check_gram(texts["gram"])
     except BaseException:
         for directory in made:
             directory.rmdir()

@@ -176,6 +176,158 @@ def test_non_finite_figure_input_exits_3(value, small_run, tmp_path, capsys):
     assert not (out / "fig2.svg").exists()
 
 
+def _set_cell(text: str, row: int, column: str, value: str) -> str:
+    """text, a CSV, with the cell of data row ``row`` (1 the first, -1 the
+    last) in ``column`` set to value."""
+    lines = text.splitlines()
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "figure, cells",
+    [
+        (9, {(1, "width"): "0"}),  # a division by zero
+        (2, {(1, "bottom"): "1e308", (2, "bottom"): "-1e308"}),  # a padding that overflows
+        (9, {(1, "m"): "-1"}),  # a log fit line over m <= 0
+    ],
+)
+def test_undrawable_figure_input_exits_3(figure, cells, small_run, tmp_path, capsys):
+    # every cell parses as a finite number, but the chart cannot be drawn:
+    # exit 3 naming the figure and the directory, and no SVG
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("cache", "*.svg"))
+    text = (out / "strips.csv").read_text()
+    for (row, column), value in cells.items():
+        text = _set_cell(text, row, column, value)
+    (out / "strips.csv").write_text(text)
+    rc = main(["--t-max", "100", "--out", str(out), "--quiet", "plot", "--figure", str(figure)])
+    assert rc == 3
+    assert f"figure {figure} cannot be drawn from the inputs in {out}" in capsys.readouterr().err
+    assert not (out / f"fig{figure}.svg").exists()
+
+
+def test_empty_cell_outside_the_gap_columns_is_malformed(small_run, tmp_path, capsys):
+    # gram.csv's row -1 leaves its gap columns empty; anywhere else an empty
+    # cell was drawn as nan
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("cache", "*.svg"))
+    strips = out / "strips.csv"
+    strips.write_text(_set_cell(strips.read_text(), 3, "bottom", ""))
+    args = ["--t-max", "100", "--out", str(out), "--quiet", "plot", "--figure"]
+    assert main(args + ["2"]) == 3
+    assert f"strips.csv in {out} is malformed" in capsys.readouterr().err
+    assert not (out / "fig2.svg").exists()
+    assert main(args + ["1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "row, column, value",
+    [(5, "g", "nan"), (-1, "g", "inf"), (2, "g", "9"), (5, "n", "4"), (1, "n", "0")],
+)
+def test_warm_compute_checks_the_cached_gram(row, column, value, small_run, tmp_path, capsys):
+    # a validly signed gram payload whose n column skips or whose g column is
+    # not finite and ascending: exit 3, and gram.csv is not rewritten
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out)
+    cache = RunConfig(t_max=100.0, out_dir=out).cache()
+    cache.store("gram", _set_cell(cache.load("gram"), row, column, value))
+    before = (out / "gram.csv").read_bytes()
+    assert main(["--t-max", "100", "--out", str(out), "--quiet", "compute"]) == 3
+    assert "gram table: the " in capsys.readouterr().err
+    assert (out / "gram.csv").read_bytes() == before
+
+
+# a value of each kind a reader can meet: not finite, zero, negative, far
+# out of range, empty and no number; each is set in the first and the last
+# data row
+SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-300", "", "x")
+# each CSV figure input and the figures that read it
+SWEEP_READERS = {
+    "strips.csv": (2, 8, 9, 10, 16),
+    "gram.csv": (1,),
+    "deviations.csv": (*range(3, 8), *range(11, 16)),
+    "arches.csv": (*range(3, 8), *range(11, 16)),
+}
+
+
+def _mutations(text: str):
+    """(label, text) with one cell of the first or last data row set to
+    each sweep value, for every column."""
+    for column in text.splitlines()[0].split(","):
+        for row in (1, -1):
+            for value in SWEEP_VALUES:
+                yield f"{column}[{row}]={value!r}", _set_cell(text, row, column, value)
+
+
+def _json_mutations(text: str):
+    """(label, text) with one field of a JSON object of objects set to each
+    sweep value, a number as a float and the rest as strings."""
+    data = json.loads(text)
+    for key, fields in data.items():
+        for field in fields:
+            for value in SWEEP_VALUES:
+                mutated = json.loads(text)
+                try:
+                    mutated[key][field] = float(value)
+                except ValueError:
+                    mutated[key][field] = value
+                yield f"{key}.{field}={value!r}", json.dumps(mutated)
+
+
+def test_every_reader_survives_every_cell(small_run, tmp_path):
+    # every column of every figure input and of every cache payload (re-signed
+    # through Cache.store): the commands that read it return 0, 2 or 3, none
+    # escapes main, a plot that fails leaves no SVG and one that succeeds
+    # draws no nan or infinity
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("*.svg"))
+    args = ["--t-max", "100", "--out", str(out), "--quiet"]
+    failures = []
+
+    def run(label: str, command: list[str]) -> int | None:
+        try:
+            rc = main(args + command)
+        except Exception as exc:  # an escape is what the sweep looks for
+            failures.append(f"{label} {command}: {type(exc).__name__}: {exc}")
+            return None
+        if rc not in (0, 2, 3):
+            failures.append(f"{label} {command}: exit {rc}")
+        return rc
+
+    def plot(label: str, figures) -> None:
+        for figure in figures:
+            svg = out / f"fig{figure}.svg"
+            svg.unlink(missing_ok=True)
+            rc = run(label, ["plot", "--figure", str(figure)])
+            drawn = svg.read_text() if svg.exists() else None
+            if (drawn is not None) != (rc == 0):
+                failures.append(f"{label} figure {figure}: exit {rc}, SVG: {drawn is not None}")
+            elif drawn is not None and ("nan" in drawn or "inf" in drawn):
+                failures.append(f"{label} figure {figure}: a nan or an infinity drawn")
+
+    inputs = [(name, _mutations, figures) for name, figures in SWEEP_READERS.items()]
+    for name, mutations, figures in inputs + [("fits.json", _json_mutations, (2, 9))]:
+        path = out / name
+        text = path.read_text()
+        for label, mutated in mutations(text):
+            path.write_text(mutated)
+            plot(f"{name} {label}", figures)
+        path.write_text(text)
+
+    cache = RunConfig(t_max=100.0, out_dir=out).cache()
+    for kind in KINDS:
+        text = cache.load(kind)
+        for label, mutated in _mutations(text):
+            cache.store(kind, mutated)
+            run(f"cache {kind} {label}", ["compute"])
+            run(f"cache {kind} {label}", ["analyze"])
+        cache.store(kind, text)
+    assert not failures, f"{len(failures)} failing runs:\n" + "\n".join(failures[:40])
+
+
 def _file_states(*dirs: Path) -> dict:
     return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for d in dirs for p in d.iterdir()}
 

@@ -163,7 +163,7 @@ def test_newton_that_leaves_the_window_fails_without_escaping(monkeypatch):
         return w, -w * w
 
     monkeypatch.setattr(contour, "zeta_with_derivative", pole)
-    assert contour._newton_zero(c + 0.01) is None
+    assert contour._newton_zero(c + 0.01, *pole(c + 0.01)) is None
     with pytest.raises(StepCollapse, match="terminal zero near"):
         trace(ComplexPoint(5.0, 10.0))
 

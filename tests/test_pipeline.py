@@ -281,7 +281,7 @@ def test_cached_tables_are_read_by_column_name(tmp_path):
     cache = config.cache()
     texts = {kind: cache.load(kind) for kind in ("boundaries", "strips", "zeros")}
     reordered = {kind: _reversed_columns(text) for kind, text in texts.items()}
-    assert reordered["boundaries"].startswith("min_abs_zeta,gram_index,crossing_t,k,m\n")
+    assert reordered["boundaries"].startswith("min_abs_zeta,m\n")
     assert pipeline.boundary_margin(reordered["boundaries"]) == pipeline.boundary_margin(
         texts["boundaries"]
     )
