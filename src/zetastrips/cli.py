@@ -24,7 +24,7 @@ from .cache import KINDS
 from .contour import ZERO_RADIUS, primary_zero_of_strip, special_gram_point
 from .errors import CacheInvalid, CacheMissing, DomainError, ZetaStripsError
 from .gram import gram_point
-from .pipeline import RunConfig
+from .pipeline import _GAP_COLUMNS, RunConfig
 from .strips import find_zeros
 from .svgfig import Chart
 from .zeta import ComplexPoint, zeta
@@ -139,10 +139,6 @@ def _finite(value) -> float:
     if not math.isfinite(number := float(value)):
         raise ValueError(f"non-finite value {value!r}")
     return number
-
-
-# gram.csv's row -1 has no gap: the one place where a cell is empty
-_GAP_COLUMNS = ("gap", "gap_ratio", "gap_ratio_geo")
 
 
 def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]]:
@@ -276,22 +272,15 @@ def cmd_plot(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
-
-    def run(name: str, fn) -> None:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # deliberate: each check reports, never aborts
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        checks.append((name, ok, detail))
+def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
+    t0 = time.time()
 
     def zeta_at_two():
         val = zeta(ComplexPoint(2.0, 0.0)).value
         err = abs(val - math.pi**2 / 6.0)
         return err < 1e-10, f"|zeta(2) - pi^2/6| = {err:.2e}"
 
-    def derivative_check():
+    def derivative_vs_finite_difference():
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(10):
@@ -305,7 +294,7 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
             worst = max(worst, abs(fd - v.derivative) / abs(v.derivative))
         return worst < 1e-6, f"max relative FD mismatch = {worst:.2e} (tol 1e-06)"
 
-    def gram_minus_one():
+    def gram_point_minus_one():
         g = gram_point(-1)
         err = abs(g - 9.6669080561)
         return err < 1e-6, f"|g(-1) - 9.6669080561| = {err:.2e}"
@@ -320,54 +309,37 @@ def _verify_checks(config: RunConfig) -> list[tuple[str, bool, str]]:
         return ok, (f"bottom = {bottom:.10f}, first zero = {first.t:.6f} "
                     f"(|zero - 14.134725| = {err:.2e}), primary t = {primary.t:.6f}")
 
+    @cache
+    def census():
+        """read_census of the four cached entries; None without a cache directory."""
+        entries = config.cache()
+        if entries.dir.exists():
+            return pipeline.read_census({kind: entries.load(kind) for kind in KINDS})
+        return None
+
     def cache_integrity():
-        cache = config.cache()
-        if not cache.dir.exists():
+        if census() is None:
             return True, "no cache present (skipped)"
-        problems, texts = [], {}
-        for kind in KINDS:
-            # an entry is absent only when both of its files are
-            if not (cache.payload_path(kind).exists() or cache.meta_path(kind).exists()):
-                continue
-            try:
-                texts[kind] = cache.load(kind)
-            except CacheMissing as exc:
-                problems.append(f"{kind}: {exc}")
-        if "strips" in texts and "zeros" in texts:
-            try:
-                pipeline.parse_strips(texts["strips"], texts["zeros"])
-            except ZetaStripsError as exc:  # CacheInvalid or a failed Strip check
-                problems.append(f"strips: {type(exc).__name__}: {exc}")
-        if problems:
-            return False, "; ".join(problems)
-        return True, "all present entries pass every check: kind, key, checksum and strips"
+        return True, "every entry passes warm compute's checks: kind, key, checksum and tables"
 
     def boundary_margin():
-        cache = config.cache()
-        if not cache.payload_path("boundaries").exists():
-            return True, "no cached boundaries (skipped)"
-        margin, m = pipeline.boundary_margin(cache.load("boundaries"))
+        if census() is None:
+            return True, "no cache present (skipped)"
+        _, (margin, m) = census()
         return margin > ZERO_RADIUS, (
             f"smallest min_abs_zeta = {margin:.3e} at m = {m} (ZERO_RADIUS {ZERO_RADIUS:g})"
         )
 
-    run("zeta_at_two", zeta_at_two)
-    run("derivative_vs_finite_difference", derivative_check)
-    run("gram_point_minus_one", gram_minus_one)
-    run("strip_one_identity", strip_one_identity)
-    run("cache_integrity", cache_integrity)
-    run("boundary_margin", boundary_margin)
-    return checks
-
-
-def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    t0 = time.time()
-    checks = _verify_checks(config)
     failures = []
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    for check in (zeta_at_two, derivative_vs_finite_difference, gram_point_minus_one,
+                  strip_one_identity, cache_integrity, boundary_margin):
+        try:
+            ok, detail = check()
+        except Exception as exc:  # deliberate: each check reports, never aborts
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        print(f"{'PASS' if ok else 'FAIL'} {check.__name__}: {detail}")
         if not ok:
-            failures.append(name)
+            failures.append(check.__name__)
     print(f"verify completed in {time.time() - t0:.1f} s")
     if failures:
         print(f"failing checks: {', '.join(failures)}")

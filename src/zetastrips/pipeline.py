@@ -7,8 +7,8 @@ over the strip range: ``contour.strip_boundary`` for the boundary traces
 and their Gram indices n_m, ``contour.primary_zero_of_strip`` for the
 primary traces, and ``strips.find_zeros`` for the per-strip zero scans,
 strip m expecting n_{m+1} - n_m zeros.  ``_census`` then builds each
-``Strip``, which checks itself; ``compute`` parses the texts, fresh or
-cached, into checked strips before it stores or emits any.  Every batch
+``Strip``, which checks itself; ``compute`` reads the texts, fresh or
+cached, through ``read_census`` before it stores or emits any.  Every batch
 returns its results in job order, so the emitted artifacts are
 byte-identical for any worker count.  One worker maps the jobs in this
 process and loads no process pool; only more than one imports
@@ -240,28 +240,56 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     return strips
 
 
+# gram.csv's row -1 has no gap: the one place where a cell is empty
+_GAP_COLUMNS = ("gap", "gap_ratio", "gap_ratio_geo")
+
+
 def _check_gram(gram_text: str) -> None:
     """CacheInvalid unless the gram table's n column reads -1, 0, 1, ... in
-    row order and its g column is finite and strictly ascending."""
+    row order, its g column is finite and strictly ascending, and its gap
+    columns are empty in row -1 and finite in every other row."""
     try:
-        ns, gs = read_columns(gram_text, "n", "g")
+        ns, gs, *gaps = read_columns(gram_text, "n", "g", *_GAP_COLUMNS)
         g = [float(cell) for cell in gs]
+        gap = [float(cell) for column in gaps for cell in column[1:]]
     except ValueError as exc:
         raise CacheInvalid(f"gram table does not parse: {exc}") from None
     if not ns or ns != [str(n) for n in range(-1, len(ns) - 1)]:
         raise CacheInvalid("gram table: the n column does not read -1, 0, 1, ... in row order")
     if not (all(map(math.isfinite, g)) and all(map(lt, g, g[1:]))):
         raise CacheInvalid("gram table: the g column is not finite and strictly ascending")
+    if any(column[0] for column in gaps) or not all(map(math.isfinite, gap)):
+        raise CacheInvalid("gram table: the gap columns are not empty in row -1, finite below")
 
 
 def boundary_margin(boundaries_text: str) -> tuple[float, int]:
     """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv;
-    CacheInvalid for a table that does not parse."""
+    CacheInvalid for a table that does not parse, an m column that does not
+    read 1, 2, ... in row order or a min_abs_zeta that is not finite."""
     try:
-        ms, margins = read_columns(boundaries_text, "m", "min_abs_zeta")
-        return min(zip(map(float, margins), map(int, ms)))
+        ms, cells = read_columns(boundaries_text, "m", "min_abs_zeta")
+        margins = [float(cell) for cell in cells]
     except ValueError as exc:
         raise CacheInvalid(f"boundaries table does not parse: {exc}") from None
+    if not ms or ms != [str(m) for m in range(1, len(ms) + 1)]:
+        raise CacheInvalid("boundaries table: the m column does not read 1, 2, ... in row order")
+    if not all(map(math.isfinite, margins)):
+        raise CacheInvalid("boundaries table: a min_abs_zeta cell is not finite")
+    return min((margin, m) for m, margin in enumerate(margins, 1))
+
+
+def read_census(texts: dict[str, str]) -> tuple[list[Strip], tuple[float, int]]:
+    """The checked strips and boundary margin of a census's four cache texts,
+    each table read by its own checking parser, with at least one strip and
+    one more boundary than strips; else CacheInvalid or a failed Strip
+    check.  The one rule for serving a census."""
+    _check_gram(texts["gram"])
+    strips = parse_strips(texts["strips"], texts["zeros"])
+    if not strips:
+        raise CacheInvalid("strips table: no strips")
+    if (rows := len(texts["boundaries"].strip().splitlines()) - 1) != len(strips) + 1:
+        raise CacheInvalid(f"boundaries table: {rows} rows for {len(strips)} strips")
+    return strips, boundary_margin(texts["boundaries"])
 
 
 def _census(config: RunConfig) -> dict[str, str]:
@@ -314,12 +342,11 @@ def _census(config: RunConfig) -> dict[str, str]:
 def compute(config: RunConfig) -> ComputeResult:
     """Populate the cache (Gram table, boundaries, zeros, strips) and emit
     gram.csv / strips.csv / zeros.csv.  A warm cache, every entry of which
-    loads, short-circuits all computation.  The texts, fresh or cached, are
-    parsed into checked strips, on the 12-digit grid, and the gram table's
-    n and g columns are checked, before any is stored or emitted; the
-    strips are returned.  Both directories are made first, so that one
-    that cannot be fails before any work; a run that fails before it
-    writes removes the ones it made."""
+    loads, short-circuits all computation.  The texts, fresh or cached,
+    pass ``read_census`` before any is stored or emitted, and the checked
+    strips it parses, on the 12-digit grid, are returned.  Both directories
+    are made first, so that one that cannot be fails before any work; a run
+    that fails before it writes removes the ones it made."""
     cache = config.cache()
     made = _make_dirs(config.out_dir, cache.dir)
     try:
@@ -327,8 +354,7 @@ def compute(config: RunConfig) -> ComputeResult:
             texts, from_cache = {kind: cache.load(kind) for kind in KINDS}, True
         except CacheMissing:  # or its subclass CacheInvalid
             texts, from_cache = _census(config), False
-        strips = parse_strips(texts["strips"], texts["zeros"])
-        _check_gram(texts["gram"])
+        strips, _ = read_census(texts)
     except BaseException:
         for directory in made:
             directory.rmdir()

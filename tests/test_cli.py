@@ -4,6 +4,7 @@ behavior, config file handling, and the package's exported names."""
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import shutil
@@ -225,19 +226,79 @@ def test_empty_cell_outside_the_gap_columns_is_malformed(small_run, tmp_path, ca
 
 @pytest.mark.parametrize(
     "row, column, value",
-    [(5, "g", "nan"), (-1, "g", "inf"), (2, "g", "9"), (5, "n", "4"), (1, "n", "0")],
+    [
+        (5, "g", "nan"), (-1, "g", "inf"), (2, "g", "9"), (5, "n", "4"), (1, "n", "0"),
+        # row 4 is n = 2; row 1, n = -1, has no gap
+        (4, "gap", "nan"), (-1, "gap_ratio", "inf"), (4, "gap_ratio_geo", "-inf"), (1, "gap", "0"),
+    ],
 )
 def test_warm_compute_checks_the_cached_gram(row, column, value, small_run, tmp_path, capsys):
-    # a validly signed gram payload whose n column skips or whose g column is
-    # not finite and ascending: exit 3, and gram.csv is not rewritten
+    # a validly signed gram payload whose n column skips, whose g column is
+    # not finite and ascending, or whose gap cells are not empty in row -1 and
+    # finite below it: compute exits 3 without rewriting gram.csv, and verify
+    # fails the cache
     out = tmp_path / "o"
     shutil.copytree(small_run, out)
     cache = RunConfig(t_max=100.0, out_dir=out).cache()
     cache.store("gram", _set_cell(cache.load("gram"), row, column, value))
     before = (out / "gram.csv").read_bytes()
-    assert main(["--t-max", "100", "--out", str(out), "--quiet", "compute"]) == 3
+    args = ["--t-max", "100", "--out", str(out), "--quiet"]
+    assert main(args + ["compute"]) == 3
     assert "gram table: the " in capsys.readouterr().err
     assert (out / "gram.csv").read_bytes() == before
+    assert main(args + ["verify"]) == EXIT_VERIFY
+    assert "FAIL cache_integrity: CacheInvalid: gram table: the " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "row, column, value, message",
+    [
+        (-1, "min_abs_zeta", "nan", "a min_abs_zeta cell is not finite"),
+        (1, "min_abs_zeta", "-inf", "a min_abs_zeta cell is not finite"),
+        (1, "m", "0", "the m column does not read 1, 2, ... in row order"),
+        (-1, "m", "-1", "the m column does not read 1, 2, ... in row order"),
+    ],
+)
+def test_cached_boundaries_are_checked_by_every_reader(
+    row, column, value, message, small_run, tmp_path, capsys
+):
+    # a validly signed boundaries payload with a margin that is not finite,
+    # in any row, or an m column out of sequence: compute and analyze exit 3,
+    # verify fails both cache checks
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out)
+    cache = RunConfig(t_max=100.0, out_dir=out).cache()
+    cache.store("boundaries", _set_cell(cache.load("boundaries"), row, column, value))
+    args = ["--t-max", "100", "--out", str(out), "--quiet"]
+    for command in ("compute", "analyze"):
+        assert main(args + [command]) == 3
+        assert f"boundaries table: {message}" in capsys.readouterr().err
+    assert main(args + ["verify"]) == EXIT_VERIFY
+    captured = capsys.readouterr().out
+    for check in ("cache_integrity", "boundary_margin"):
+        assert f"FAIL {check}: CacheInvalid: boundaries table: {message}" in captured
+
+
+@pytest.mark.parametrize(
+    "edit, rows",
+    [(lambda text: text + "12,1.5\n", 12), (lambda text: text.rsplit("\n", 2)[0] + "\n", 10)],
+    ids=["extra_row", "missing_row"],
+)
+def test_cached_boundaries_hold_one_row_more_than_the_strips(
+    edit, rows, small_run, tmp_path, capsys
+):
+    # 10 strips have 11 edges: a validly signed boundaries payload with a
+    # row more or less makes compute exit 3 and verify fail
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out)
+    cache = RunConfig(t_max=100.0, out_dir=out).cache()
+    cache.store("boundaries", edit(cache.load("boundaries")))
+    args = ["--t-max", "100", "--out", str(out), "--quiet"]
+    assert main(args + ["compute"]) == 3
+    message = f"boundaries table: {rows} rows for 10 strips"
+    assert message in capsys.readouterr().err
+    assert main(args + ["verify"]) == EXIT_VERIFY
+    assert f"FAIL cache_integrity: CacheInvalid: {message}" in capsys.readouterr().out
 
 
 # a value of each kind a reader can meet: not finite, zero, negative, far
@@ -277,11 +338,27 @@ def _json_mutations(text: str):
                 yield f"{key}.{field}={value!r}", json.dumps(mutated)
 
 
-def test_every_reader_survives_every_cell(small_run, tmp_path):
+def test_cached_census_without_strips_is_invalid(small_run, tmp_path, capsys):
+    # validly signed tables of no strip, no zero and one boundary: compute
+    # exits 3 instead of failing on the missing last strip, and verify fails
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out)
+    cache = RunConfig(t_max=100.0, out_dir=out).cache()
+    for kind, rows in (("strips", 1), ("zeros", 1), ("boundaries", 2)):
+        cache.store(kind, "\n".join(cache.load(kind).splitlines()[:rows]) + "\n")
+    args = ["--t-max", "100", "--out", str(out), "--quiet"]
+    assert main(args + ["compute"]) == 3
+    assert "strips table: no strips" in capsys.readouterr().err
+    assert main(args + ["verify"]) == EXIT_VERIFY
+    assert "FAIL cache_integrity: CacheInvalid: strips table: no strips" in capsys.readouterr().out
+
+
+def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, capsys):
     # every column of every figure input and of every cache payload (re-signed
     # through Cache.store): the commands that read it return 0, 2 or 3, none
     # escapes main, a plot that fails leaves no SVG and one that succeeds
-    # draws no nan or infinity
+    # draws no nan or infinity; verify passes a cache exactly when warm
+    # compute serves it
     out = tmp_path / "o"
     shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("*.svg"))
     args = ["--t-max", "100", "--out", str(out), "--quiet"]
@@ -317,13 +394,22 @@ def test_every_reader_survives_every_cell(small_run, tmp_path):
             plot(f"{name} {label}", figures)
         path.write_text(text)
 
+    # verify's oracle checks read no cache: over the ~380 payloads each is
+    # evaluated once, which halves the sweep
+    for name in ("zeta", "find_zeros", "special_gram_point", "primary_zero_of_strip"):
+        monkeypatch.setattr(cli, name, functools.cache(getattr(cli, name)))
     cache = RunConfig(t_max=100.0, out_dir=out).cache()
     for kind in KINDS:
         text = cache.load(kind)
         for label, mutated in _mutations(text):
             cache.store(kind, mutated)
-            run(f"cache {kind} {label}", ["compute"])
+            served = run(f"cache {kind} {label}", ["compute"]) == 0
             run(f"cache {kind} {label}", ["analyze"])
+            capsys.readouterr()
+            rc = main(args + ["verify"])
+            verified = "PASS cache_integrity: " in capsys.readouterr().out
+            if rc not in (0, EXIT_VERIFY) or verified != served:
+                failures.append(f"cache {kind} {label}: verify exit {rc}, served {served}")
         cache.store(kind, text)
     assert not failures, f"{len(failures)} failing runs:\n" + "\n".join(failures[:40])
 
@@ -414,7 +500,8 @@ def test_verify_passes_fresh(tmp_path, capsys):
     assert captured.count("PASS") == 6
     assert "FAIL" not in captured
     assert "PASS strip_one_identity: bottom = 9.6669080561, first zero = 14.134725 (" in captured
-    assert "PASS boundary_margin: no cached boundaries (skipped)" in captured
+    assert "PASS cache_integrity: no cache present (skipped)" in captured
+    assert "PASS boundary_margin: no cache present (skipped)" in captured
 
 
 def test_verify_and_analyze_print_the_boundary_margin(small_run, monkeypatch, capsys):
@@ -462,7 +549,7 @@ def test_verify_reports_payload_without_meta(small_run, capsys):
         rc = main(["--t-max", "100", "--out", str(small_run), "--quiet", "verify"])
         captured = capsys.readouterr().out
         assert rc == 5
-        assert "FAIL cache_integrity: zeros:" in captured
+        assert "FAIL cache_integrity: CacheMissing: cache entry 'zeros' not found in " in captured
     finally:
         meta.write_bytes(original)
 
@@ -474,7 +561,19 @@ def test_verify_reports_meta_without_payload(tmp_path, capsys):
     rc = main(["--t-max", "30", "--out", str(out), "--quiet", "verify"])
     captured = capsys.readouterr().out
     assert rc == EXIT_VERIFY
-    assert "FAIL cache_integrity: zeros:" in captured
+    assert "FAIL cache_integrity: CacheMissing: cache entry 'zeros' not found in " in captured
+
+
+def test_verify_fails_a_partial_cache(tmp_path, capsys):
+    # an entry with neither file is missing, as warm compute finds it
+    out = tmp_path / "out"
+    assert main(["--t-max", "30", "--out", str(out), "--quiet", "compute"]) == 0
+    for name in ("zeros.csv", "zeros.meta.json"):
+        (out / "cache" / name).unlink()
+    rc = main(["--t-max", "30", "--out", str(out), "--quiet", "verify"])
+    captured = capsys.readouterr().out
+    assert rc == EXIT_VERIFY
+    assert "FAIL cache_integrity: CacheMissing: cache entry 'zeros' not found in " in captured
 
 
 def test_warm_compute_loads_each_entry_once(small_run, monkeypatch):
