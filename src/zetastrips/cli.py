@@ -24,7 +24,7 @@ from .cache import KINDS
 from .contour import ZERO_RADIUS, primary_zero_of_strip, special_gram_point
 from .errors import CacheInvalid, CacheMissing, DomainError, ZetaStripsError
 from .gram import gram_point
-from .pipeline import _GAP_COLUMNS, RunConfig
+from .pipeline import RunConfig
 from .strips import find_zeros
 from .svgfig import Chart
 from .zeta import ComplexPoint, zeta
@@ -122,12 +122,13 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _read_input(out: Path, name: str, parse):
     """parse(text) of the artifact a figure reads; CacheMissing naming an
-    absent file, CacheInvalid naming one that does not decode or parse."""
+    absent file, CacheInvalid naming one that does not decode or parse, or
+    that parse raises CacheInvalid for."""
     try:
         return parse((out / name).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CacheMissing(f"{name} missing from {out}; run compute/analyze first") from None
-    except (ValueError, KeyError, TypeError) as exc:  # UnicodeDecodeError too
+    except (ValueError, KeyError, TypeError, CacheInvalid) as exc:  # UnicodeDecodeError too
         raise CacheInvalid(
             f"{name} in {out} is malformed ({type(exc).__name__}: {exc}); "
             "run compute/analyze again"
@@ -142,17 +143,13 @@ def _finite(value) -> float:
 
 
 def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]]:
-    """The named columns of a figure's CSV input, an empty cell of a gap
-    column as nan; a file with no data rows, or with a nan, infinite or
-    other empty value, is malformed."""
+    """The named columns of a figure's CSV input; a file with no data rows,
+    or with a nan, infinite or empty value, is malformed."""
     def parse(text: str) -> list[list[float]]:
         columns = pipeline.read_columns(text, *names)
         if not columns[0]:
             raise ValueError("no data rows")
-        return [
-            [math.nan if not cell and name in _GAP_COLUMNS else _finite(cell) for cell in column]
-            for name, column in zip(names, columns)
-        ]
+        return [[_finite(cell) for cell in column] for column in columns]
 
     return _read_input(out, filename, parse)
 
@@ -174,9 +171,7 @@ STRIP_RANGES = ((1, 70), (70, 140), (140, 280), (280, 560), (560, 1102))
 
 
 def _gram_chart(out: Path) -> Chart:
-    ns, plain, geometric = _load_csv_columns(
-        out, "gram.csv", "n", "gap_ratio", "gap_ratio_geo"
-    )
+    ns, _, _, plain, geometric = _read_input(out, "gram.csv", pipeline.parse_gram)
     # the log axes drop n <= 0 and the zero and empty (nan) ratios
     return Chart(
         title="Gram gap convergence to the spacing model",

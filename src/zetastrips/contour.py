@@ -98,15 +98,16 @@ class ContourPath:
     zero: ComplexPoint | None
 
 
-def _line_root(sigma: float, t: float) -> float:
-    """Root of Im zeta(sigma + it) = 0 in t by 1-D Newton from t, stopped
-    once the update is below 8 eps t."""
+def _line_root(sigma: float, t: float) -> tuple[float, complex]:
+    """(root t of Im zeta(sigma + it) = 0 by 1-D Newton from t, stopped once
+    the update is below 8 eps t; zeta at the last iterate, within that
+    update of the root)."""
     for _ in range(20):
         z, dz = zeta_with_derivative(complex(sigma, t))
         step = z.imag / dz.real  # d/dt Im zeta = Re zeta'
         t -= step
         if abs(step) < 8.0 * _EPS * max(1.0, abs(t)):
-            return t
+            return t, z
     raise ConvergenceFailure(f"Newton on sigma = {sigma} did not settle near t = {t}")
 
 
@@ -116,7 +117,7 @@ def launch_point(k: int) -> ComplexPoint:
     if k < 2:
         raise DomainError(f"launch index k = {k} < 2")
     seed = k * math.pi / _LN2
-    t = _line_root(SIGMA_START, seed)
+    t, _ = _line_root(SIGMA_START, seed)
     if abs(t - seed) > 0.5 * math.pi / _LN2:
         raise SeedDrift(f"launch for k = {k} drifted from {seed} to {t}")
     return ComplexPoint(SIGMA_START, t)
@@ -290,9 +291,10 @@ def strip_boundary(m: int, /) -> tuple[float, int, float]:
     strips share a boundary; ``m`` is positional-only, so every call
     shares one entry.
 
-    Asserts that the contour reaches SIGMA_MIN without meeting a zero and
-    crosses the critical line at a Gram point g_n (Re zeta > 0 there by
-    construction of the launch branch); either failure raises NotSpecial.
+    Asserts that the contour reaches SIGMA_MIN without meeting a zero, and
+    crosses the critical line at a Gram point g_n where Re zeta > 0 (b_n > 0,
+    read from the value the crossing's Newton evaluated at its last iterate,
+    within 8 eps t of the crossing); each failure raises NotSpecial.
     Clearance from zeros is ``trace``'s terminal-zero rule: a point with
     |zeta| < ZERO_RADIUS ends the trace at a zero, so every sample it keeps
     has |zeta| >= ZERO_RADIUS, and min |zeta| is the reported margin, not
@@ -309,7 +311,9 @@ def strip_boundary(m: int, /) -> tuple[float, int, float]:
     min_abs = float(np.min(np.hypot(right[:, 2], right[:, 3])))
     i = int(np.argmax(samples[:, 0] <= 0.5))
     (s0, t0), (s1, t1) = samples[i - 1 : i + 1, :2].tolist()
-    crossing = _line_root(0.5, t0 + (0.5 - s0) / (s1 - s0) * (t1 - t0))
+    crossing, z = _line_root(0.5, t0 + (0.5 - s0) / (s1 - s0) * (t1 - t0))
+    if not z.real > 0.0:
+        raise NotSpecial(f"boundary {m} crosses at {crossing}, where Re zeta = {z.real} <= 0")
     n = default_table().index_near(crossing)
     if n is None:
         raise NotSpecial(f"boundary {m} crosses at {crossing}, which is no Gram point")

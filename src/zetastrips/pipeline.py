@@ -197,7 +197,7 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     finite and the emitted width column agree with it to 1e-7 relative (a nan
     never does), and the n_zeros and primary_stat columns must equal the built
     strip's; the zeros' j cells must read 1..N in row order, and every zero row
-    must belong to a strip.
+    must belong to a strip, of which there must be at least one.
     A column that disagrees, or a table that does not parse, is CacheInvalid."""
     try:
         js, ts, ms = read_columns(zeros_text, "j", "t", "strip_m")
@@ -237,41 +237,45 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
             raise CacheInvalid(f"zeros table: {len(js)} rows, but the strips hold {in_strips}")
     except ValueError as exc:  # a missing column, a ragged row or a cell that does not cast
         raise CacheInvalid(f"strips or zeros table does not parse: {exc}") from None
+    if not strips:
+        raise CacheInvalid("strips table: no strips")
     return strips
 
 
-# gram.csv's row -1 has no gap: the one place where a cell is empty
-_GAP_COLUMNS = ("gap", "gap_ratio", "gap_ratio_geo")
-
-
-def _check_gram(gram_text: str) -> None:
-    """CacheInvalid unless the gram table's n column reads -1, 0, 1, ... in
-    row order, its g column is finite and strictly ascending, and its gap
-    columns are empty in row -1 and finite in every other row."""
+def parse_gram(gram_text: str) -> list[list[float]]:
+    """The n, g, gap, gap_ratio and gap_ratio_geo columns of gram.csv, row
+    -1's empty gap cells as nan; CacheInvalid unless the n column reads
+    -1, 0, 1, ... in row order, the g column is finite and strictly
+    ascending, and the gap columns are empty in row -1 and finite below."""
     try:
-        ns, gs, *gaps = read_columns(gram_text, "n", "g", *_GAP_COLUMNS)
+        ns, gs, *cells = read_columns(gram_text, "n", "g", "gap", "gap_ratio", "gap_ratio_geo")
         g = [float(cell) for cell in gs]
-        gap = [float(cell) for column in gaps for cell in column[1:]]
+        gaps = [[float(cell) for cell in column[1:]] for column in cells]
     except ValueError as exc:
         raise CacheInvalid(f"gram table does not parse: {exc}") from None
     if not ns or ns != [str(n) for n in range(-1, len(ns) - 1)]:
         raise CacheInvalid("gram table: the n column does not read -1, 0, 1, ... in row order")
     if not (all(map(math.isfinite, g)) and all(map(lt, g, g[1:]))):
         raise CacheInvalid("gram table: the g column is not finite and strictly ascending")
-    if any(column[0] for column in gaps) or not all(map(math.isfinite, gap)):
+    if any(column[0] for column in cells) or not all(math.isfinite(v) for c in gaps for v in c):
         raise CacheInvalid("gram table: the gap columns are not empty in row -1, finite below")
+    return [[float(n) for n in range(-1, len(ns) - 1)], g, *([math.nan, *gap] for gap in gaps)]
 
 
-def boundary_margin(boundaries_text: str) -> tuple[float, int]:
-    """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv;
-    CacheInvalid for a table that does not parse, an m column that does not
-    read 1, 2, ... in row order or a min_abs_zeta that is not finite."""
+def boundary_margin(boundaries_text: str, n_strips: int) -> tuple[float, int]:
+    """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv
+    of a census of n_strips strips; CacheInvalid for a table that does not
+    parse, does not hold one row more than there are strips, has an m column
+    that does not read 1, 2, ... in row order or a min_abs_zeta that is not
+    finite."""
     try:
         ms, cells = read_columns(boundaries_text, "m", "min_abs_zeta")
         margins = [float(cell) for cell in cells]
     except ValueError as exc:
         raise CacheInvalid(f"boundaries table does not parse: {exc}") from None
-    if not ms or ms != [str(m) for m in range(1, len(ms) + 1)]:
+    if len(ms) != n_strips + 1:
+        raise CacheInvalid(f"boundaries table: {len(ms)} rows for {n_strips} strips")
+    if ms != [str(m) for m in range(1, len(ms) + 1)]:
         raise CacheInvalid("boundaries table: the m column does not read 1, 2, ... in row order")
     if not all(map(math.isfinite, margins)):
         raise CacheInvalid("boundaries table: a min_abs_zeta cell is not finite")
@@ -280,16 +284,11 @@ def boundary_margin(boundaries_text: str) -> tuple[float, int]:
 
 def read_census(texts: dict[str, str]) -> tuple[list[Strip], tuple[float, int]]:
     """The checked strips and boundary margin of a census's four cache texts,
-    each table read by its own checking parser, with at least one strip and
-    one more boundary than strips; else CacheInvalid or a failed Strip
-    check.  The one rule for serving a census."""
-    _check_gram(texts["gram"])
+    each table read by its own checking parser; else CacheInvalid or a
+    failed Strip check.  The one rule for serving a census."""
+    parse_gram(texts["gram"])
     strips = parse_strips(texts["strips"], texts["zeros"])
-    if not strips:
-        raise CacheInvalid("strips table: no strips")
-    if (rows := len(texts["boundaries"].strip().splitlines()) - 1) != len(strips) + 1:
-        raise CacheInvalid(f"boundaries table: {rows} rows for {len(strips)} strips")
-    return strips, boundary_margin(texts["boundaries"])
+    return strips, boundary_margin(texts["boundaries"], len(strips))
 
 
 def _census(config: RunConfig) -> dict[str, str]:
@@ -407,11 +406,12 @@ class AnalysisResult:
 
 def analyze(config: RunConfig) -> AnalysisResult:
     """Regressions and deviation series over the cached strips, and the
-    cached boundaries' margin; writes fits.json, deviations.csv, arches.csv.
-    A census of fewer than 8 strips fails primary_stats, before any fit."""
+    cached boundaries' margin, each read by the parser ``read_census``
+    reads it with; writes fits.json, deviations.csv, arches.csv.  A census
+    of fewer than 8 strips fails primary_stats, before any fit."""
     cache = config.cache()
     strips = parse_strips(cache.load("strips"), cache.load("zeros"))
-    margin = boundary_margin(cache.load("boundaries"))
+    margin = boundary_margin(cache.load("boundaries"), len(strips))
     primary = analysis.primary_stats(strips)
     bottoms = analysis.fit_bottoms(strips)
     tops = analysis.fit_tops(strips)

@@ -211,8 +211,8 @@ def test_undrawable_figure_input_exits_3(figure, cells, small_run, tmp_path, cap
 
 
 def test_empty_cell_outside_the_gap_columns_is_malformed(small_run, tmp_path, capsys):
-    # gram.csv's row -1 leaves its gap columns empty; anywhere else an empty
-    # cell was drawn as nan
+    # gram.csv's row -1 leaves its gap columns empty; any other empty cell,
+    # in a gap column or not, is malformed
     out = tmp_path / "o"
     shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("cache", "*.svg"))
     strips = out / "strips.csv"
@@ -222,6 +222,12 @@ def test_empty_cell_outside_the_gap_columns_is_malformed(small_run, tmp_path, ca
     assert f"strips.csv in {out} is malformed" in capsys.readouterr().err
     assert not (out / "fig2.svg").exists()
     assert main(args + ["1"]) == 0
+    (out / "fig1.svg").unlink()
+    gram = out / "gram.csv"
+    gram.write_text(_set_cell(gram.read_text(), 5, "gap_ratio", ""))  # row 5 is n = 3
+    assert main(args + ["1"]) == 3
+    assert f"gram.csv in {out} is malformed" in capsys.readouterr().err
+    assert not (out / "fig1.svg").exists()
 
 
 @pytest.mark.parametrize(
@@ -288,15 +294,16 @@ def test_cached_boundaries_hold_one_row_more_than_the_strips(
     edit, rows, small_run, tmp_path, capsys
 ):
     # 10 strips have 11 edges: a validly signed boundaries payload with a
-    # row more or less makes compute exit 3 and verify fail
+    # row more or less makes compute and analyze exit 3 and verify fail
     out = tmp_path / "o"
     shutil.copytree(small_run, out)
     cache = RunConfig(t_max=100.0, out_dir=out).cache()
     cache.store("boundaries", edit(cache.load("boundaries")))
     args = ["--t-max", "100", "--out", str(out), "--quiet"]
-    assert main(args + ["compute"]) == 3
     message = f"boundaries table: {rows} rows for 10 strips"
-    assert message in capsys.readouterr().err
+    for command in ("compute", "analyze"):
+        assert main(args + [command]) == 3
+        assert message in capsys.readouterr().err
     assert main(args + ["verify"]) == EXIT_VERIFY
     assert f"FAIL cache_integrity: CacheInvalid: {message}" in capsys.readouterr().out
 
@@ -321,6 +328,13 @@ def _mutations(text: str):
         for row in (1, -1):
             for value in SWEEP_VALUES:
                 yield f"{column}[{row}]={value!r}", _set_cell(text, row, column, value)
+
+
+def _row_mutations(text: str):
+    """(label, text) with the last data row dropped, and with it repeated."""
+    lines = text.splitlines()
+    yield "last row dropped", "\n".join(lines[:-1]) + "\n"
+    yield "last row repeated", "\n".join(lines + lines[-1:]) + "\n"
 
 
 def _json_mutations(text: str):
@@ -355,10 +369,12 @@ def test_cached_census_without_strips_is_invalid(small_run, tmp_path, capsys):
 
 def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, capsys):
     # every column of every figure input and of every cache payload (re-signed
-    # through Cache.store): the commands that read it return 0, 2 or 3, none
-    # escapes main, a plot that fails leaves no SVG and one that succeeds
-    # draws no nan or infinity; verify passes a cache exactly when warm
-    # compute serves it
+    # through Cache.store), and each payload a row short or long: the
+    # commands that read it return 0, 2 or 3, none escapes main, a plot that
+    # fails leaves no SVG and one that succeeds draws no nan or infinity;
+    # verify passes a cache exactly when warm compute serves it, and
+    # analyze, which reads no gram payload, exits 3 on a strips, zeros or
+    # boundaries payload exactly when compute does
     out = tmp_path / "o"
     shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("*.svg"))
     args = ["--t-max", "100", "--out", str(out), "--quiet"]
@@ -401,10 +417,13 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
     cache = RunConfig(t_max=100.0, out_dir=out).cache()
     for kind in KINDS:
         text = cache.load(kind)
-        for label, mutated in _mutations(text):
+        for label, mutated in [*_mutations(text), *_row_mutations(text)]:
             cache.store(kind, mutated)
-            served = run(f"cache {kind} {label}", ["compute"]) == 0
-            run(f"cache {kind} {label}", ["analyze"])
+            computed = run(f"cache {kind} {label}", ["compute"])
+            analyzed = run(f"cache {kind} {label}", ["analyze"])
+            if kind != "gram" and (analyzed == 3) != (computed == 3):
+                failures.append(f"cache {kind} {label}: compute {computed}, analyze {analyzed}")
+            served = computed == 0
             capsys.readouterr()
             rc = main(args + ["verify"])
             verified = "PASS cache_integrity: " in capsys.readouterr().out

@@ -4,6 +4,7 @@ special Gram points, and primary zeros."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -273,11 +274,30 @@ def test_crossing_off_its_gram_point_is_not_special(monkeypatch):
     real_root = contour._line_root
 
     def moved(sigma, t):
-        return real_root(sigma, t) + (6e-7 if sigma == 0.5 else 0.0)
+        root, z = real_root(sigma, t)
+        return root + (6e-7 if sigma == 0.5 else 0.0), z
 
     monkeypatch.setattr(contour, "_line_root", moved)
     with pytest.raises(NotSpecial, match="no Gram point"):
         strip_boundary.__wrapped__(m)
+
+
+def test_crossing_where_re_zeta_is_not_positive_is_not_special(monkeypatch):
+    # b_n > 0 at every strip edge: with Re zeta negated on sigma = 1/2 only,
+    # the crossing's Newton, which reads Im zeta and Re zeta', lands where it
+    # did, and the value it last evaluated fails the check
+    crossing, _, _ = strip_boundary(1)
+    real = contour.zeta_with_derivative
+
+    def negated(s):
+        z, dz = real(s)
+        return (complex(-z.real, z.imag), dz) if s.real == 0.5 else (z, dz)
+
+    strip_boundary.cache_clear()  # a memoized boundary skips the check
+    monkeypatch.setattr(contour, "zeta_with_derivative", negated)
+    message = f"boundary 1 crosses at {crossing}, where Re zeta = -"
+    with pytest.raises(NotSpecial, match=re.escape(message)):
+        strip_boundary(1)
 
 
 def _canned_trace(monkeypatch, zeros) -> list[float]:

@@ -31,7 +31,8 @@ def test_compute_checks_boundary_gram_residual(monkeypatch, tmp_path):
     real_root = contour._line_root
 
     def moved(sigma, t):
-        return real_root(sigma, t) + (1e-3 if sigma == 0.5 else 0.0)
+        root, z = real_root(sigma, t)
+        return root + (1e-3 if sigma == 0.5 else 0.0), z
 
     def refuse(m, **_):
         raise AssertionError(f"primary {m} traced after a bad crossing")
@@ -283,8 +284,8 @@ def test_cached_tables_are_read_by_column_name(tmp_path):
     texts = {kind: cache.load(kind) for kind in ("boundaries", "strips", "zeros")}
     reordered = {kind: _reversed_columns(text) for kind, text in texts.items()}
     assert reordered["boundaries"].startswith("min_abs_zeta,m\n")
-    assert pipeline.boundary_margin(reordered["boundaries"]) == pipeline.boundary_margin(
-        texts["boundaries"]
+    assert pipeline.boundary_margin(reordered["boundaries"], len(strips)) == (
+        pipeline.boundary_margin(texts["boundaries"], len(strips))
     )
     assert pipeline.parse_strips(reordered["strips"], reordered["zeros"]) == strips
 
