@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import takewhile
+from itertools import chain, islice, repeat, takewhile
 from operator import lt
 from pathlib import Path
 
@@ -192,53 +192,52 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
 
 
 def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
-    """Rebuild Strip records from the cached CSVs; each is checked as it is
-    built.  Widths are recomputed from the parsed endpoints; the span must be
-    finite and the emitted width column agree with it to 1e-7 relative (a nan
-    never does), and the n_zeros and primary_stat columns must equal the built
-    strip's; the zeros' j cells must read 1..N in row order, and every zero row
-    must belong to a strip, of which there must be at least one.
-    A column that disagrees, or a table that does not parse, is CacheInvalid."""
+    """The Strip records of the cached CSVs, read in one ordered pass, each
+    checked as it is built.  The strips tile: m reads 1..M, M >= 1, and each
+    bottom is the previous top.  The zeros follow them: j reads 1..N, strip_m
+    each strip's m n_zeros times, and strip m takes the next n_zeros t cells.
+    The width must match the finite span to 1e-7 relative (a nan never does)
+    and primary_stat the built strip's; a broken rule or cell is CacheInvalid."""
     try:
-        js, ts, ms = read_columns(zeros_text, "j", "t", "strip_m")
-        if js != [str(j) for j in range(1, len(js) + 1)]:
-            raise CacheInvalid("zeros table: the j column does not read 1..N in row order")
-        zero_rows: dict[int, list[float]] = {}
-        for t, m in zip(ts, ms):
-            zero_rows.setdefault(int(m), []).append(float(t))
-        strips = []
+        js, ts, owners = read_columns(zeros_text, "j", "t", "strip_m")
         columns = read_columns(
             strips_text, "m", "bottom", "top", "width", "gram_count", "n_zeros",
             "primary_index", "primary_height", "primary_stat",
         )
+        ms = columns[0]
+        if not ms or ms != [str(m) for m in range(1, len(ms) + 1)]:
+            raise CacheInvalid("strips table: the m column does not read 1..M in row order")
+        expected = chain.from_iterable(map(repeat, ms, map(int, columns[5])))
+        if list(islice(expected, len(js) + 1)) != owners:  # one past N shows a sum above N
+            raise CacheInvalid("zeros table: strip_m does not read each strip's m n_zeros times")
+        if js != [str(j) for j in range(1, len(js) + 1)]:
+            raise CacheInvalid("zeros table: the j column does not read 1..N in row order")
+        heights = map(float, ts)
+        strips = []
         for (m_s, bottom_s, top_s, width, gram_count, n_zeros, primary_index, primary_height,
              primary_stat) in zip(*columns):
             m, bottom, top = int(m_s), float(bottom_s), float(top_s)
+            if strips and bottom != strips[-1].top:
+                raise CacheInvalid(f"strip {m}: bottom {bottom_s} is not strip {m - 1}'s top")
             span = top - bottom
             if not (math.isfinite(span) and abs(span - float(width)) <= 1e-7 * max(1, abs(span))):
                 raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
+            # from a list: a tuple built from an iterator is resized, fragmenting the heap
             strip = Strip(
                 m=m,
                 bottom=bottom,
                 top=top,
                 gram_count=int(gram_count),
-                zeros=tuple(zero_rows.get(m, ())),
+                zeros=tuple(list(islice(heights, int(n_zeros)))),
                 primary_index=int(primary_index),
                 primary_height=float(primary_height),
             )
-            derived = (str(len(strip.zeros)), fmt(strip.primary_stat))
-            if (n_zeros, primary_stat) != derived:
-                raise CacheInvalid(
-                    f"strip {m}: n_zeros, primary_stat columns {n_zeros}, {primary_stat}, "
-                    f"but its zeros give {', '.join(derived)}"
-                )
+            if primary_stat != fmt(strip.primary_stat):
+                raise CacheInvalid(f"strip {m}: primary_stat column {primary_stat}, "
+                                   f"but its zeros give {fmt(strip.primary_stat)}")
             strips.append(strip)
-        if (in_strips := sum(len(s.zeros) for s in strips)) != len(js):
-            raise CacheInvalid(f"zeros table: {len(js)} rows, but the strips hold {in_strips}")
     except ValueError as exc:  # a missing column, a ragged row or a cell that does not cast
         raise CacheInvalid(f"strips or zeros table does not parse: {exc}") from None
-    if not strips:
-        raise CacheInvalid("strips table: no strips")
     return strips
 
 

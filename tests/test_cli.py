@@ -330,11 +330,16 @@ def _mutations(text: str):
                 yield f"{column}[{row}]={value!r}", _set_cell(text, row, column, value)
 
 
+SWAPPED = "first two rows swapped"
+
+
 def _row_mutations(text: str):
-    """(label, text) with the last data row dropped, and with it repeated."""
-    lines = text.splitlines()
+    """(label, text) with the last data row dropped, with it repeated, and
+    with the first two data rows swapped."""
+    header, first, second, *rest = lines = text.splitlines()
     yield "last row dropped", "\n".join(lines[:-1]) + "\n"
     yield "last row repeated", "\n".join(lines + lines[-1:]) + "\n"
+    yield SWAPPED, "\n".join([header, second, first, *rest]) + "\n"
 
 
 def _json_mutations(text: str):
@@ -362,19 +367,21 @@ def test_cached_census_without_strips_is_invalid(small_run, tmp_path, capsys):
         cache.store(kind, "\n".join(cache.load(kind).splitlines()[:rows]) + "\n")
     args = ["--t-max", "100", "--out", str(out), "--quiet"]
     assert main(args + ["compute"]) == 3
-    assert "strips table: no strips" in capsys.readouterr().err
+    message = "strips table: the m column does not read 1..M in row order"
+    assert message in capsys.readouterr().err
     assert main(args + ["verify"]) == EXIT_VERIFY
-    assert "FAIL cache_integrity: CacheInvalid: strips table: no strips" in capsys.readouterr().out
+    assert f"FAIL cache_integrity: CacheInvalid: {message}" in capsys.readouterr().out
 
 
 def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, capsys):
     # every column of every figure input and of every cache payload (re-signed
-    # through Cache.store), and each payload a row short or long: the
-    # commands that read it return 0, 2 or 3, none escapes main, a plot that
-    # fails leaves no SVG and one that succeeds draws no nan or infinity;
-    # verify passes a cache exactly when warm compute serves it, and
-    # analyze, which reads no gram payload, exits 3 on a strips, zeros or
-    # boundaries payload exactly when compute does
+    # through Cache.store), and each payload a row short or long or with its
+    # first two rows swapped: the commands that read it return 0, 2 or 3,
+    # warm compute refuses every swapped payload with 3, none escapes main,
+    # a plot that fails leaves no SVG and one that succeeds draws no nan or
+    # infinity; verify passes a cache exactly when warm compute serves it,
+    # and analyze, which reads no gram payload, exits 3 on a strips, zeros
+    # or boundaries payload exactly when compute does
     out = tmp_path / "o"
     shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("*.svg"))
     args = ["--t-max", "100", "--out", str(out), "--quiet"]
@@ -421,6 +428,8 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
             cache.store(kind, mutated)
             computed = run(f"cache {kind} {label}", ["compute"])
             analyzed = run(f"cache {kind} {label}", ["analyze"])
+            if label == SWAPPED and computed != 3:
+                failures.append(f"cache {kind} {label}: compute {computed}, not 3")
             if kind != "gram" and (analyzed == 3) != (computed == 3):
                 failures.append(f"cache {kind} {label}: compute {computed}, analyze {analyzed}")
             served = computed == 0

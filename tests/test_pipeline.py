@@ -180,8 +180,8 @@ def test_cached_zero_outside_its_own_strip_escapes(tmp_path, capsys, height):
 
 @pytest.mark.parametrize("column, cell, message", [
     ("bottom", "abc", "could not convert string to float: 'abc'"),
-    ("n_zeros", "7", "strip 1: n_zeros, primary_stat columns 7, 0.5, but its zeros give 1, 0.5"),
-    ("primary_stat", "0.99", "columns 1, 0.99, but its zeros give 1, 0.5"),
+    ("n_zeros", "7", "zeros table: strip_m does not read each strip's m n_zeros times"),
+    ("primary_stat", "0.99", "strip 1: primary_stat column 0.99, but its zeros give 0.5"),
 ], ids=["bottom", "n_zeros", "primary_stat"])
 def test_cached_strip_cell_that_does_not_parse_or_match_is_invalid(
     tmp_path, capsys, column, cell, message
@@ -213,30 +213,96 @@ def test_cached_boundary_cell_that_does_not_parse_is_invalid(tmp_path, capsys):
     assert "FAIL boundary_margin: CacheInvalid: " in capsys.readouterr().out
 
 
+def _renumbered(header: str, rows: list[str]) -> str:
+    """A zeros text of header and the rows' t and strip_m cells, j read 1..N."""
+    rows = [f"{j},{row.split(',', 1)[1]}" for j, row in enumerate(rows, 1)]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _strip_one_zeros_last(text: str) -> str:
+    # strip 1's rows after every other strip's, j renumbered
+    header, *rows = text.splitlines()
+    return _renumbered(header, sorted(rows, key=lambda row: row.endswith(",1")))
+
+
+_STRIP_M_MESSAGE = "strip_m does not read each strip's m n_zeros times"
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda text: text + "99,123.5,99\n", "the j column does not read 1..N"),
-    (lambda text: text + "4,123.5,99\n", "4 rows, but the strips hold 3"),
+    (lambda text: text + "99,123.5,99\n", _STRIP_M_MESSAGE),
+    (lambda text: text + "4,123.5,99\n", _STRIP_M_MESSAGE),
     (lambda text: text.replace("\n1,", "\n2,", 1), "the j column does not read 1..N"),
-], ids=["orphan_row", "orphan_row_in_sequence", "j_out_of_sequence"])
+    (_strip_one_zeros_last, _STRIP_M_MESSAGE),
+], ids=["orphan_row", "orphan_row_in_sequence", "j_out_of_sequence", "strip_one_zeros_last"])
 def test_cached_zeros_outside_every_strip_or_out_of_sequence_are_invalid(
     tmp_path, capsys, edit, message
 ):
-    # a validly signed zeros entry at t_max 30, which holds three zeros:
-    # compute and analyze exit 3 without rewriting zeros.csv, and verify fails
+    # a validly signed zeros entry at t_max 30, which holds three zeros, one
+    # in strip 1 and two in strip 2: compute and analyze exit 3 without
+    # rewriting strips.csv or zeros.csv, and verify fails
     config = RunConfig(t_max=30.0, out_dir=tmp_path)
     compute(config)
-    emitted = (tmp_path / "zeros.csv").read_bytes()
+    emitted = {name: (tmp_path / name).read_bytes() for name in ("strips.csv", "zeros.csv")}
     cache = config.cache()
     cache.store("zeros", edit(cache.load("zeros")))
     args = ["--t-max", "30", "--out", str(tmp_path), "--quiet"]
     for command in ("compute", "analyze"):
         assert main(args + [command]) == 3
         assert message in capsys.readouterr().err
-    assert (tmp_path / "zeros.csv").read_bytes() == emitted
+    assert {name: (tmp_path / name).read_bytes() for name in emitted} == emitted
     assert main(args + ["verify"]) == 5
     assert f"FAIL cache_integrity: CacheInvalid: zeros table: {message}" in (
         capsys.readouterr().out
     )
+
+
+def _strips_one_and_two_swapped(texts: dict[str, str]) -> None:
+    header, one, two, *rest = texts["strips"].splitlines()
+    texts["strips"] = "\n".join([header, two, one, *rest]) + "\n"
+
+
+def _strip_two_dropped(texts: dict[str, str]) -> None:
+    # with its zeros rows, j renumbered, and the last boundaries row
+    header, one, _, *rest = texts["strips"].splitlines()
+    texts["strips"] = "\n".join([header, one, *rest]) + "\n"
+    header, *rows = texts["zeros"].splitlines()
+    texts["zeros"] = _renumbered(header, [row for row in rows if not row.endswith(",2")])
+    texts["boundaries"] = texts["boundaries"].rsplit("\n", 2)[0] + "\n"
+
+
+def _strip_one_top_lowered(texts: dict[str, str]) -> None:
+    # by 1, still above its zero, and its width cell to match
+    header, first, *rest = texts["strips"].splitlines()
+    cells = dict(zip(header.split(","), first.split(","), strict=True))
+    cells["top"] = fmt(float(cells["top"]) - 1.0)
+    cells["width"] = fmt(float(cells["top"]) - float(cells["bottom"]))
+    texts["strips"] = "\n".join([header, ",".join(cells.values()), *rest]) + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_strips_one_and_two_swapped, "strips table: the m column does not read 1..M in row order"),
+    (_strip_two_dropped, "strips table: the m column does not read 1..M in row order"),
+    (_strip_one_top_lowered, "strip 2: bottom 17.8455995404 is not strip 1's top"),
+], ids=["rows_swapped", "strip_dropped", "gap"])
+def test_cached_strips_that_do_not_tile_in_order_are_invalid(tmp_path, capsys, edit, message):
+    # validly signed tables at t_max 100 whose every strip passes its own
+    # checks: compute and analyze exit 3 without rewriting strips.csv or
+    # zeros.csv, and verify fails
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    compute(config)
+    emitted = {name: (tmp_path / name).read_bytes() for name in ("strips.csv", "zeros.csv")}
+    cache = config.cache()
+    texts = {kind: cache.load(kind) for kind in ("strips", "zeros", "boundaries")}
+    edit(texts)
+    for kind, text in texts.items():
+        cache.store(kind, text)
+    args = ["--t-max", "100", "--out", str(tmp_path), "--quiet"]
+    for command in ("compute", "analyze"):
+        assert main(args + [command]) == 3
+        assert message in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in emitted} == emitted
+    assert main(args + ["verify"]) == 5
+    assert f"FAIL cache_integrity: CacheInvalid: {message}" in capsys.readouterr().out
 
 
 def _append_non_utf8_line(config: RunConfig, kind: str) -> None:
