@@ -194,10 +194,11 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
 def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
     """The Strip records of the cached CSVs, read in one ordered pass, each
     checked as it is built.  The strips tile: m reads 1..M, M >= 1, and each
-    bottom is the previous top.  The zeros follow them: j reads 1..N, strip_m
-    each strip's m n_zeros times, and strip m takes the next n_zeros t cells.
-    The width must match the finite span to 1e-7 relative (a nan never does)
-    and primary_stat the built strip's; a broken rule or cell is CacheInvalid."""
+    bottom is the previous top.  The n_zeros cells are counts as compute
+    writes them, summing to N, and the zeros follow the strips: j reads 1..N,
+    strip_m each strip's m n_zeros times, and strip m takes the next n_zeros
+    t cells.  The width must match the finite span to 1e-7 relative (a nan
+    never does) and primary_stat the built strip's; else it is CacheInvalid."""
     try:
         js, ts, owners = read_columns(zeros_text, "j", "t", "strip_m")
         columns = read_columns(
@@ -207,8 +208,11 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
         ms = columns[0]
         if not ms or ms != [str(m) for m in range(1, len(ms) + 1)]:
             raise CacheInvalid("strips table: the m column does not read 1..M in row order")
-        expected = chain.from_iterable(map(repeat, ms, map(int, columns[5])))
-        if list(islice(expected, len(js) + 1)) != owners:  # one past N shows a sum above N
+        counts = [int(n) for n in columns[5]]
+        if columns[5] != [str(n) for n in counts] or min(counts) < 0:
+            raise CacheInvalid("strips table: an n_zeros cell is not a count as compute writes it")
+        expected = chain.from_iterable(map(repeat, ms, counts))
+        if sum(counts) != len(owners) or list(expected) != owners:  # so each count is <= N
             raise CacheInvalid("zeros table: strip_m does not read each strip's m n_zeros times")
         if js != [str(j) for j in range(1, len(js) + 1)]:
             raise CacheInvalid("zeros table: the j column does not read 1..N in row order")

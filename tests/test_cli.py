@@ -309,9 +309,11 @@ def test_cached_boundaries_hold_one_row_more_than_the_strips(
 
 
 # a value of each kind a reader can meet: not finite, zero, negative, far
-# out of range, empty and no number; each is set in the first and the last
-# data row
-SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-300", "", "x")
+# out of range as a float or as an integer, empty and no number; each is set
+# in the first and the last data row
+SWEEP_VALUES = (
+    "nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-300", "99999999999999999999", "", "x",
+)
 # each CSV figure input and the figures that read it
 SWEEP_READERS = {
     "strips.csv": (2, 8, 9, 10, 16),

@@ -181,8 +181,12 @@ def test_cached_zero_outside_its_own_strip_escapes(tmp_path, capsys, height):
 @pytest.mark.parametrize("column, cell, message", [
     ("bottom", "abc", "could not convert string to float: 'abc'"),
     ("n_zeros", "7", "zeros table: strip_m does not read each strip's m n_zeros times"),
+    ("n_zeros", "99999999999999999999", "zeros table: strip_m does not read each strip's m "),
+    ("n_zeros", "01", "strips table: an n_zeros cell is not a count as compute writes it"),
+    ("n_zeros", "-1", "strips table: an n_zeros cell is not a count as compute writes it"),
     ("primary_stat", "0.99", "strip 1: primary_stat column 0.99, but its zeros give 0.5"),
-], ids=["bottom", "n_zeros", "primary_stat"])
+], ids=["bottom", "n_zeros", "n_zeros_huge", "n_zeros_leading_zero", "n_zeros_negative",
+        "primary_stat"])
 def test_cached_strip_cell_that_does_not_parse_or_match_is_invalid(
     tmp_path, capsys, column, cell, message
 ):
