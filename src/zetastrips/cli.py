@@ -304,23 +304,23 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
         return ok, (f"bottom = {bottom:.10f}, first zero = {first.t:.6f} "
                     f"(|zero - 14.134725| = {err:.2e}), primary t = {primary.t:.6f}")
 
-    @cache
-    def census():
-        """read_census of the four cached entries; None without a cache directory."""
-        entries = config.cache()
-        if entries.dir.exists():
-            return pipeline.read_census({kind: entries.load(kind) for kind in KINDS})
-        return None
+    census = failed = None  # read once; a failed read fails cache_integrity alone
+    try:
+        if (entries := config.cache()).dir.exists():
+            census = pipeline.read_census({kind: entries.load(kind) for kind in KINDS})
+    except Exception as exc:  # deliberate: cache_integrity reports it
+        failed = exc
 
     def cache_integrity():
-        if census() is None:
-            return True, "no cache present (skipped)"
-        return True, "every entry passes warm compute's checks: kind, key, checksum and tables"
+        if failed is not None:
+            raise failed
+        return True, ("no cache present (skipped)" if census is None else
+                      "every entry passes warm compute's checks: kind, key, checksum and tables")
 
     def boundary_margin():
-        if census() is None:
-            return True, "no cache present (skipped)"
-        _, (margin, m) = census()
+        if census is None:
+            return True, f"{'no cache present' if failed is None else 'no census read'} (skipped)"
+        _, (margin, m) = census
         return margin > ZERO_RADIUS, (
             f"smallest min_abs_zeta = {margin:.3e} at m = {m} (ZERO_RADIUS {ZERO_RADIUS:g})"
         )

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import chain, islice, repeat, takewhile
+from itertools import islice, takewhile
 from operator import lt
 from pathlib import Path
 
@@ -39,9 +39,7 @@ SLOPE = analysis.SLOPE_MODEL
 GRAM_HEADER = "n,g,gap,gap_ratio,gap_ratio_geo"
 BOUNDARY_HEADER = "m,min_abs_zeta"
 ZEROS_HEADER = "j,t,strip_m"
-STRIPS_HEADER = (
-    "m,bottom,top,width,gram_count,n_zeros,primary_index,primary_height,primary_stat"
-)
+STRIPS_HEADER = "m,bottom,top,width,gram_count,n_zeros,primary_index,primary_height,primary_stat"
 
 def _boundary_estimate(t_max: float) -> int:
     """Number of boundary contours the boundary batch traces: enough to
@@ -147,13 +145,18 @@ def _boundary_batch(config: RunConfig) -> list[tuple[float, int, float]]:
     return edges
 
 
+def _table(header: str, rows) -> str:
+    """The text of a table: its header, then its rows, each line ended by a newline."""
+    return "\n".join([header, *rows]) + "\n"
+
+
 def _csv(header: str, rows) -> str:
     """CSV text of rows under header: floats on the 12-digit grid (fmt),
     ints as written, None as an empty field."""
     def cell(v) -> str:
         return "" if v is None else fmt(v) if isinstance(v, float) else str(v)
 
-    return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"
+    return _table(header, (",".join(map(cell, row)) for row in rows))
 
 
 def read_columns(text: str, *names: str) -> list[list[str]]:
@@ -191,57 +194,64 @@ def _emit(out_dir: Path, name: str, text: str) -> None:
     write_atomic(out_dir / name, text.encode("utf-8"))
 
 
+def _strip_row(s: Strip, width: float) -> str:
+    """strips.csv's row of strip s, its width cell written from width."""
+    return (f"{s.m},{fmt(s.bottom)},{fmt(s.top)},{fmt(width)},{s.gram_count},{len(s.zeros)},"
+            f"{s.primary_index},{fmt(s.primary_height)},{fmt(s.primary_stat)}")
+
+
+def _zero_row(j: int, t: float, m: int) -> str:
+    return f"{j},{fmt(t)},{m}"
+
+
+def _boundary_row(m: int, margin: float) -> str:
+    return f"{m},{fmt(margin)}"
+
+
+def _rows(text: str, header: str, table: str):
+    """(row number from 1, line) of each row of a table text as ``_table`` writes it."""
+    lines = text.split("\n")
+    if lines[0] != header or len(lines) < 3 or lines[-1]:
+        raise CacheInvalid(f"{table} table: not the header {header!r}, rows and a final newline")
+    return enumerate(lines[1:-1], 1)
+
+
+def _expect(table: str, j: int, line: str, want: str) -> None:
+    """CacheInvalid unless row j of table reads want, the row compute writes."""
+    if line != want:
+        raise CacheInvalid(f"{table} table: row {j} reads {line!r}, but compute writes {want!r}")
+
+
 def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
-    """The Strip records of the cached CSVs, read in one ordered pass, each
-    checked as it is built.  The strips tile: m reads 1..M, M >= 1, and each
-    bottom is the previous top.  The n_zeros cells are counts as compute
-    writes them, summing to N, and the zeros follow the strips: j reads 1..N,
-    strip_m each strip's m n_zeros times, and strip m takes the next n_zeros
-    t cells.  The width must match the finite span to 1e-7 relative (a nan
-    never does) and primary_stat the built strip's; else it is CacheInvalid."""
+    """The Strip records of the cached CSVs, read in one ordered pass.  Strip
+    m's zeros, the next n_zeros zeros rows, must read as ``_zero_row`` writes
+    them before its Strip is built and checks itself, and its row as
+    ``_strip_row`` writes that Strip, at its own width cell's value.  Each
+    bottom must be the previous top, the width match the finite span to 1e-7
+    relative (a nan never does), and no zeros row be left over."""
     try:
-        js, ts, owners = read_columns(zeros_text, "j", "t", "strip_m")
-        columns = read_columns(
-            strips_text, "m", "bottom", "top", "width", "gram_count", "n_zeros",
-            "primary_index", "primary_height", "primary_stat",
-        )
-        ms = columns[0]
-        if not ms or ms != [str(m) for m in range(1, len(ms) + 1)]:
-            raise CacheInvalid("strips table: the m column does not read 1..M in row order")
-        counts = [int(n) for n in columns[5]]
-        if columns[5] != [str(n) for n in counts] or min(counts) < 0:
-            raise CacheInvalid("strips table: an n_zeros cell is not a count as compute writes it")
-        expected = chain.from_iterable(map(repeat, ms, counts))
-        if sum(counts) != len(owners) or list(expected) != owners:  # so each count is <= N
-            raise CacheInvalid("zeros table: strip_m does not read each strip's m n_zeros times")
-        if js != [str(j) for j in range(1, len(js) + 1)]:
-            raise CacheInvalid("zeros table: the j column does not read 1..N in row order")
-        heights = map(float, ts)
+        zero_rows = _rows(zeros_text, ZEROS_HEADER, "zeros")
         strips = []
-        for (m_s, bottom_s, top_s, width, gram_count, n_zeros, primary_index, primary_height,
-             primary_stat) in zip(*columns):
-            m, bottom, top = int(m_s), float(bottom_s), float(top_s)
-            if strips and bottom != strips[-1].top:
-                raise CacheInvalid(f"strip {m}: bottom {bottom_s} is not strip {m - 1}'s top")
-            span = top - bottom
-            if not (math.isfinite(span) and abs(span - float(width)) <= 1e-7 * max(1, abs(span))):
+        for m, line in _rows(strips_text, STRIPS_HEADER, "strips"):
+            m_cell, bottom, top, width, gram_count, n_zeros, index, height, _ = line.split(",")
+            zeros, owner = [], int(m_cell)
+            for j, row in islice(zero_rows, int(n_zeros)):
+                _, t, _ = row.split(",")
+                zeros.append(float(t))
+                _expect("zeros", j, row, _zero_row(j, zeros[-1], owner))
+            if strips and float(bottom) != strips[-1].top:
+                raise CacheInvalid(f"strip {m}: bottom {bottom} is not strip {m - 1}'s top")
+            span, width = float(top) - float(bottom), float(width)
+            if not (math.isfinite(span) and abs(span - width) <= 1e-7 * max(1, abs(span))):
                 raise CacheInvalid(f"strip {m}: width column inconsistent with bounds")
-            # from a list: a tuple built from an iterator is resized, fragmenting the heap
-            strip = Strip(
-                m=m,
-                bottom=bottom,
-                top=top,
-                gram_count=int(gram_count),
-                zeros=tuple(list(islice(heights, int(n_zeros)))),
-                primary_index=int(primary_index),
-                primary_height=float(primary_height),
-            )
-            if primary_stat != fmt(strip.primary_stat):
-                raise CacheInvalid(f"strip {m}: primary_stat column {primary_stat}, "
-                                   f"but its zeros give {fmt(strip.primary_stat)}")
+            strip = Strip(m=m, bottom=float(bottom), top=float(top), gram_count=int(gram_count),
+                          zeros=tuple(zeros), primary_index=int(index), primary_height=float(height))
+            _expect("strips", m, line, _strip_row(strip, width))
             strips.append(strip)
-    except ValueError as exc:  # a missing column, a ragged row or a cell that does not cast
+    except ValueError as exc:  # a ragged row, a cell that does not cast or a count islice refuses
         raise CacheInvalid(f"strips or zeros table does not parse: {exc}") from None
+    if leftover := next(zero_rows, None):
+        raise CacheInvalid(f"zeros table: row {leftover[0]} follows the last strip's zeros")
     return strips
 
 
@@ -267,19 +277,17 @@ def parse_gram(gram_text: str) -> list[list[float]]:
 
 def boundary_margin(boundaries_text: str, n_strips: int) -> tuple[float, int]:
     """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv
-    of a census of n_strips strips; CacheInvalid for a table that does not
-    parse, does not hold one row more than there are strips, has an m column
-    that does not read 1, 2, ... in row order or a min_abs_zeta that is not
-    finite."""
+    of a census of n_strips strips; CacheInvalid unless each of its n_strips
+    + 1 rows reads as ``_boundary_row`` writes it, with a finite margin."""
+    margins = []
     try:
-        ms, cells = read_columns(boundaries_text, "m", "min_abs_zeta")
-        margins = [float(cell) for cell in cells]
+        for m, row in _rows(boundaries_text, BOUNDARY_HEADER, "boundaries"):
+            margins.append(float(row.partition(",")[2]))  # a ragged row does not cast
+            _expect("boundaries", m, row, _boundary_row(m, margins[-1]))
     except ValueError as exc:
         raise CacheInvalid(f"boundaries table does not parse: {exc}") from None
-    if len(ms) != n_strips + 1:
-        raise CacheInvalid(f"boundaries table: {len(ms)} rows for {n_strips} strips")
-    if ms != [str(m) for m in range(1, len(ms) + 1)]:
-        raise CacheInvalid("boundaries table: the m column does not read 1, 2, ... in row order")
+    if len(margins) != n_strips + 1:
+        raise CacheInvalid(f"boundaries table: {len(margins)} rows for {n_strips} strips")
     if not all(map(math.isfinite, margins)):
         raise CacheInvalid("boundaries table: a min_abs_zeta cell is not finite")
     return min((margin, m) for m, margin in enumerate(margins, 1))
@@ -315,29 +323,19 @@ def _census(config: RunConfig) -> dict[str, str]:
     ]
     zero_lists = _run_jobs(zero_jobs, _zeros_job, config.threads, "zeros", config.progress)
     strips = []
-    for (m, bottom, top, count), primary_height, heights in zip(
-        zero_jobs, primaries, zero_lists, strict=True
-    ):
+    for (m, bottom, top, count), primary_height, heights in zip(zero_jobs, primaries, zero_lists,
+                                                                 strict=True):
         diffs = [abs(t - primary_height) for t in heights]
-        strips.append(Strip(
-            m=m,
-            bottom=bottom,
-            top=top,
-            gram_count=count,
-            zeros=tuple(heights),
-            primary_index=diffs.index(min(diffs)) + 1 if diffs else 0,  # the nearest zero
-            primary_height=primary_height,
-        ))
+        nearest = diffs.index(min(diffs)) + 1 if diffs else 0
+        strips.append(Strip(m=m, bottom=bottom, top=top, gram_count=count, zeros=tuple(heights),
+                            primary_index=nearest, primary_height=primary_height))
     heights = ((t, s.m) for s in strips for t in s.zeros)
     return {
         "gram": _gram_csv(config.t_max),
-        "boundaries": _csv(BOUNDARY_HEADER, ((m, e[2]) for m, e in enumerate(edges, 1))),
-        "zeros": _csv(ZEROS_HEADER, ((j, t, m) for j, (t, m) in enumerate(heights, 1))),
-        "strips": _csv(STRIPS_HEADER, (
-            (s.m, s.bottom, s.top, s.width, s.gram_count, len(s.zeros), s.primary_index,
-             s.primary_height, s.primary_stat)
-            for s in strips
-        )),
+        "boundaries": _table(BOUNDARY_HEADER, (
+            _boundary_row(m, margin) for m, (_, _, margin) in enumerate(edges, 1))),
+        "zeros": _table(ZEROS_HEADER, (_zero_row(j, t, m) for j, (t, m) in enumerate(heights, 1))),
+        "strips": _table(STRIPS_HEADER, (_strip_row(s, s.width) for s in strips)),
     }
 
 

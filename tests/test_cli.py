@@ -261,16 +261,16 @@ def test_warm_compute_checks_the_cached_gram(row, column, value, small_run, tmp_
     [
         (-1, "min_abs_zeta", "nan", "a min_abs_zeta cell is not finite"),
         (1, "min_abs_zeta", "-inf", "a min_abs_zeta cell is not finite"),
-        (1, "m", "0", "the m column does not read 1, 2, ... in row order"),
-        (-1, "m", "-1", "the m column does not read 1, 2, ... in row order"),
+        (1, "m", "0", "row 1 reads '0,"),
+        (-1, "m", "-1", "row 11 reads '-1,"),
     ],
 )
 def test_cached_boundaries_are_checked_by_every_reader(
     row, column, value, message, small_run, tmp_path, capsys
 ):
     # a validly signed boundaries payload with a margin that is not finite,
-    # in any row, or an m column out of sequence: compute and analyze exit 3,
-    # verify fails both cache checks
+    # in any row, or an m cell that is not the row's: compute and analyze
+    # exit 3, verify fails its cache check alone
     out = tmp_path / "o"
     shutil.copytree(small_run, out)
     cache = RunConfig(t_max=100.0, out_dir=out).cache()
@@ -280,9 +280,9 @@ def test_cached_boundaries_are_checked_by_every_reader(
         assert main(args + [command]) == 3
         assert f"boundaries table: {message}" in capsys.readouterr().err
     assert main(args + ["verify"]) == EXIT_VERIFY
-    captured = capsys.readouterr().out
-    for check in ("cache_integrity", "boundary_margin"):
-        assert f"FAIL {check}: CacheInvalid: boundaries table: {message}" in captured
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith(f"FAIL cache_integrity: CacheInvalid: boundaries table: {message}")
 
 
 @pytest.mark.parametrize(
@@ -323,13 +323,29 @@ SWEEP_READERS = {
 }
 
 
+RESPELLED = "respelled with its number kept"
+
+
+def _respelled(cell: str) -> str | None:
+    """cell spelled otherwise with its number kept: a 0 after the last
+    decimal of a float, a + before a non-negative integer; else None."""
+    mantissa, e, exponent = cell.partition("e")
+    if "." in mantissa:
+        return f"{mantissa}0{e}{exponent}"
+    return "+" + cell if cell.isdigit() else None
+
+
 def _mutations(text: str):
     """(label, text) with one cell of the first or last data row set to
-    each sweep value, for every column."""
-    for column in text.splitlines()[0].split(","):
+    each sweep value, and respelled, for every column."""
+    lines = text.splitlines()
+    for column in lines[0].split(","):
         for row in (1, -1):
             for value in SWEEP_VALUES:
                 yield f"{column}[{row}]={value!r}", _set_cell(text, row, column, value)
+            cell = lines[row].split(",")[lines[0].split(",").index(column)]
+            if (value := _respelled(cell)) is not None:
+                yield f"{column}[{row}] {RESPELLED}: {value!r}", _set_cell(text, row, column, value)
 
 
 SWAPPED = "first two rows swapped"
@@ -369,7 +385,7 @@ def test_cached_census_without_strips_is_invalid(small_run, tmp_path, capsys):
         cache.store(kind, "\n".join(cache.load(kind).splitlines()[:rows]) + "\n")
     args = ["--t-max", "100", "--out", str(out), "--quiet"]
     assert main(args + ["compute"]) == 3
-    message = "strips table: the m column does not read 1..M in row order"
+    message = "zeros table: not the header 'j,t,strip_m', rows and a final newline"
     assert message in capsys.readouterr().err
     assert main(args + ["verify"]) == EXIT_VERIFY
     assert f"FAIL cache_integrity: CacheInvalid: {message}" in capsys.readouterr().out
@@ -379,7 +395,9 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
     # every column of every figure input and of every cache payload (re-signed
     # through Cache.store), and each payload a row short or long or with its
     # first two rows swapped: the commands that read it return 0, 2 or 3,
-    # warm compute refuses every swapped payload with 3, none escapes main,
+    # warm compute refuses every swapped payload with 3, and every respelled
+    # strips, zeros or boundaries payload, but serves a gram payload with a
+    # respelled number (only its n column is refused), none escapes main,
     # a plot that fails leaves no SVG and one that succeeds draws no nan or
     # infinity; verify passes a cache exactly when warm compute serves it,
     # and analyze, which reads no gram payload, exits 3 on a strips, zeros
@@ -432,6 +450,9 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
             analyzed = run(f"cache {kind} {label}", ["analyze"])
             if label == SWAPPED and computed != 3:
                 failures.append(f"cache {kind} {label}: compute {computed}, not 3")
+            refused = kind != "gram" or label.startswith("n[")
+            if RESPELLED in label and (computed == 3) != refused:
+                failures.append(f"cache {kind} {label}: compute {computed}")
             if kind != "gram" and (analyzed == 3) != (computed == 3):
                 failures.append(f"cache {kind} {label}: compute {computed}, analyze {analyzed}")
             served = computed == 0
@@ -569,6 +590,22 @@ def test_verify_reports_corrupted_cache(small_run, capsys):
         assert "FAIL cache_integrity" in captured
     finally:
         payload.write_bytes(original)
+
+
+def test_verify_reports_one_bad_cache_once(small_run, tmp_path, capsys):
+    # a validly signed strips payload with rows 1 and 2 swapped: verify reads
+    # the cache once, and the margin check skips what cache_integrity fails
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out)
+    cache = RunConfig(t_max=100.0, out_dir=out).cache()
+    header, one, two, *rest = cache.load("strips").splitlines()
+    cache.store("strips", "\n".join([header, two, one, *rest]) + "\n")
+    assert main(["--t-max", "100", "--out", str(out), "--quiet", "verify"]) == EXIT_VERIFY
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL cache_integrity"
+    ]
+    assert "PASS boundary_margin: no census read (skipped)" in lines
 
 
 def test_verify_reports_payload_without_meta(small_run, capsys):

@@ -111,11 +111,13 @@ def test_run_config_takes_str_directories(monkeypatch, tmp_path):
 def _resign_first_row(config: RunConfig, kind: str, column: str, value) -> None:
     """Store the cached ``kind`` entry, meta and checksum valid, with its
     first row's ``column`` cell set to value, a str as it stands or else
-    fmt(value(cells of that row by column name))."""
+    value(cells of that row by column name): a str as it stands, a float
+    as fmt writes it."""
     cache = config.cache()
     header, first, *rest = cache.load(kind).splitlines()
     cells = dict(zip(header.split(","), first.split(","), strict=True))
-    cells[column] = value if isinstance(value, str) else fmt(value(cells))
+    cell = value if isinstance(value, str) else value(cells)
+    cells[column] = cell if isinstance(cell, str) else fmt(cell)
     cache.store(kind, "\n".join([header, ",".join(cells.values()), *rest]) + "\n")
 
 
@@ -178,24 +180,45 @@ def test_cached_zero_outside_its_own_strip_escapes(tmp_path, capsys, height):
     assert "FAIL cache_integrity: EscapedStrip: strip 2: " in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("column, cell, message", [
-    ("bottom", "abc", "could not convert string to float: 'abc'"),
-    ("n_zeros", "7", "zeros table: strip_m does not read each strip's m n_zeros times"),
-    ("n_zeros", "99999999999999999999", "zeros table: strip_m does not read each strip's m "),
-    ("n_zeros", "01", "strips table: an n_zeros cell is not a count as compute writes it"),
-    ("n_zeros", "-1", "strips table: an n_zeros cell is not a count as compute writes it"),
-    ("primary_stat", "0.99", "strip 1: primary_stat column 0.99, but its zeros give 0.5"),
+def _trailing_zero(column: str):
+    """The cell of column with a 0 after its last decimal: the same number."""
+    return lambda cells: cells[column] + "0"
+
+
+_COUNT_REFUSED = "Stop argument for islice() must be None or an integer"
+
+
+@pytest.mark.parametrize("kind, column, cell, message", [
+    ("strips", "bottom", "abc", "could not convert string to float: 'abc'"),
+    ("strips", "n_zeros", "7", "zeros table: row 2 reads '2,"),
+    ("strips", "n_zeros", "99999999999999999999", _COUNT_REFUSED),
+    ("strips", "n_zeros", "01", "strips table: row 1 reads '1,"),
+    ("strips", "n_zeros", "-1", _COUNT_REFUSED),
+    ("strips", "primary_stat", "0.99", "strips table: row 1 reads '1,"),
+    # a cell spelled otherwise than compute writes it, its number kept
+    ("zeros", "t", _trailing_zero("t"), "zeros table: row 1 reads '1,14.1347251420,1'"),
+    ("zeros", "strip_m", "1\r", "zeros table: row 1 reads '1,14.134725142,1\\r'"),
+    ("strips", "bottom", _trailing_zero("bottom"), "strips table: row 1 reads '1,9.666908056130,"),
+    ("strips", "primary_height", lambda cells: " " + cells["primary_height"],
+     "strips table: row 1 reads '1,"),
+    ("strips", "gram_count", "01", "strips table: row 1 reads '1,"),
+    ("strips", "primary_index", "+1", "strips table: row 1 reads '1,"),
+    ("boundaries", "min_abs_zeta", _trailing_zero("min_abs_zeta"),
+     "boundaries table: row 1 reads '1,"),
 ], ids=["bottom", "n_zeros", "n_zeros_huge", "n_zeros_leading_zero", "n_zeros_negative",
-        "primary_stat"])
+        "primary_stat", "zeros_t_trailing_zero", "zeros_carriage_return",
+        "bottom_trailing_zero", "primary_height_leading_space", "gram_count_leading_zero",
+        "primary_index_plus", "min_abs_zeta_trailing_zero"])
 def test_cached_strip_cell_that_does_not_parse_or_match_is_invalid(
-    tmp_path, capsys, column, cell, message
+    tmp_path, capsys, kind, column, cell, message
 ):
-    # a validly signed entry: compute and analyze exit 3, verify's cache
-    # check fails, and no artifact is overwritten
+    # a validly signed entry with one cell of a strip's row, or of a zeros
+    # or boundaries row, not as compute writes it: compute and analyze exit
+    # 3, verify fails its cache check alone, and no artifact is overwritten
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     compute(config)
-    emitted = (tmp_path / "strips.csv").read_bytes()
-    _resign_first_row(config, "strips", column, cell)
+    emitted = {name: (tmp_path / name).read_bytes() for name in ("strips.csv", "zeros.csv")}
+    _resign_first_row(config, kind, column, cell)
     args = ["--t-max", "100", "--out", str(tmp_path), "--quiet"]
     for command in ("compute", "analyze"):
         assert main(args + [command]) == 3
@@ -203,7 +226,10 @@ def test_cached_strip_cell_that_does_not_parse_or_match_is_invalid(
     assert main(args + ["verify"]) == 5
     out = capsys.readouterr().out
     assert "FAIL cache_integrity: CacheInvalid: " in out and message in out
-    assert (tmp_path / "strips.csv").read_bytes() == emitted
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        line for line in out.splitlines() if line.startswith("FAIL cache_integrity: ")
+    ]
+    assert {name: (tmp_path / name).read_bytes() for name in emitted} == emitted
 
 
 def test_cached_boundary_cell_that_does_not_parse_is_invalid(tmp_path, capsys):
@@ -214,7 +240,9 @@ def test_cached_boundary_cell_that_does_not_parse_is_invalid(tmp_path, capsys):
     assert main(args + ["analyze"]) == 3
     assert "boundaries table does not parse" in capsys.readouterr().err
     assert main(args + ["verify"]) == 5
-    assert "FAIL boundary_margin: CacheInvalid: " in capsys.readouterr().out
+    assert "FAIL cache_integrity: CacheInvalid: boundaries table does not parse" in (
+        capsys.readouterr().out
+    )
 
 
 def _renumbered(header: str, rows: list[str]) -> str:
@@ -229,14 +257,14 @@ def _strip_one_zeros_last(text: str) -> str:
     return _renumbered(header, sorted(rows, key=lambda row: row.endswith(",1")))
 
 
-_STRIP_M_MESSAGE = "strip_m does not read each strip's m n_zeros times"
+_LEFT_OVER = "row 4 follows the last strip's zeros"
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda text: text + "99,123.5,99\n", _STRIP_M_MESSAGE),
-    (lambda text: text + "4,123.5,99\n", _STRIP_M_MESSAGE),
-    (lambda text: text.replace("\n1,", "\n2,", 1), "the j column does not read 1..N"),
-    (_strip_one_zeros_last, _STRIP_M_MESSAGE),
+    (lambda text: text + "99,123.5,99\n", _LEFT_OVER),
+    (lambda text: text + "4,123.5,99\n", _LEFT_OVER),
+    (lambda text: text.replace("\n1,", "\n2,", 1), "row 1 reads '2,14.134725142,1'"),
+    (_strip_one_zeros_last, "row 1 reads '1,21.0220396385,2', but compute writes "),
 ], ids=["orphan_row", "orphan_row_in_sequence", "j_out_of_sequence", "strip_one_zeros_last"])
 def test_cached_zeros_outside_every_strip_or_out_of_sequence_are_invalid(
     tmp_path, capsys, edit, message
@@ -284,8 +312,10 @@ def _strip_one_top_lowered(texts: dict[str, str]) -> None:
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_strips_one_and_two_swapped, "strips table: the m column does not read 1..M in row order"),
-    (_strip_two_dropped, "strips table: the m column does not read 1..M in row order"),
+    # strip 2's row first takes strip 1's zero
+    (_strips_one_and_two_swapped, "zeros table: row 1 reads '1,14.134725142,1', but compute "
+                                  "writes '1,14.134725142,2'"),
+    (_strip_two_dropped, "strip 2: bottom 27.6701822178 is not strip 1's top"),
     (_strip_one_top_lowered, "strip 2: bottom 17.8455995404 is not strip 1's top"),
 ], ids=["rows_swapped", "strip_dropped", "gap"])
 def test_cached_strips_that_do_not_tile_in_order_are_invalid(tmp_path, capsys, edit, message):
@@ -346,18 +376,22 @@ def _reversed_columns(text: str) -> str:
     return "".join(",".join(line.split(",")[::-1]) + "\n" for line in text.splitlines())
 
 
-def test_cached_tables_are_read_by_column_name(tmp_path):
-    # the same tables with their columns in reverse order, header and cells
+def test_cached_tables_with_reordered_columns_are_invalid(tmp_path):
+    # the same tables with their columns in reverse order, header and cells:
+    # compute writes one column order, and serves no other
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     strips = compute(config).strips
     cache = config.cache()
     texts = {kind: cache.load(kind) for kind in ("boundaries", "strips", "zeros")}
+    assert pipeline.parse_strips(texts["strips"], texts["zeros"]) == strips
     reordered = {kind: _reversed_columns(text) for kind, text in texts.items()}
     assert reordered["boundaries"].startswith("min_abs_zeta,m\n")
-    assert pipeline.boundary_margin(reordered["boundaries"], len(strips)) == (
-        pipeline.boundary_margin(texts["boundaries"], len(strips))
-    )
-    assert pipeline.parse_strips(reordered["strips"], reordered["zeros"]) == strips
+    with pytest.raises(CacheInvalid, match="boundaries table: not the header 'm,min_abs_zeta'"):
+        pipeline.boundary_margin(reordered["boundaries"], len(strips))
+    with pytest.raises(CacheInvalid, match="strips table: not the header 'm,bottom,"):
+        pipeline.parse_strips(reordered["strips"], texts["zeros"])
+    with pytest.raises(CacheInvalid, match="zeros table: not the header 'j,t,strip_m'"):
+        pipeline.parse_strips(texts["strips"], reordered["zeros"])
 
 
 def test_failed_assembly_stores_nothing(monkeypatch, tmp_path):
