@@ -13,6 +13,10 @@ returns its results in job order, so the emitted artifacts are
 byte-identical for any worker count.  One worker maps the jobs in this
 process and loads no process pool; only more than one imports
 ``concurrent.futures``.
+
+Each table parser keeps its last checked result (``lru_cache(maxsize=1)``):
+an equal text read again in the same process returns the same immutable
+objects, and a refused text, whose raise is not kept, is refused on every call.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, takewhile
 from operator import lt
 from pathlib import Path
@@ -83,7 +87,7 @@ class RunConfig:
 
 @dataclass
 class ComputeResult:
-    strips: list[Strip]
+    strips: tuple[Strip, ...]
     boundaries: list[float]
     from_cache: bool = False
 
@@ -173,10 +177,8 @@ def read_columns(text: str, *names: str) -> list[list[str]]:
 
 
 def _gram_csv(t_max: float) -> str:
-    table = default_table()
-    rows = [(-1, table.point(-1), None, None, None)]
-    rows += gap_ratio_series(table.extend_to_height(t_max))
-    return _csv(GRAM_HEADER, rows)
+    rows = [(-1, gram_point(-1)), *gap_ratio_series(default_table().extend_to_height(t_max))]
+    return _table(GRAM_HEADER, (_gram_row(*row) for row in rows))
 
 
 def _make_dirs(*dirs: Path) -> list[Path]:
@@ -208,6 +210,11 @@ def _boundary_row(m: int, margin: float) -> str:
     return f"{m},{fmt(margin)}"
 
 
+def _gram_row(n: int, g: float, *gaps: float) -> str:
+    """gram.csv's row n, its gap cells empty in row -1."""
+    return ",".join([str(n), fmt(g), *(("",) * 3 if n < 0 else map(fmt, gaps))])
+
+
 def _rows(text: str, header: str, table: str):
     """(row number from 1, line) of each row of a table text as ``_table`` writes it."""
     lines = text.split("\n")
@@ -222,7 +229,8 @@ def _expect(table: str, j: int, line: str, want: str) -> None:
         raise CacheInvalid(f"{table} table: row {j} reads {line!r}, but compute writes {want!r}")
 
 
-def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
+@lru_cache(maxsize=1)
+def parse_strips(strips_text: str, zeros_text: str) -> tuple[Strip, ...]:
     """The Strip records of the cached CSVs, read in one ordered pass.  Strip
     m's zeros, the next n_zeros zeros rows, must read as ``_zero_row`` writes
     them before its Strip is built and checks itself, and its row as
@@ -252,29 +260,31 @@ def parse_strips(strips_text: str, zeros_text: str) -> list[Strip]:
         raise CacheInvalid(f"strips or zeros table does not parse: {exc}") from None
     if leftover := next(zero_rows, None):
         raise CacheInvalid(f"zeros table: row {leftover[0]} follows the last strip's zeros")
-    return strips
+    return tuple(strips)
 
 
-def parse_gram(gram_text: str) -> list[list[float]]:
-    """The n, g, gap, gap_ratio and gap_ratio_geo columns of gram.csv, row
-    -1's empty gap cells as nan; CacheInvalid unless the n column reads
-    -1, 0, 1, ... in row order, the g column is finite and strictly
-    ascending, and the gap columns are empty in row -1 and finite below."""
+@lru_cache(maxsize=1)
+def parse_gram(gram_text: str) -> tuple[tuple[float, ...], ...]:
+    """The n, g, gap, gap_ratio and gap_ratio_geo columns of gram.csv, row -1's
+    gap cells nan; CacheInvalid unless each row reads as ``_gram_row`` writes
+    it, n from -1, g finite and strictly ascending and the gaps finite below."""
+    rows = []
     try:
-        ns, gs, *cells = read_columns(gram_text, "n", "g", "gap", "gap_ratio", "gap_ratio_geo")
-        g = [float(cell) for cell in gs]
-        gaps = [[float(cell) for cell in column[1:]] for column in cells]
-    except ValueError as exc:
+        for j, line in _rows(gram_text, GRAM_HEADER, "gram"):
+            g, gap, plain, geo = [float(cell or "nan") for cell in line.split(",")[1:]]
+            _expect("gram", j, line, _gram_row(j - 2, g, gap, plain, geo))
+            rows.append((g, gap, plain, geo))
+    except ValueError as exc:  # a ragged row or a cell that does not cast
         raise CacheInvalid(f"gram table does not parse: {exc}") from None
-    if not ns or ns != [str(n) for n in range(-1, len(ns) - 1)]:
-        raise CacheInvalid("gram table: the n column does not read -1, 0, 1, ... in row order")
-    if not (all(map(math.isfinite, g)) and all(map(lt, g, g[1:]))):
+    gs, *gaps = zip(*rows)
+    if not (all(map(math.isfinite, gs)) and all(map(lt, gs, gs[1:]))):
         raise CacheInvalid("gram table: the g column is not finite and strictly ascending")
-    if any(column[0] for column in cells) or not all(math.isfinite(v) for c in gaps for v in c):
-        raise CacheInvalid("gram table: the gap columns are not empty in row -1, finite below")
-    return [[float(n) for n in range(-1, len(ns) - 1)], g, *([math.nan, *gap] for gap in gaps)]
+    if not all(math.isfinite(v) for gap in gaps for v in gap[1:]):
+        raise CacheInvalid("gram table: the gap columns are not finite below row -1")
+    return (tuple(map(float, range(-1, len(gs) - 1))), gs, *gaps)
 
 
+@lru_cache(maxsize=1)
 def boundary_margin(boundaries_text: str, n_strips: int) -> tuple[float, int]:
     """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv
     of a census of n_strips strips; CacheInvalid unless each of its n_strips
@@ -293,7 +303,7 @@ def boundary_margin(boundaries_text: str, n_strips: int) -> tuple[float, int]:
     return min((margin, m) for m, margin in enumerate(margins, 1))
 
 
-def read_census(texts: dict[str, str]) -> tuple[list[Strip], tuple[float, int]]:
+def read_census(texts: dict[str, str]) -> tuple[tuple[Strip, ...], tuple[float, int]]:
     """The checked strips and boundary margin of a census's four cache texts,
     each table read by its own checking parser; else CacheInvalid or a
     failed Strip check.  The one rule for serving a census."""

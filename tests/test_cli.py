@@ -242,7 +242,9 @@ def test_warm_compute_checks_the_cached_gram(row, column, value, small_run, tmp_
     # a validly signed gram payload whose n column skips, whose g column is
     # not finite and ascending, or whose gap cells are not empty in row -1 and
     # finite below it: compute exits 3 without rewriting gram.csv, and verify
-    # fails the cache
+    # fails the cache.  An n cell and row -1's gap cells are read as compute
+    # writes the row, so they fail the row's rendering, not a column rule
+    message = f"gram table: row {row} reads " if column == "n" or row == 1 else "gram table: the "
     out = tmp_path / "o"
     shutil.copytree(small_run, out)
     cache = RunConfig(t_max=100.0, out_dir=out).cache()
@@ -250,10 +252,10 @@ def test_warm_compute_checks_the_cached_gram(row, column, value, small_run, tmp_
     before = (out / "gram.csv").read_bytes()
     args = ["--t-max", "100", "--out", str(out), "--quiet"]
     assert main(args + ["compute"]) == 3
-    assert "gram table: the " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert (out / "gram.csv").read_bytes() == before
     assert main(args + ["verify"]) == EXIT_VERIFY
-    assert "FAIL cache_integrity: CacheInvalid: gram table: the " in capsys.readouterr().out
+    assert f"FAIL cache_integrity: CacheInvalid: {message}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -395,9 +397,8 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
     # every column of every figure input and of every cache payload (re-signed
     # through Cache.store), and each payload a row short or long or with its
     # first two rows swapped: the commands that read it return 0, 2 or 3,
-    # warm compute refuses every swapped payload with 3, and every respelled
-    # strips, zeros or boundaries payload, but serves a gram payload with a
-    # respelled number (only its n column is refused), none escapes main,
+    # warm compute refuses every swapped and every respelled payload with 3
+    # (a cached row is served only as compute writes it), none escapes main,
     # a plot that fails leaves no SVG and one that succeeds draws no nan or
     # infinity; verify passes a cache exactly when warm compute serves it,
     # and analyze, which reads no gram payload, exits 3 on a strips, zeros
@@ -450,8 +451,7 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
             analyzed = run(f"cache {kind} {label}", ["analyze"])
             if label == SWAPPED and computed != 3:
                 failures.append(f"cache {kind} {label}: compute {computed}, not 3")
-            refused = kind != "gram" or label.startswith("n[")
-            if RESPELLED in label and (computed == 3) != refused:
+            if RESPELLED in label and computed != 3:
                 failures.append(f"cache {kind} {label}: compute {computed}")
             if kind != "gram" and (analyzed == 3) != (computed == 3):
                 failures.append(f"cache {kind} {label}: compute {computed}, analyze {analyzed}")

@@ -205,22 +205,25 @@ _COUNT_REFUSED = "Stop argument for islice() must be None or an integer"
     ("strips", "primary_index", "+1", "strips table: row 1 reads '1,"),
     ("boundaries", "min_abs_zeta", _trailing_zero("min_abs_zeta"),
      "boundaries table: row 1 reads '1,"),
+    ("gram", "g", _trailing_zero("g"), "gram table: row 1 reads '-1,9.666908077470,,,'"),
 ], ids=["bottom", "n_zeros", "n_zeros_huge", "n_zeros_leading_zero", "n_zeros_negative",
         "primary_stat", "zeros_t_trailing_zero", "zeros_carriage_return",
         "bottom_trailing_zero", "primary_height_leading_space", "gram_count_leading_zero",
-        "primary_index_plus", "min_abs_zeta_trailing_zero"])
+        "primary_index_plus", "min_abs_zeta_trailing_zero", "gram_g_trailing_zero"])
 def test_cached_strip_cell_that_does_not_parse_or_match_is_invalid(
     tmp_path, capsys, kind, column, cell, message
 ):
-    # a validly signed entry with one cell of a strip's row, or of a zeros
-    # or boundaries row, not as compute writes it: compute and analyze exit
-    # 3, verify fails its cache check alone, and no artifact is overwritten
+    # a validly signed entry with one cell of a strip's row, or of a zeros,
+    # boundaries or gram row, not as compute writes it: compute and analyze
+    # (which reads no gram payload) exit 3, verify fails its cache check
+    # alone, and no artifact is overwritten
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     compute(config)
-    emitted = {name: (tmp_path / name).read_bytes() for name in ("strips.csv", "zeros.csv")}
+    emitted = {name: (tmp_path / name).read_bytes()
+               for name in ("gram.csv", "strips.csv", "zeros.csv")}
     _resign_first_row(config, kind, column, cell)
     args = ["--t-max", "100", "--out", str(tmp_path), "--quiet"]
-    for command in ("compute", "analyze"):
+    for command in ("compute",) if kind == "gram" else ("compute", "analyze"):
         assert main(args + [command]) == 3
         assert message in capsys.readouterr().err
     assert main(args + ["verify"]) == 5
@@ -461,6 +464,45 @@ def test_warm_strips_match_fresh_ones_on_the_emission_grid(tmp_path):
     for s in fresh.strips:
         for v in (s.bottom, s.top, s.primary_height, *s.zeros):
             assert v == float(fmt(v))
+
+
+def test_parsers_serve_an_equal_text_their_last_checked_result(tmp_path):
+    # two equal texts, distinct objects as each Cache.load reads them afresh,
+    # get the same result object; the strips and the gram columns are tuples
+    # of frozen values, so no caller can alter what the next one is served
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    strips = compute(config).strips
+    first, second = ({kind: config.cache().load(kind) for kind in cache.KINDS} for _ in range(2))
+    assert first == second and all(first[kind] is not second[kind] for kind in cache.KINDS)
+    parsed = pipeline.parse_strips(first["strips"], first["zeros"])
+    assert pipeline.parse_strips(second["strips"], second["zeros"]) is parsed
+    assert isinstance(strips, tuple) and strips == parsed
+    margin = pipeline.boundary_margin(first["boundaries"], len(parsed))
+    assert pipeline.boundary_margin(second["boundaries"], len(parsed)) is margin
+    columns = pipeline.parse_gram(first["gram"])
+    assert pipeline.parse_gram(second["gram"]) is columns
+    assert isinstance(columns, tuple) and all(isinstance(column, tuple) for column in columns)
+
+
+def test_a_refused_text_is_refused_on_every_call(tmp_path, capsys):
+    # in one process, where each parser keeps its last checked result: a
+    # zeros payload with a respelled t cell, re-signed, is refused by compute
+    # and analyze whenever it is read, the restored payload is served again,
+    # and zeros.csv never changes
+    args = ["--t-max", "100", "--out", str(tmp_path), "--quiet"]
+    assert main(args + ["compute"]) == 0
+    emitted = (tmp_path / "zeros.csv").read_bytes()
+    entries = RunConfig(t_max=100.0, out_dir=tmp_path).cache()
+    served = entries.load("zeros")
+    respelled = served.replace("\n1,14.134725142,1\n", "\n1,14.1347251420,1\n")
+    assert respelled != served
+    message = "zeros table: row 1 reads '1,14.1347251420,1'"
+    for payload, code in ((served, 0), (respelled, 3), (served, 0), (respelled, 3)):
+        entries.store("zeros", payload)
+        for command in ("compute", "analyze"):
+            assert main(args + [command]) == code
+            assert (message in capsys.readouterr().err) == (code == 3)
+        assert (tmp_path / "zeros.csv").read_bytes() == emitted
 
 
 def test_one_worker_loads_no_process_pool(tmp_path):
