@@ -119,6 +119,15 @@ def arch_centers(
     return out
 
 
+def census_arches(m_last: int) -> list[ArchPrediction]:
+    """The arch centres of a census of strips 1..m_last: every one at or
+    below m_last, q <= 3 from m_last = 100 on and q <= 2 below."""
+    q_max = 3 if m_last >= 100 else 2
+    # arch_centers takes p_max >= 4; only a census of one strip gives less (2)
+    p_max = max(4, math.ceil(q_max * math.log2(m_last / _LN2)))
+    return arch_centers(p_max, q_max, m_limit=float(m_last))
+
+
 def fit_density(strips: Sequence[Strip]) -> tuple[LinearFit, list[tuple[int, float]]]:
     """OLS of zeros-per-width against ln m plus its (m, residual) series."""
     x = np.array([math.log(s.m) for s in strips], dtype=float)

@@ -1,8 +1,12 @@
 """Command-line front end: compute, analyze, plot, verify.
 
+``plot`` needs only compute's artifacts: it reads them through the census
+parsers compute, analyze and verify use, and draws each fit, deviation
+series and arch centre as analyze computes and writes it.
+
 Exit codes: 0 success, 1 I/O error, 2 math anomaly (any package error
 other than a CacheMissing: a contour or count check failed), 3 missing
-inputs (CacheMissing and its subclass CacheInvalid: a cache or analysis
+inputs (CacheMissing and its subclass CacheInvalid: a cache entry or
 artifact absent, invalid or unparsable, or a figure range the census does
 not reach), 4 usage error, 5 verification failure.
 """
@@ -10,22 +14,22 @@ not reach), 4 usage error, 5 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 from functools import cache, partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from . import pipeline
-from .cache import KINDS
+from . import analysis, pipeline
+from .cache import KINDS, round12
 from .contour import ZERO_RADIUS, primary_zero_of_strip, special_gram_point
 from .errors import CacheInvalid, CacheMissing, DomainError, ZetaStripsError
 from .gram import gram_point
 from .pipeline import RunConfig
-from .strips import find_zeros
+from .strips import Strip, find_zeros
 from .svgfig import Chart
 from .zeta import ComplexPoint, zeta
 
@@ -120,48 +124,36 @@ def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_input(out: Path, name: str, parse):
-    """parse(text) of the artifact a figure reads; CacheMissing naming an
-    absent file, CacheInvalid naming one that does not decode or parse, or
-    that parse raises CacheInvalid for."""
+def _read_input(out: Path, parse, *names: str):
+    """parse(*texts) of the named artifacts in out, read in order and passed
+    positionally; CacheMissing naming an absent file, CacheInvalid naming one
+    that does not decode, or the first name when parse refuses the texts (its
+    message names the table at fault)."""
+    texts = []
     try:
-        return parse((out / name).read_text(encoding="utf-8"))
+        for name in names:
+            texts.append((out / name).read_text(encoding="utf-8"))
+        name = names[0]
+        return parse(*texts)
     except FileNotFoundError:
-        raise CacheMissing(f"{name} missing from {out}; run compute/analyze first") from None
-    except (ValueError, KeyError, TypeError, CacheInvalid) as exc:  # UnicodeDecodeError too
+        raise CacheMissing(f"{name} missing from {out}; run compute first") from None
+    except (UnicodeDecodeError, CacheInvalid) as exc:
         raise CacheInvalid(
-            f"{name} in {out} is malformed ({type(exc).__name__}: {exc}); "
-            "run compute/analyze again"
+            f"{name} in {out} is malformed ({type(exc).__name__}: {exc}); run compute again"
         ) from None
 
 
-def _finite(value) -> float:
-    """float(value); ValueError for a nan or an infinity."""
-    if not math.isfinite(number := float(value)):
-        raise ValueError(f"non-finite value {value!r}")
-    return number
+def _census(out: Path) -> tuple[Strip, ...]:
+    """The strips of strips.csv and zeros.csv in out, checked by the parser
+    that compute, analyze and verify read the census with."""
+    return _read_input(out, pipeline.parse_strips, "strips.csv", "zeros.csv")
 
 
-def _load_csv_columns(out: Path, filename: str, *names: str) -> list[list[float]]:
-    """The named columns of a figure's CSV input; a file with no data rows,
-    or with a nan, infinite or empty value, is malformed."""
-    def parse(text: str) -> list[list[float]]:
-        columns = pipeline.read_columns(text, *names)
-        if not columns[0]:
-            raise ValueError("no data rows")
-        return [[_finite(cell) for cell in column] for column in columns]
-
-    return _read_input(out, filename, parse)
-
-
-def _fit_line(out: Path, key: str, ms: list[float], log: bool) -> tuple[list, list]:
-    """fits.json's fit ``key`` over ms[0]..ms[-1]: intercept + slope * m at both
-    ends on a linear axis, intercept + slope * ln m at 64 geometric steps on a log one."""
-    def parse(text: str) -> tuple[float, float]:
-        fit = json.loads(text)[key]
-        return _finite(fit["intercept"]), _finite(fit["slope"])
-
-    intercept, slope = _read_input(out, "fits.json", parse)
+def _fit_line(fit: analysis.LinearFit, ms: list[int], log: bool) -> tuple[list, list]:
+    """fit, its coefficients on analyze's 12-digit grid, over ms[0]..ms[-1]:
+    intercept + slope * m at both ends on a linear axis, intercept + slope * ln m
+    at 64 geometric steps on a log one."""
+    intercept, slope = round12([fit.intercept, fit.slope])
     xs = list(np.geomspace(ms[0], ms[-1], 64)) if log else [ms[0], ms[-1]]
     return xs, [intercept + slope * (math.log(x) if log else x) for x in xs]
 
@@ -171,7 +163,7 @@ STRIP_RANGES = ((1, 70), (70, 140), (140, 280), (280, 560), (560, 1102))
 
 
 def _gram_chart(out: Path) -> Chart:
-    ns, _, _, plain, geometric = _read_input(out, "gram.csv", pipeline.parse_gram)
+    ns, _, _, plain, geometric = _read_input(out, pipeline.parse_gram, "gram.csv")
     # the log axes drop n <= 0 and the zero and empty (nan) ratios
     return Chart(
         title="Gram gap convergence to the spacing model",
@@ -186,74 +178,69 @@ def _gram_chart(out: Path) -> Chart:
     )
 
 
-def _density_chart(out: Path) -> Chart:
-    ms, n_zeros, widths = _load_csv_columns(out, "strips.csv", "m", "n_zeros", "width")
-    return Chart(
-        title="Zero density per strip vs strip number",
-        xlabel="strip number m (log)",
-        ylabel="zeros / width",
-        series=[("", ms, [n / w for n, w in zip(n_zeros, widths)])],
-        xlog=True,
-        line=_fit_line(out, "density_log", ms, log=True),
-    )
-
-
-def _deviation_chart(out: Path, figure: int, span: tuple, column: str, title: str) -> Chart:
-    """deviations.csv's ``column`` over the strips in span, and the arch centres there."""
+def _deviation_chart(out: Path, figure: int, span: tuple, series, title: str) -> Chart:
+    """series(strips), analyze's deviation series on its 12-digit grid, over
+    the strips in span, and the census's arch centres there."""
     lo, hi = span
-    ms, values = _load_csv_columns(out, "deviations.csv", "m", column)
-    xs = [m for m in ms if lo <= m <= hi]
-    ys = [v for m, v in zip(ms, values) if lo <= m <= hi]
-    if not xs:
-        last = int(max(ms))
+    strips = _census(out)
+    if strips[-1].m < lo:  # the strips are 1..m_last
         raise CacheMissing(
             f"figure {figure} plots strips {lo}..{hi}, but the census in {out} "
-            f"ends at strip {last}; only a larger --t-max reaches that range"
+            f"ends at strip {strips[-1].m}; only a larger --t-max reaches that range"
         )
-    (centers,) = _load_csv_columns(out, "arches.csv", "m_center")
+    xs, ys = zip(*((m, v) for m, v in series(strips) if lo <= m <= hi))
+    centers = round12([a.m_center for a in analysis.census_arches(strips[-1].m)])
     return Chart(
         title=f"{title} deviation, strips {lo}..{hi}",
         xlabel="strip number m",
         ylabel="deviation",
-        series=[("", xs, ys)],
+        series=[("", xs, round12(ys))],
         vmarkers=[m for m in centers if lo <= m <= hi],
     )
 
 
-def _strips_chart(out: Path, column: str, fit: str | None = None, **labels) -> Chart:
-    """strips.csv's ``column`` against m, on a Chart of the given labels,
-    and fits.json's fit ``fit``, if named, drawn over it."""
-    ms, values = _load_csv_columns(out, "strips.csv", "m", column)
-    line = _fit_line(out, fit, ms, labels.get("xlog", False)) if fit else None
-    return Chart(series=[("", ms, values)], line=line, **labels)
+def _strips_chart(out: Path, value, fit=None, **labels) -> Chart:
+    """value(strip) against m, on a Chart of the given labels, and fit(strips),
+    if given, drawn over it as analyze writes it."""
+    strips = _census(out)
+    ms = [s.m for s in strips]
+    line = _fit_line(fit(strips), ms, labels.get("xlog", False)) if fit else None
+    return Chart(series=[("", ms, [value(s) for s in strips])], line=line, **labels)
 
 
 # figure number -> builder of its chart from the output directory
 FIGURES = {
     1: _gram_chart,
-    2: partial(_strips_chart, column="bottom", fit="bottoms",
+    2: partial(_strips_chart, value=attrgetter("bottom"), fit=analysis.fit_bottoms,
                title="Strip bottom height vs strip number", xlabel="strip number m",
                ylabel="bottom height t"),
-    **{3 + i: partial(_deviation_chart, figure=3 + i, span=span, column="bottom_dev",
-                      title="Bottom-height") for i, span in enumerate(STRIP_RANGES)},
-    8: partial(_strips_chart, column="n_zeros", title="Zeros per strip vs strip number",
+    **{3 + i: partial(_deviation_chart, figure=3 + i, span=span,
+                      series=analysis.bottom_deviation_series, title="Bottom-height")
+       for i, span in enumerate(STRIP_RANGES)},
+    8: partial(_strips_chart, value=lambda s: len(s.zeros),
+               title="Zeros per strip vs strip number",
                xlabel="strip number m (log)", ylabel="zero count", xlog=True),
-    9: _density_chart,
-    10: partial(_strips_chart, column="width",
+    9: partial(_strips_chart, value=lambda s: len(s.zeros) / s.width,
+               fit=lambda strips: analysis.fit_density(strips)[0],
+               title="Zero density per strip vs strip number",
+               xlabel="strip number m (log)", ylabel="zeros / width", xlog=True),
+    10: partial(_strips_chart, value=attrgetter("width"),
                 title="Strip width on the critical line vs strip number",
                 xlabel="strip number m (log)", ylabel="width", xlog=True),
-    **{11 + i: partial(_deviation_chart, figure=11 + i, span=span, column="density_dev",
-                       title="Zero-density") for i, span in enumerate(STRIP_RANGES)},
-    16: partial(_strips_chart, column="primary_stat",
+    **{11 + i: partial(_deviation_chart, figure=11 + i, span=span,
+                       series=lambda strips: analysis.fit_density(strips)[1],
+                       title="Zero-density")
+       for i, span in enumerate(STRIP_RANGES)},
+    16: partial(_strips_chart, value=lambda s: round12(s.primary_stat),
                 title="Relative position of the primary zero in its strip",
                 xlabel="strip number m", ylabel="(primary index - 0.5) / zero count"),
 }
 
 
 def cmd_plot(config: RunConfig, args: argparse.Namespace) -> int:
-    """Render one figure.  Inputs that parse but cannot be drawn (a zero width, an
-    axis that overflows, a log fit line over m <= 0, which numpy raises under errstate)
-    are CacheInvalid; render writes only at its end, so they leave no SVG."""
+    """Render one figure from compute's artifacts alone.  A gram.csv that parses
+    but cannot be drawn (no ratio the log axes can show, or an error numpy raises
+    under errstate) is CacheInvalid; render writes only at its end, so it leaves no SVG."""
     target = config.out_dir / f"fig{args.figure}.svg"
     try:
         with np.errstate(all="raise"):
@@ -261,7 +248,7 @@ def cmd_plot(config: RunConfig, args: argparse.Namespace) -> int:
     except (ArithmeticError, ValueError) as exc:
         raise CacheInvalid(
             f"figure {args.figure} cannot be drawn from the inputs in {config.out_dir} "
-            f"({type(exc).__name__}: {exc}); run compute/analyze again"
+            f"({type(exc).__name__}: {exc}); run compute again"
         ) from None
     print(f"wrote {target}")
     return 0

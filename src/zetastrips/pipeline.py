@@ -17,6 +17,9 @@ process and loads no process pool; only more than one imports
 Each table parser keeps its last checked result (``lru_cache(maxsize=1)``):
 an equal text read again in the same process returns the same immutable
 objects, and a refused text, whose raise is not kept, is refused on every call.
+``analyze``, ``verify`` and every figure of ``plot`` read the census through
+these parsers too, always with positional arguments: the memo keys keyword
+arguments apart, so a keyword call would miss and evict the entry.
 """
 
 from __future__ import annotations
@@ -163,19 +166,6 @@ def _csv(header: str, rows) -> str:
     return _table(header, (",".join(map(cell, row)) for row in rows))
 
 
-def read_columns(text: str, *names: str) -> list[list[str]]:
-    """The cells of each named column of a ``_csv`` text, in row order, for
-    the caller to cast; ValueError for a missing name or a ragged row."""
-    header, *lines = text.strip().splitlines()
-    columns = header.split(",")
-    if missing := [name for name in names if name not in columns]:
-        raise ValueError(f"header {header!r} lacks {', '.join(missing)}")
-    rows = [line.split(",") for line in lines]
-    if any(len(row) != len(columns) for row in rows):
-        raise ValueError(f"a row without the {len(columns)} cells of header {header!r}")
-    return [[row[i] for row in rows] for i in map(columns.index, names)]
-
-
 def _gram_csv(t_max: float) -> str:
     rows = [(-1, gram_point(-1)), *gap_ratio_series(default_table().extend_to_height(t_max))]
     return _table(GRAM_HEADER, (_gram_row(*row) for row in rows))
@@ -271,7 +261,10 @@ def parse_gram(gram_text: str) -> tuple[tuple[float, ...], ...]:
     rows = []
     try:
         for j, line in _rows(gram_text, GRAM_HEADER, "gram"):
-            g, gap, plain, geo = [float(cell or "nan") for cell in line.split(",")[1:]]
+            cells = line.split(",")[1:]
+            if j == 1:  # row -1: its gap cells are empty, read as nan
+                cells[1:] = [cell or "nan" for cell in cells[1:]]
+            g, gap, plain, geo = map(float, cells)
             _expect("gram", j, line, _gram_row(j - 2, g, gap, plain, geo))
             rows.append((g, gap, plain, geo))
     except ValueError as exc:  # a ragged row or a cell that does not cast
@@ -430,11 +423,7 @@ def analyze(config: RunConfig) -> AnalysisResult:
     density_linear = analysis.fit_density_linear(strips)
     bottom_dev = analysis.bottom_deviation_series(strips)
 
-    # strips m = 1..8 or more give p_max >= ceil(2 log2(8 / ln 2)) = 8, above arch_centers' 4
-    m_hi = float(strips[-1].m)
-    q_max = 3 if m_hi >= 100 else 2
-    p_max = math.ceil(q_max * math.log2(m_hi / math.log(2.0)))
-    arches = analysis.arch_centers(p_max, q_max, m_limit=m_hi)
+    arches = analysis.census_arches(strips[-1].m)
     branch_report = analysis.branch_spacing_report(strips)
 
     fits = {

@@ -136,7 +136,7 @@ def test_out_that_cannot_be_made_fails_before_the_census(tmp_path, monkeypatch, 
         (2, "strips.csv", b"m,bottom\n1,abc\n"),  # a cell that is not a number
         (10, "strips.csv", b"m,n_zeros\n1,1\n"),  # no width column
         (2, "strips.csv", b"m,bottom\n1,9.5,2\n"),  # a row with a cell the header lacks
-        (2, "fits.json", b"{"),  # not JSON
+        (3, "zeros.csv", b"\xff"),  # not UTF-8
         (2, "strips.csv", b"m,bottom\n"),  # a header but no data rows
         (1, "gram.csv", b"n,g,gap,gap_ratio,gap_ratio_geo\n"),
     ],
@@ -153,8 +153,8 @@ def test_malformed_figure_input_exits_3(figure, name, data, small_run, tmp_path,
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_figure_input_exits_3(value, small_run, tmp_path, capsys):
-    # a strips.csv cell, then a fits.json coefficient, that parses as a float
-    # but is no finite number: exit 3 naming the file, and no SVG
+    # a strips.csv cell that parses as a float but is no finite number: exit 3
+    # naming the file, and no SVG
     out = tmp_path / "o"
     shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("cache", "*.svg"))
     args = ["--t-max", "100", "--out", str(out), "--quiet", "plot", "--figure", "2"]
@@ -166,14 +166,6 @@ def test_non_finite_figure_input_exits_3(value, small_run, tmp_path, capsys):
     strips.write_text("\n".join([header, ",".join(cells.values()), *rest]) + "\n")
     assert main(args) == 3
     assert f"strips.csv in {out} is malformed" in capsys.readouterr().err
-    assert not (out / "fig2.svg").exists()
-
-    strips.write_text(text)
-    fits = json.loads((out / "fits.json").read_text())
-    fits["bottoms"]["intercept"] = float(value)
-    (out / "fits.json").write_text(json.dumps(fits))
-    assert main(args) == 3
-    assert f"fits.json in {out} is malformed" in capsys.readouterr().err
     assert not (out / "fig2.svg").exists()
 
 
@@ -190,14 +182,14 @@ def _set_cell(text: str, row: int, column: str, value: str) -> str:
 @pytest.mark.parametrize(
     "figure, cells",
     [
-        (9, {(1, "width"): "0"}),  # a division by zero
-        (2, {(1, "bottom"): "1e308", (2, "bottom"): "-1e308"}),  # a padding that overflows
-        (9, {(1, "m"): "-1"}),  # a log fit line over m <= 0
+        (9, {(1, "width"): "0"}),  # a width that is not top - bottom
+        (2, {(1, "bottom"): "1e308", (2, "bottom"): "-1e308"}),  # bottoms that fit no strip
+        (9, {(1, "m"): "-1"}),  # an m that is not the row's
     ],
 )
-def test_undrawable_figure_input_exits_3(figure, cells, small_run, tmp_path, capsys):
-    # every cell parses as a finite number, but the chart cannot be drawn:
-    # exit 3 naming the figure and the directory, and no SVG
+def test_refused_strips_cells_exit_3(figure, cells, small_run, tmp_path, capsys):
+    # every cell parses as a finite number, but the strips parser refuses the
+    # table, as compute does: exit 3 naming the file, and no SVG
     out = tmp_path / "o"
     shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("cache", "*.svg"))
     text = (out / "strips.csv").read_text()
@@ -206,8 +198,43 @@ def test_undrawable_figure_input_exits_3(figure, cells, small_run, tmp_path, cap
     (out / "strips.csv").write_text(text)
     rc = main(["--t-max", "100", "--out", str(out), "--quiet", "plot", "--figure", str(figure)])
     assert rc == 3
-    assert f"figure {figure} cannot be drawn from the inputs in {out}" in capsys.readouterr().err
+    assert f"strips.csv in {out} is malformed" in capsys.readouterr().err
     assert not (out / f"fig{figure}.svg").exists()
+
+
+def test_undrawable_figure_input_exits_3(small_run, tmp_path, capsys):
+    # a gram.csv that parses, but whose every ratio cell is 0, leaves the log
+    # axes no point to show: exit 3 naming the figure and the directory, and no SVG
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("cache", "*.svg"))
+    text = (out / "gram.csv").read_text()
+    for row in range(2, len(text.splitlines())):  # row 1, n = -1, has no ratio
+        for column in ("gap_ratio", "gap_ratio_geo"):
+            text = _set_cell(text, row, column, "0")
+    (out / "gram.csv").write_text(text)
+    rc = main(["--t-max", "100", "--out", str(out), "--quiet", "plot", "--figure", "1"])
+    assert rc == 3
+    assert f"figure 1 cannot be drawn from the inputs in {out}" in capsys.readouterr().err
+    assert not (out / "fig1.svg").exists()
+
+
+def test_figures_need_only_compute(small_run, tmp_path):
+    # without analyze's outputs every figure the census covers is drawn, and
+    # each SVG is byte for byte the one drawn beside them
+    out = tmp_path / "o"
+    shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("*.svg"))
+    args = ["--t-max", "100", "--out", str(out), "--quiet", "plot", "--figure"]
+    figures = (1, 2, 3, 8, 9, 10, 11, 16)
+    drawn = {}
+    for figure in figures:
+        assert main(args + [str(figure)]) == 0
+        drawn[figure] = (out / f"fig{figure}.svg").read_bytes()
+        (out / f"fig{figure}.svg").unlink()
+    for name in ("fits.json", "deviations.csv", "arches.csv"):
+        (out / name).unlink()
+    for figure in figures:
+        assert main(args + [str(figure)]) == 0, f"figure {figure}"
+        assert (out / f"fig{figure}.svg").read_bytes() == drawn[figure], f"figure {figure}"
 
 
 def test_empty_cell_outside_the_gap_columns_is_malformed(small_run, tmp_path, capsys):
@@ -226,7 +253,9 @@ def test_empty_cell_outside_the_gap_columns_is_malformed(small_run, tmp_path, ca
     gram = out / "gram.csv"
     gram.write_text(_set_cell(gram.read_text(), 5, "gap_ratio", ""))  # row 5 is n = 3
     assert main(args + ["1"]) == 3
-    assert f"gram.csv in {out} is malformed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"gram.csv in {out} is malformed" in err
+    assert "nan" not in err.replace(str(out), "")  # no row that compute would not write
     assert not (out / "fig1.svg").exists()
 
 
@@ -316,13 +345,10 @@ def test_cached_boundaries_hold_one_row_more_than_the_strips(
 SWEEP_VALUES = (
     "nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "1e-300", "99999999999999999999", "", "x",
 )
-# each CSV figure input and the figures that read it
-SWEEP_READERS = {
-    "strips.csv": (2, 8, 9, 10, 16),
-    "gram.csv": (1,),
-    "deviations.csv": (*range(3, 8), *range(11, 16)),
-    "arches.csv": (*range(3, 8), *range(11, 16)),
-}
+# each figure input and the figures that read it: the strips figures and a
+# deviation figure of each series read strips.csv and zeros.csv together
+STRIP_FIGURES = (2, 3, 8, 9, 10, 11, 16)
+SWEEP_READERS = {"strips.csv": STRIP_FIGURES, "zeros.csv": STRIP_FIGURES, "gram.csv": (1,)}
 
 
 RESPELLED = "respelled with its number kept"
@@ -362,21 +388,6 @@ def _row_mutations(text: str):
     yield SWAPPED, "\n".join([header, second, first, *rest]) + "\n"
 
 
-def _json_mutations(text: str):
-    """(label, text) with one field of a JSON object of objects set to each
-    sweep value, a number as a float and the rest as strings."""
-    data = json.loads(text)
-    for key, fields in data.items():
-        for field in fields:
-            for value in SWEEP_VALUES:
-                mutated = json.loads(text)
-                try:
-                    mutated[key][field] = float(value)
-                except ValueError:
-                    mutated[key][field] = value
-                yield f"{key}.{field}={value!r}", json.dumps(mutated)
-
-
 def test_cached_census_without_strips_is_invalid(small_run, tmp_path, capsys):
     # validly signed tables of no strip, no zero and one boundary: compute
     # exits 3 instead of failing on the missing last strip, and verify fails
@@ -401,8 +412,9 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
     # (a cached row is served only as compute writes it), none escapes main,
     # a plot that fails leaves no SVG and one that succeeds draws no nan or
     # infinity; verify passes a cache exactly when warm compute serves it,
-    # and analyze, which reads no gram payload, exits 3 on a strips, zeros
-    # or boundaries payload exactly when compute does
+    # analyze, which reads no gram payload, exits 3 on a strips, zeros or
+    # boundaries payload exactly when compute does, and every figure exits
+    # on a strips.csv or zeros.csv cell as compute does on that payload
     out = tmp_path / "o"
     shutil.copytree(small_run, out, ignore=shutil.ignore_patterns("*.svg"))
     args = ["--t-max", "100", "--out", str(out), "--quiet"]
@@ -418,24 +430,30 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
             failures.append(f"{label} {command}: exit {rc}")
         return rc
 
-    def plot(label: str, figures) -> None:
+    plotted: dict[tuple[str, str], set] = {}  # (kind, label) -> the figures' exit codes
+
+    def plot(label: str, figures) -> set:
+        codes = set()
         for figure in figures:
             svg = out / f"fig{figure}.svg"
             svg.unlink(missing_ok=True)
             rc = run(label, ["plot", "--figure", str(figure)])
+            codes.add(rc)
             drawn = svg.read_text() if svg.exists() else None
             if (drawn is not None) != (rc == 0):
                 failures.append(f"{label} figure {figure}: exit {rc}, SVG: {drawn is not None}")
             elif drawn is not None and ("nan" in drawn or "inf" in drawn):
                 failures.append(f"{label} figure {figure}: a nan or an infinity drawn")
+        return codes
 
-    inputs = [(name, _mutations, figures) for name, figures in SWEEP_READERS.items()]
-    for name, mutations, figures in inputs + [("fits.json", _json_mutations, (2, 9))]:
-        path = out / name
+    for name, figures in SWEEP_READERS.items():
+        path, kind = out / name, name.removesuffix(".csv")
         text = path.read_text()
-        for label, mutated in mutations(text):
+        for label, mutated in _mutations(text):
             path.write_text(mutated)
-            plot(f"{name} {label}", figures)
+            codes = plotted[kind, label] = plot(f"{name} {label}", figures)
+            if RESPELLED in label and kind != "gram" and codes != {3}:
+                failures.append(f"{name} {label}: plot {codes}, not 3")
         path.write_text(text)
 
     # verify's oracle checks read no cache: over the ~380 payloads each is
@@ -455,6 +473,9 @@ def test_every_reader_survives_every_cell(small_run, tmp_path, monkeypatch, caps
                 failures.append(f"cache {kind} {label}: compute {computed}")
             if kind != "gram" and (analyzed == 3) != (computed == 3):
                 failures.append(f"cache {kind} {label}: compute {computed}, analyze {analyzed}")
+            if kind in ("strips", "zeros") and plotted.get((kind, label), {computed}) != {computed}:
+                failures.append(f"cache {kind} {label}: compute {computed}, "
+                                f"plot {plotted[kind, label]}")
             served = computed == 0
             capsys.readouterr()
             rc = main(args + ["verify"])
@@ -800,6 +821,23 @@ def test_analyze_of_too_few_strips_for_quartiles_exits_2(tmp_path, capsys):
         assert main(args + ["analyze"]) == 2
         assert f"need >= 8 strips (two per quartile), got {n}" in capsys.readouterr().err
         assert not (out / "fits.json").exists()
+
+
+def test_figures_of_a_census_too_small_to_analyze(tmp_path, capsys):
+    # a figure needs no analyze: a census of 7 strips, too few for analyze's
+    # quartiles, draws every figure it covers, and one of 2 strips draws all
+    # but those with a fit, which exit 2 with the fit's message and no SVG
+    for t_max, unfit in (("30", (2, 9, 11)), ("75", ())):
+        out = tmp_path / t_max
+        args = ["--t-max", t_max, "--out", str(out), "--quiet"]
+        assert main(args + ["compute"]) == 0
+        for figure in (1, 2, 3, 8, 9, 10, 11, 16):
+            capsys.readouterr()
+            rc = main(args + ["plot", "--figure", str(figure)])
+            assert rc == (2 if figure in unfit else 0), f"t_max {t_max} figure {figure}"
+            assert (out / f"fig{figure}.svg").exists() == (rc == 0)
+            if rc:
+                assert "need >= 3 points for a fit, got 2" in capsys.readouterr().err
 
 
 def test_config_file_not_utf8_exits_4(tmp_path, capsys):
