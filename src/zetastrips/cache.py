@@ -1,21 +1,20 @@
-"""CSV/JSON persistence with checksummed, atomically written entries.
+"""CSV persistence with signed, atomically written entries.
 
-Each cache entry is a CSV payload plus a sidecar meta JSON carrying the
-entry kind, a sha256 of the payload bytes, and the cache key: a sha256 of
-every module of the package and of the exact t_max.  Any edit to the code
-that wrote an entry, its numerics and its CSV and meta layouts included,
-changes the key, so the entry is never served to other code or for
-another t_max.  A reader never sees a torn entry: payload and meta are
-written to temp files and renamed, payload first.  ``write_atomic`` is
-also the write of every output artifact, and it leaves a file that
-already holds its bytes untouched.
+Each cache entry is one file, ``<kind>.csv``: the line ``<kind> <key>
+<sha256 of the rest>``, then the CSV payload.  The key is a sha256 of every
+module of the package and of the exact t_max, so an entry is never served
+to other code, its numerics and layouts included, or for another t_max.
+``Cache.load`` reads the file once and serves the payload only if that
+first line is the one ``Cache.store`` writes for it.  ``write_atomic`` is
+the write of every entry and artifact: unless the target already holds
+the bytes, they go to a temp file renamed over it, so no reader sees a
+torn file.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import os
 from pathlib import Path
 
@@ -55,11 +54,6 @@ def write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_json_atomic(path: Path, payload: dict) -> None:
-    text = json.dumps(round12(payload), indent=2, sort_keys=True) + "\n"
-    write_atomic(path, text.encode("utf-8"))
-
-
 @functools.cache
 def _package_digest() -> str:
     """sha256 over every module of the package, each as its name, a NUL
@@ -79,39 +73,27 @@ class Cache:
         key = f"{_package_digest()}\0{float(t_max)!r}"
         self.key = hashlib.sha256(key.encode("utf-8")).hexdigest()
 
-    def payload_path(self, kind: str) -> Path:
-        return self.dir / f"{kind}.csv"
-
-    def meta_path(self, kind: str) -> Path:
-        return self.dir / f"{kind}.meta.json"
+    def _first_line(self, kind: str, data: bytes) -> bytes:
+        """The first line, newline included, of the entry kind whose payload is data."""
+        return f"{kind} {self.key} {hashlib.sha256(data).hexdigest()}\n".encode("utf-8")
 
     def store(self, kind: str, csv_text: str) -> None:
         if kind not in KINDS:
             raise CacheInvalid(f"unknown cache kind {kind!r}")
         data = csv_text.encode("utf-8")
-        write_atomic(self.payload_path(kind), data)
-        meta = {"kind": kind, "checksum": hashlib.sha256(data).hexdigest(), "key": self.key}
-        write_json_atomic(self.meta_path(kind), meta)
+        write_atomic(self.dir / f"{kind}.csv", self._first_line(kind, data) + data)
 
     def load(self, kind: str) -> str:
-        """The payload, read once and returned only if the meta matches and
-        those bytes pass the checksum and are UTF-8; else CacheMissing / CacheInvalid."""
-        payload, meta_path = self.payload_path(kind), self.meta_path(kind)
-        if not payload.exists() or not meta_path.exists():
-            raise CacheMissing(f"cache entry {kind!r} not found in {self.dir}")
+        """The payload of the entry, read once and returned only if its first
+        line is the one store writes for it and the payload is UTF-8; else
+        CacheMissing / CacheInvalid."""
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise CacheInvalid(f"cache meta for {kind!r} unreadable: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise CacheInvalid(f"cache meta for {kind!r} is not a JSON object")
-        if meta.get("kind") != kind:
-            raise CacheInvalid(f"cache entry {kind!r} mislabeled as {meta.get('kind')}")
-        if meta.get("key") != self.key:
-            raise CacheInvalid(f"cache entry {kind!r} written by other code or for another t_max")
-        data = payload.read_bytes()
-        if meta.get("checksum") != hashlib.sha256(data).hexdigest():
-            raise CacheInvalid(f"cache entry {kind!r} failed its checksum")
+            first, newline, data = (self.dir / f"{kind}.csv").read_bytes().partition(b"\n")
+        except FileNotFoundError:
+            raise CacheMissing(f"cache entry {kind!r} not found in {self.dir}") from None
+        if first + newline != self._first_line(kind, data):
+            raise CacheInvalid(f"cache entry {kind!r} failed its first-line check "
+                               "(kind, key of this code and t_max, payload checksum)")
         try:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:

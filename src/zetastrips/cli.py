@@ -7,8 +7,9 @@ series and arch centre as analyze computes and writes it.
 Exit codes: 0 success, 1 I/O error, 2 math anomaly (any package error
 other than a CacheMissing: a contour or count check failed), 3 missing
 inputs (CacheMissing and its subclass CacheInvalid: a cache entry or
-artifact absent, invalid or unparsable, or a figure range the census does
-not reach), 4 usage error, 5 verification failure.
+artifact absent, invalid or unparsable, a census too small for a fit or for
+analyze, or a figure range the census does not reach), 4 usage error,
+5 verification failure.
 """
 
 from __future__ import annotations
@@ -114,10 +115,7 @@ def cmd_compute(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
-    try:
-        result = pipeline.analyze(config)
-    except CacheMissing as exc:  # or its subclass CacheInvalid
-        raise type(exc)(f"{exc}; run 'zetastrips compute' first") from exc
+    result = pipeline.analyze(config)
     for line in result.summary_lines():
         print(line)
     print(f"artifacts in {config.out_dir}: fits.json deviations.csv arches.csv")
@@ -156,6 +154,11 @@ def _fit_line(fit: analysis.LinearFit, ms: list[int], log: bool) -> tuple[list, 
     intercept, slope = round12([fit.intercept, fit.slope])
     xs = list(np.geomspace(ms[0], ms[-1], 64)) if log else [ms[0], ms[-1]]
     return xs, [intercept + slope * (math.log(x) if log else x) for x in xs]
+
+
+def _fitted(fit):
+    """fit(strips), refused as CacheMissing before it runs on fewer than 3 strips."""
+    return lambda strips: fit(pipeline.require_strips(strips, 3, "need >= 3 points for a fit"))
 
 
 # the strip ranges of the deviation figures 3-7 and 11-15
@@ -211,7 +214,7 @@ def _strips_chart(out: Path, value, fit=None, **labels) -> Chart:
 # figure number -> builder of its chart from the output directory
 FIGURES = {
     1: _gram_chart,
-    2: partial(_strips_chart, value=attrgetter("bottom"), fit=analysis.fit_bottoms,
+    2: partial(_strips_chart, value=attrgetter("bottom"), fit=_fitted(analysis.fit_bottoms),
                title="Strip bottom height vs strip number", xlabel="strip number m",
                ylabel="bottom height t"),
     **{3 + i: partial(_deviation_chart, figure=3 + i, span=span,
@@ -221,14 +224,14 @@ FIGURES = {
                title="Zeros per strip vs strip number",
                xlabel="strip number m (log)", ylabel="zero count", xlog=True),
     9: partial(_strips_chart, value=lambda s: len(s.zeros) / s.width,
-               fit=lambda strips: analysis.fit_density(strips)[0],
+               fit=_fitted(lambda strips: analysis.fit_density(strips)[0]),
                title="Zero density per strip vs strip number",
                xlabel="strip number m (log)", ylabel="zeros / width", xlog=True),
     10: partial(_strips_chart, value=attrgetter("width"),
                 title="Strip width on the critical line vs strip number",
                 xlabel="strip number m (log)", ylabel="width", xlog=True),
     **{11 + i: partial(_deviation_chart, figure=11 + i, span=span,
-                       series=lambda strips: analysis.fit_density(strips)[1],
+                       series=_fitted(lambda strips: analysis.fit_density(strips)[1]),
                        title="Zero-density")
        for i, span in enumerate(STRIP_RANGES)},
     16: partial(_strips_chart, value=lambda s: round12(s.primary_stat),

@@ -66,5 +66,5 @@ class CacheMissing(ZetaStripsError):
 
 
 class CacheInvalid(CacheMissing):
-    """Cache entry failed its meta, key or checksum check; it serves no
-    better than a missing one."""
+    """Cache entry failed its first-line check (kind, key, checksum) or
+    its table's parser; it serves no better than a missing one."""

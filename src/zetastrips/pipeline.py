@@ -18,12 +18,15 @@ Each table parser keeps its last checked result (``lru_cache(maxsize=1)``):
 an equal text read again in the same process returns the same immutable
 objects, and a refused text, whose raise is not kept, is refused on every call.
 ``analyze``, ``verify`` and every figure of ``plot`` read the census through
-these parsers too, always with positional arguments: the memo keys keyword
-arguments apart, so a keyword call would miss and evict the entry.
+these parsers too; their arguments are positional-only, so every call keys
+the memo alike.  Every CSV is written by ``_table`` from f-string rows, and
+a census too small for a command is ``CacheMissing``: only a larger t_max
+gives it more strips.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 import time
@@ -34,7 +37,7 @@ from operator import lt
 from pathlib import Path
 
 from . import analysis
-from .cache import KINDS, Cache, fmt, write_atomic, write_json_atomic
+from .cache import KINDS, Cache, fmt, round12, write_atomic
 from .contour import primary_zero_of_strip, strip_boundary
 from .errors import CacheInvalid, CacheMissing, DomainError, NotSpecial
 from .gram import default_table, gap_ratio_series, gram_point
@@ -157,15 +160,6 @@ def _table(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text of rows under header: floats on the 12-digit grid (fmt),
-    ints as written, None as an empty field."""
-    def cell(v) -> str:
-        return "" if v is None else fmt(v) if isinstance(v, float) else str(v)
-
-    return _table(header, (",".join(map(cell, row)) for row in rows))
-
-
 def _gram_csv(t_max: float) -> str:
     rows = [(-1, gram_point(-1)), *gap_ratio_series(default_table().extend_to_height(t_max))]
     return _table(GRAM_HEADER, (_gram_row(*row) for row in rows))
@@ -220,7 +214,7 @@ def _expect(table: str, j: int, line: str, want: str) -> None:
 
 
 @lru_cache(maxsize=1)
-def parse_strips(strips_text: str, zeros_text: str) -> tuple[Strip, ...]:
+def parse_strips(strips_text: str, zeros_text: str, /) -> tuple[Strip, ...]:
     """The Strip records of the cached CSVs, read in one ordered pass.  Strip
     m's zeros, the next n_zeros zeros rows, must read as ``_zero_row`` writes
     them before its Strip is built and checks itself, and its row as
@@ -254,7 +248,7 @@ def parse_strips(strips_text: str, zeros_text: str) -> tuple[Strip, ...]:
 
 
 @lru_cache(maxsize=1)
-def parse_gram(gram_text: str) -> tuple[tuple[float, ...], ...]:
+def parse_gram(gram_text: str, /) -> tuple[tuple[float, ...], ...]:
     """The n, g, gap, gap_ratio and gap_ratio_geo columns of gram.csv, row -1's
     gap cells nan; CacheInvalid unless each row reads as ``_gram_row`` writes
     it, n from -1, g finite and strictly ascending and the gaps finite below."""
@@ -278,7 +272,7 @@ def parse_gram(gram_text: str) -> tuple[tuple[float, ...], ...]:
 
 
 @lru_cache(maxsize=1)
-def boundary_margin(boundaries_text: str, n_strips: int) -> tuple[float, int]:
+def boundary_margin(boundaries_text: str, n_strips: int, /) -> tuple[float, int]:
     """(smallest min_abs_zeta, its boundary m) of the cached boundaries.csv
     of a census of n_strips strips; CacheInvalid unless each of its n_strips
     + 1 rows reads as ``_boundary_row`` writes it, with a finite margin."""
@@ -294,6 +288,14 @@ def boundary_margin(boundaries_text: str, n_strips: int) -> tuple[float, int]:
     if not all(map(math.isfinite, margins)):
         raise CacheInvalid("boundaries table: a min_abs_zeta cell is not finite")
     return min((margin, m) for m, margin in enumerate(margins, 1))
+
+
+def require_strips(strips: tuple[Strip, ...], need: int, reason: str) -> tuple[Strip, ...]:
+    """strips, or CacheMissing when there are fewer than need of them."""
+    if len(strips) < need:
+        raise CacheMissing(f"{reason}, got {len(strips)}: the census ends at strip "
+                           f"{strips[-1].m}; only a larger --t-max reaches that")
+    return strips
 
 
 def read_census(texts: dict[str, str]) -> tuple[tuple[Strip, ...], tuple[float, int]]:
@@ -412,10 +414,15 @@ def analyze(config: RunConfig) -> AnalysisResult:
     """Regressions and deviation series over the cached strips, and the
     cached boundaries' margin, each read by the parser ``read_census``
     reads it with; writes fits.json, deviations.csv, arches.csv.  A census
-    of fewer than 8 strips fails primary_stats, before any fit."""
+    of fewer than 8 strips, two per quartile of primary_stats, is
+    CacheMissing before any fit."""
     cache = config.cache()
-    strips = parse_strips(cache.load("strips"), cache.load("zeros"))
-    margin = boundary_margin(cache.load("boundaries"), len(strips))
+    try:
+        strips = parse_strips(cache.load("strips"), cache.load("zeros"))
+        margin = boundary_margin(cache.load("boundaries"), len(strips))
+    except CacheMissing as exc:  # or its subclass CacheInvalid
+        raise type(exc)(f"{exc}; run 'zetastrips compute' first") from exc
+    require_strips(strips, 8, "need >= 8 strips (two per quartile)")
     primary = analysis.primary_stats(strips)
     bottoms = analysis.fit_bottoms(strips)
     tops = analysis.fit_tops(strips)
@@ -434,12 +441,11 @@ def analyze(config: RunConfig) -> AnalysisResult:
         "primary_stats": asdict(primary),
     }
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json_atomic(config.out_dir / "fits.json", fits)
-
-    deviations = ((m, bdev, ddev) for (m, bdev), (_, ddev) in zip(bottom_dev, density_dev))
-    _emit(config.out_dir, "deviations.csv", _csv("m,bottom_dev,density_dev", deviations))
-    arch_rows = ((a.p, a.q, a.m_center, a.t_center) for a in arches)
-    _emit(config.out_dir, "arches.csv", _csv("p,q,m_center,t_center", arch_rows))
+    _emit(config.out_dir, "fits.json", json.dumps(round12(fits), indent=2, sort_keys=True) + "\n")
+    _emit(config.out_dir, "deviations.csv", _table("m,bottom_dev,density_dev", (
+        f"{m},{fmt(bdev)},{fmt(ddev)}" for (m, bdev), (_, ddev) in zip(bottom_dev, density_dev))))
+    _emit(config.out_dir, "arches.csv", _table("p,q,m_center,t_center", (
+        f"{a.p},{a.q},{fmt(a.m_center)},{fmt(a.t_center)}" for a in arches)))
     return AnalysisResult(
         bottoms=bottoms,
         tops=tops,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import json
 import os
 import shutil
@@ -503,7 +504,7 @@ def test_rerun_over_an_unchanged_cache_rewrites_nothing(small_run, tmp_path):
 
     report_round()
     before = _file_states(out, cache_dir)
-    assert len(before) == 6 + len(figures) + 2 * len(KINDS)
+    assert len(before) == 6 + len(figures) + len(KINDS)
     report_round()
     assert _file_states(out, cache_dir) == before
 
@@ -577,7 +578,8 @@ def test_verify_passes_fresh(tmp_path, capsys):
 
 
 def test_verify_and_analyze_print_the_boundary_margin(small_run, monkeypatch, capsys):
-    rows = csv.DictReader((small_run / "cache" / "boundaries.csv").read_text().splitlines())
+    boundaries = RunConfig(t_max=100.0, out_dir=small_run).cache().load("boundaries")
+    rows = csv.DictReader(boundaries.splitlines())
     margin, m = min((float(row["min_abs_zeta"]), int(row["m"])) for row in rows)
     loaded = []
     load = Cache.load
@@ -602,8 +604,9 @@ def test_verify_reports_corrupted_cache(small_run, capsys):
     cache_dir = small_run / "cache"
     payload = cache_dir / "strips.csv"
     original = payload.read_bytes()
+    first, newline, rows = original.partition(b"\n")
     try:
-        payload.write_bytes(original.replace(b"9", b"8", 1))
+        payload.write_bytes(first + newline + rows.replace(b"9", b"8", 1))
         rc = main(["--t-max", "100", "--out", str(small_run), "--quiet", "verify"])
         captured = capsys.readouterr().out
         assert rc == 5
@@ -629,35 +632,11 @@ def test_verify_reports_one_bad_cache_once(small_run, tmp_path, capsys):
     assert "PASS boundary_margin: no census read (skipped)" in lines
 
 
-def test_verify_reports_payload_without_meta(small_run, capsys):
-    meta = small_run / "cache" / "zeros.meta.json"
-    original = meta.read_bytes()
-    try:
-        meta.unlink()
-        rc = main(["--t-max", "100", "--out", str(small_run), "--quiet", "verify"])
-        captured = capsys.readouterr().out
-        assert rc == 5
-        assert "FAIL cache_integrity: CacheMissing: cache entry 'zeros' not found in " in captured
-    finally:
-        meta.write_bytes(original)
-
-
-def test_verify_reports_meta_without_payload(tmp_path, capsys):
+def test_verify_fails_a_partial_cache(tmp_path, capsys):
+    # a missing entry fails verify, as warm compute finds it missing
     out = tmp_path / "out"
     assert main(["--t-max", "30", "--out", str(out), "--quiet", "compute"]) == 0
     (out / "cache" / "zeros.csv").unlink()
-    rc = main(["--t-max", "30", "--out", str(out), "--quiet", "verify"])
-    captured = capsys.readouterr().out
-    assert rc == EXIT_VERIFY
-    assert "FAIL cache_integrity: CacheMissing: cache entry 'zeros' not found in " in captured
-
-
-def test_verify_fails_a_partial_cache(tmp_path, capsys):
-    # an entry with neither file is missing, as warm compute finds it
-    out = tmp_path / "out"
-    assert main(["--t-max", "30", "--out", str(out), "--quiet", "compute"]) == 0
-    for name in ("zeros.csv", "zeros.meta.json"):
-        (out / "cache" / name).unlink()
     rc = main(["--t-max", "30", "--out", str(out), "--quiet", "verify"])
     captured = capsys.readouterr().out
     assert rc == EXIT_VERIFY
@@ -679,8 +658,9 @@ def test_warm_compute_loads_each_entry_once(small_run, monkeypatch):
 
 
 def test_load_opens_its_payload_once(small_run, monkeypatch):
+    # one file per entry: its first line, then the payload load returns
     cache = RunConfig(t_max=100.0, out_dir=small_run, progress=False).cache()
-    payload = cache.payload_path("strips")
+    entry = cache.dir / "strips.csv"
     opened = []
     real_open = Path.open
 
@@ -690,8 +670,10 @@ def test_load_opens_its_payload_once(small_run, monkeypatch):
 
     monkeypatch.setattr(Path, "open", counting)
     text = cache.load("strips")
-    assert opened.count(payload) == 1
-    assert text.encode("utf-8") == payload.read_bytes()
+    assert opened == [entry]
+    first, payload = entry.read_text(encoding="utf-8").split("\n", 1)
+    assert first.startswith(f"strips {cache.key} ")
+    assert text == payload
 
 
 def test_corrupted_cache_triggers_recompute(small_run):
@@ -709,35 +691,90 @@ def test_corrupted_cache_triggers_recompute(small_run):
             payload.write_bytes(original)
 
 
-def test_cache_meta_that_is_not_an_object_is_invalid(tmp_path, capsys):
-    args = ["--t-max", "30", "--out", str(tmp_path / "o"), "--quiet"]
-    assert main(args + ["compute"]) == 0
-    meta = tmp_path / "o" / "cache" / "strips.meta.json"
-    original = meta.read_bytes()
-    meta.write_text("[]", encoding="utf-8")  # valid JSON, not a meta object
-    assert main(args + ["analyze"]) == 3
-    capsys.readouterr()
-    assert main(args + ["compute"]) == 0
-    assert "(fresh run," in capsys.readouterr().out  # the entry was not trusted
-    assert meta.read_bytes() == original  # rebuilt to the same bytes
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def test_swapped_cache_entry_is_invalid(tmp_path, capsys):
-    # one key serves every kind, so only the meta's kind tells a zeros entry
-    # copied over the strips entry from the real one
+# entry bytes from the key and the payload of a t_max = 30 strips entry
+FIRST_LINES = {
+    "another kind": lambda key, payload: f"zeros {key} {_sha256(payload)}\n".encode() + payload,
+    "another t_max": lambda key, payload: (
+        f"strips {Cache(Path('c'), 31.0).key} {_sha256(payload)}\n".encode() + payload),
+    "other code": lambda key, payload: (
+        f"strips {_sha256(b'other code')} {_sha256(payload)}\n".encode() + payload),
+    "another checksum": lambda key, payload: (
+        f"strips {key} {_sha256(payload + b'1')}\n".encode() + payload),
+    "no newline after it": lambda key, payload: f"strips {key} {_sha256(payload)}".encode(),
+    "empty": lambda key, payload: b"",
+}
+
+
+@pytest.mark.parametrize("entry_bytes", FIRST_LINES.values(), ids=FIRST_LINES)
+def test_an_entry_whose_first_line_store_would_not_write_is_invalid(
+    entry_bytes, tmp_path, capsys
+):
+    # an entry is one file: "<kind> <key> <sha256 of the rest>", then the
+    # payload.  Any other first line fails the load, verify reports it on
+    # one FAIL line, and warm compute recomputes the entry's same bytes
     args = ["--t-max", "30", "--out", str(tmp_path / "o"), "--quiet"]
     assert main(args + ["compute"]) == 0
     cache = RunConfig(t_max=30.0, out_dir=tmp_path / "o").cache()
-    original = cache.payload_path("strips").read_bytes()
-    shutil.copyfile(cache.payload_path("zeros"), cache.payload_path("strips"))
-    shutil.copyfile(cache.meta_path("zeros"), cache.meta_path("strips"))
-    with pytest.raises(CacheInvalid, match="mislabeled"):
+    entry = cache.dir / "strips.csv"
+    original, payload = entry.read_bytes(), cache.load("strips").encode()
+    entry.write_bytes(entry_bytes(cache.key, payload))
+    message = "cache entry 'strips' failed its first-line check"
+    with pytest.raises(CacheInvalid, match=message):
+        cache.load("strips")
+    capsys.readouterr()
+    assert main(args + ["verify"]) == EXIT_VERIFY
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL cache_integrity: CacheInvalid: {message} "
+                     "(kind, key of this code and t_max, payload checksum)"]
+    assert main(args + ["compute"]) == 0
+    assert "(fresh run," in capsys.readouterr().out
+    assert entry.read_bytes() == original
+
+
+def test_a_cache_of_the_old_layout_recomputes_once(tmp_path, capsys):
+    # an older version wrote each payload bare, beside a .meta.json: its
+    # entries fail their first line, compute recomputes them once, and the
+    # sidecars are left as they are and never read
+    args = ["--t-max", "30", "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(args + ["compute"]) == 0
+    cache = RunConfig(t_max=30.0, out_dir=tmp_path / "o").cache()
+    entries = {kind: (cache.dir / f"{kind}.csv").read_bytes() for kind in KINDS}
+    for kind in KINDS:
+        (cache.dir / f"{kind}.csv").write_text(cache.load(kind), encoding="utf-8")
+        (cache.dir / f"{kind}.meta.json").write_text("{}", encoding="utf-8")
+    capsys.readouterr()
+    for source in ("(fresh run,", "(cache,"):
+        assert main(args + ["compute"]) == 0
+        assert source in capsys.readouterr().out
+    assert {kind: (cache.dir / f"{kind}.csv").read_bytes() for kind in KINDS} == entries
+    assert all((cache.dir / f"{kind}.meta.json").read_text() == "{}" for kind in KINDS)
+
+
+def test_fresh_compute_leaves_one_file_per_entry(tmp_path):
+    compute(RunConfig(t_max=30.0, out_dir=tmp_path))
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+        f"{kind}.csv" for kind in KINDS)
+
+
+def test_swapped_cache_entry_is_invalid(tmp_path, capsys):
+    # one key serves every kind, so only the first line's kind tells a zeros
+    # entry copied over the strips entry from the real one
+    args = ["--t-max", "30", "--out", str(tmp_path / "o"), "--quiet"]
+    assert main(args + ["compute"]) == 0
+    cache = RunConfig(t_max=30.0, out_dir=tmp_path / "o").cache()
+    original = (cache.dir / "strips.csv").read_bytes()
+    shutil.copyfile(cache.dir / "zeros.csv", cache.dir / "strips.csv")
+    with pytest.raises(CacheInvalid, match="first-line check"):
         cache.load("strips")
     capsys.readouterr()
     assert main(args + ["compute"]) == 0
     assert "(fresh run," in capsys.readouterr().out
-    assert cache.payload_path("strips").read_bytes() == original
-    assert (tmp_path / "o" / "strips.csv").read_bytes() == original
+    assert (cache.dir / "strips.csv").read_bytes() == original
+    assert (tmp_path / "o" / "strips.csv").read_bytes() == original.partition(b"\n")[2]
 
 
 def test_edited_package_serves_no_cache(tmp_path):
@@ -811,14 +848,14 @@ def test_config_file_malformed_value_exits_4(line, tmp_path, capsys):
     assert not out.exists()  # rejected before any work
 
 
-def test_analyze_of_too_few_strips_for_quartiles_exits_2(tmp_path, capsys):
+def test_analyze_of_too_few_strips_for_quartiles(tmp_path, capsys):
     # t_max = 30 gives 2 strips, too few for a fit, and t_max = 75 gives 7:
     # one per quartile, no variance to report; both fail with one message
     for t_max, n in (("30", 2), ("75", 7)):
         out = tmp_path / t_max
         args = ["--t-max", t_max, "--out", str(out), "--quiet"]
         assert main(args + ["compute"]) == 0
-        assert main(args + ["analyze"]) == 2
+        assert main(args + ["analyze"]) == 3
         assert f"need >= 8 strips (two per quartile), got {n}" in capsys.readouterr().err
         assert not (out / "fits.json").exists()
 
@@ -826,7 +863,7 @@ def test_analyze_of_too_few_strips_for_quartiles_exits_2(tmp_path, capsys):
 def test_figures_of_a_census_too_small_to_analyze(tmp_path, capsys):
     # a figure needs no analyze: a census of 7 strips, too few for analyze's
     # quartiles, draws every figure it covers, and one of 2 strips draws all
-    # but those with a fit, which exit 2 with the fit's message and no SVG
+    # but those with a fit, which exit 3 with the fit's message and no SVG
     for t_max, unfit in (("30", (2, 9, 11)), ("75", ())):
         out = tmp_path / t_max
         args = ["--t-max", t_max, "--out", str(out), "--quiet"]
@@ -834,10 +871,26 @@ def test_figures_of_a_census_too_small_to_analyze(tmp_path, capsys):
         for figure in (1, 2, 3, 8, 9, 10, 11, 16):
             capsys.readouterr()
             rc = main(args + ["plot", "--figure", str(figure)])
-            assert rc == (2 if figure in unfit else 0), f"t_max {t_max} figure {figure}"
+            assert rc == (3 if figure in unfit else 0), f"t_max {t_max} figure {figure}"
             assert (out / f"fig{figure}.svg").exists() == (rc == 0)
             if rc:
                 assert "need >= 3 points for a fit, got 2" in capsys.readouterr().err
+
+
+def test_a_census_too_small_for_a_command_asks_for_a_larger_t_max(tmp_path, capsys):
+    # too few strips is no failed computation: compute again gives the same
+    # 2 strips, and only a larger --t-max gives more
+    args = ["--t-max", "30", "--out", str(tmp_path), "--quiet"]
+    assert main(args + ["compute"]) == 0
+    for command, need in ((["plot", "--figure", "11"], "need >= 3 points for a fit, got 2"),
+                          (["analyze"], "need >= 8 strips (two per quartile), got 2")):
+        capsys.readouterr()
+        assert main(args + command) == 3
+        err = capsys.readouterr().err
+        assert f"{need}: the census ends at strip 2; only a larger --t-max reaches that" in err
+        assert "run 'zetastrips compute' first" not in err
+    assert not (tmp_path / "fig11.svg").exists()
+    assert not (tmp_path / "fits.json").exists()
 
 
 def test_config_file_not_utf8_exits_4(tmp_path, capsys):

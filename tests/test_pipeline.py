@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,7 +109,7 @@ def test_run_config_takes_str_directories(monkeypatch, tmp_path):
 
 
 def _resign_first_row(config: RunConfig, kind: str, column: str, value) -> None:
-    """Store the cached ``kind`` entry, meta and checksum valid, with its
+    """Store the cached ``kind`` entry, its first line valid, with its
     first row's ``column`` cell set to value, a str as it stands or else
     value(cells of that row by column name): a str as it stands, a float
     as fmt writes it."""
@@ -126,7 +126,7 @@ def _primary_above_top(cells: dict[str, str]) -> float:
 
 
 def test_cached_strips_pass_the_fresh_strip_checks(tmp_path):
-    # a strips entry whose meta and checksum are valid, but whose strip 1
+    # a strips entry whose first line is valid, but whose strip 1
     # has its primary zero 1 above its top
     config = RunConfig(t_max=100.0, out_dir=tmp_path)
     compute(config)
@@ -344,13 +344,11 @@ def test_cached_strips_that_do_not_tile_in_order_are_invalid(tmp_path, capsys, e
 
 def _append_non_utf8_line(config: RunConfig, kind: str) -> None:
     """Append a line holding the byte 0xff to the cached ``kind`` payload
-    and write its meta's checksum for the new bytes."""
+    and re-sign the entry: its first line gives the new bytes' checksum."""
     cache = config.cache()
-    payload = cache.payload_path(kind)
-    payload.write_bytes(payload.read_bytes() + b"\xff\n")
-    meta = json.loads(cache.meta_path(kind).read_text(encoding="utf-8"))
-    meta["checksum"] = hashlib.sha256(payload.read_bytes()).hexdigest()
-    cache.meta_path(kind).write_text(json.dumps(meta), encoding="utf-8")
+    data = cache.load(kind).encode("utf-8") + b"\xff\n"
+    first = f"{kind} {cache.key} {hashlib.sha256(data).hexdigest()}\n"
+    (cache.dir / f"{kind}.csv").write_bytes(first.encode("utf-8") + data)
 
 
 @pytest.mark.parametrize("kind", cache.KINDS)
@@ -484,6 +482,26 @@ def test_parsers_serve_an_equal_text_their_last_checked_result(tmp_path):
     assert isinstance(columns, tuple) and all(isinstance(column, tuple) for column in columns)
 
 
+@pytest.mark.parametrize("parser, texts, keywords", [
+    (pipeline.parse_gram, lambda t: (t["gram"],), lambda t: {"gram_text": t["gram"]}),
+    (pipeline.parse_strips, lambda t: (t["strips"], t["zeros"]),
+     lambda t: {"strips_text": t["strips"], "zeros_text": t["zeros"]}),
+    (pipeline.boundary_margin, lambda t: (t["boundaries"], 10),
+     lambda t: {"boundaries_text": t["boundaries"], "n_strips": 10}),
+])
+def test_a_keyword_call_neither_parses_nor_evicts_the_memo(tmp_path, parser, texts, keywords):
+    # each parser takes its texts positionally only, so a keyword call is a
+    # TypeError before the memo is consulted, and the positional call after
+    # it still gets the result object the one before it was given
+    config = RunConfig(t_max=100.0, out_dir=tmp_path)
+    compute(config)
+    loaded = {kind: config.cache().load(kind) for kind in cache.KINDS}
+    parsed = parser(*texts(loaded))
+    with pytest.raises(TypeError):
+        parser(**keywords(loaded))
+    assert parser(*texts(loaded)) is parsed
+
+
 def test_a_refused_text_is_refused_on_every_call(tmp_path, capsys):
     # in one process, where each parser keeps its last checked result: a
     # zeros payload with a respelled t cell, re-signed, is refused by compute
@@ -546,6 +564,20 @@ def test_pool_starts_no_more_workers_than_jobs(monkeypatch):
     assert pipeline._run_jobs([-5], abs, 64, "primaries", False) == [5]
     assert pipeline._run_jobs(range(20), abs, 2, "zeros", False) == list(range(20))
     assert started == [3, 2]
+
+
+def test_compute_prints_progress_unless_quiet(tmp_path, capsys):
+    # t_max = 460 traces 52 boundaries, so the boundary stage prints one
+    # progress line, at 50 of 52; --quiet prints nothing.  Each run is
+    # fresh, as a warm cache runs no stage
+    def stderr(out: str, *flags: str) -> list[str]:
+        assert main(["--t-max", "460", "--out", str(tmp_path / out), *flags, "compute"]) == 0
+        return capsys.readouterr().err.splitlines()
+
+    assert stderr("quiet", "--quiet") == []
+    boundaries = [line for line in stderr("progress") if line.startswith("  boundaries:")]
+    assert len(boundaries) == 1
+    assert re.fullmatch(r"  boundaries: 50/52 \(\d+\.\d/s, ETA \d+ s\)", boundaries[0])
 
 
 def test_progress_lines_give_rate_and_eta(monkeypatch, capsys):
